@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quantum import StateVector, basis_state, evolve, expm
+from .quantum import StateVector, basis_state, evolve, propagate
 
 __all__ = [
     "HBAR",
@@ -36,6 +36,7 @@ __all__ = [
     "pendellosung_phase_rate",
     "full_deflection_time",
     "deflection_phase",
+    "nominal_deflected_amplitude",
     "analytic_amplitudes",
     "LadderState",
     "evolve_ladder",
@@ -50,6 +51,10 @@ HBAR = 1.054571817e-34  # J s
 
 # Boundary population above this marks the ladder truncation as too tight.
 TRUNCATION_LIMIT = 1e-6
+
+# Time points propagated at once by ladder_population_series; bounds the
+# (times x sites) working array on long grids.
+SERIES_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,6 @@ class BraggParams:
         The ladder keeps momentum offsets -2L .. +2L in steps of 2; must
         leave at least two sites beyond the Bragg pair.  Defaults to
         l0/2 + 6.
-    step : float or None
-        Time step for the fixed-step integrator path; None picks
-        0.01 / max|H|.
     """
 
     g: float = 1.0
@@ -86,7 +88,6 @@ class BraggParams:
     r: int = 1
     n: int = 1
     ladder_halfwidth: int | None = None
-    step: float | None = None
 
     def __post_init__(self):
         if not (self.g > 0.0 and math.isfinite(self.g)):
@@ -118,8 +119,6 @@ class BraggParams:
             raise ValueError(
                 f"ladder_halfwidth must be at least l0/2 + 2 = {self.l0 // 2 + 2}"
             )
-        if self.step is not None and not (self.step > 0.0 and math.isfinite(self.step)):
-            raise ValueError("integrator step must be positive and finite")
 
     def with_photons(self, n: int) -> "BraggParams":
         return replace(self, n=n)
@@ -230,15 +229,11 @@ def max_excited_population(p: BraggParams, t_final: float | None = None, samples
     if t_final is None:
         t_final = full_deflection_time(p)
     model = build_full_hamiltonian(p)
-    psi = np.zeros(len(model.labels), dtype=np.complex128)
-    psi[model.labels.index(("g", 0))] = 1.0
-    step = expm(-1j * (t_final / samples) * model.hamiltonian)
-    excited = list(model.excited_indices)
-    worst = 0.0
-    for _ in range(samples):
-        psi = step @ psi
-        worst = max(worst, float(np.sum(np.abs(psi[excited]) ** 2)))
-    return worst
+    psi0 = np.zeros(len(model.labels), dtype=np.complex128)
+    psi0[model.labels.index(("g", 0))] = 1.0
+    times = t_final * np.arange(1, samples + 1) / samples
+    psi = propagate(model.hamiltonian, psi0, times)
+    return float(np.max(np.sum(np.abs(psi[:, list(model.excited_indices)]) ** 2, axis=1)))
 
 
 def pendellosung_frequency(p: BraggParams) -> float:
@@ -280,7 +275,13 @@ def full_deflection_time(p: BraggParams) -> float:
 
 def deflection_phase(p: BraggParams) -> float:
     """Phase r pi A/B carried by the deflected amplitude at the full
-    deflection time, evaluated for the one-photon branch."""
+    deflection time, evaluated for the one-photon branch.
+
+    The deflected amplitude there is i (-1)^((r-1)/2) e^{-i phi} (see
+    :func:`nominal_deflected_amplitude`); the phi returned here leaves the
+    sign (-1)^((r-1)/2) out, so at r = 3 mod 4 it is off by pi from the
+    phase the amplitude actually carries.
+    """
     one = p.with_photons(1)
     return p.r * math.pi * pendellosung_phase_rate(one) / pendellosung_frequency(one)
 
@@ -298,10 +299,13 @@ def analytic_amplitudes(p: BraggParams, t: float) -> tuple[complex, complex]:
     return complex(phase * math.cos(0.5 * b * t)), complex(1j * phase * math.sin(0.5 * b * t))
 
 
-def _nominal_deflected_amplitude(p: BraggParams) -> complex:
-    # Exact algebraic limit of analytic_amplitudes at the full deflection
-    # time: sin(r pi / 2) = (-1)^((r-1)/2) and the accrued phase equals
-    # the deflection phase.
+def nominal_deflected_amplitude(p: BraggParams) -> complex:
+    """Deflected one-photon amplitude at the full deflection time.
+
+    Exact algebraic limit of :func:`analytic_amplitudes` there, free of
+    numerical cosine dust: sin(r pi / 2) = (-1)^((r-1)/2) and the accrued
+    phase equals the deflection phase.
+    """
     parity = -1.0 if (p.r - 1) // 2 % 2 else 1.0
     return complex(1j * parity * np.exp(-1j * deflection_phase(p)))
 
@@ -342,24 +346,19 @@ class LadderState:
         return StateVector(labels, self.amps)
 
 
-def _boundary_population(amps: np.ndarray) -> float:
-    return float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2)
-
-
-def evolve_ladder(p: BraggParams, t: float, method: str = "expm") -> LadderState:
+def evolve_ladder(p: BraggParams, t: float) -> LadderState:
     """Numerically exact evolution of the truncated ladder from offset 0.
 
     This is the independent check for the closed-form amplitudes: it
     propagates under the effective ladder Hamiltonian with no further
-    approximation.  The matrix-exponential path is the reference;
-    ``method="rk4"`` integrates stepwise (honouring ``p.step``) as a
-    cross-check.
+    approximation.
     """
     offsets = ladder_offsets(p)
     labels = tuple((p.n, int(o)) for o in offsets)
     psi0 = basis_state(labels, (p.n, 0))
-    psi = evolve(build_effective_hamiltonian(p), psi0, t, method=method, step=p.step)
-    return LadderState(p, t, tuple(int(o) for o in offsets), psi.amps, _boundary_population(psi.amps))
+    amps = evolve(build_effective_hamiltonian(p), psi0, t).amps
+    boundary = float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2)
+    return LadderState(p, t, tuple(int(o) for o in offsets), amps, boundary)
 
 
 @dataclass(frozen=True)
@@ -378,35 +377,27 @@ class PopulationSeries:
 
 
 def ladder_population_series(p: BraggParams, times) -> PopulationSeries:
-    """Ladder populations at each time in a nondecreasing grid.
+    """Ladder populations at each time of a nonnegative grid.
 
-    Uses the matrix-exponential path composed incrementally, so a uniform
-    grid costs one propagator build plus one matrix-vector product per
-    sample.
+    Each time is propagated directly from t = 0, with one eigendecomposition
+    of the ladder Hamiltonian per block of ``SERIES_BLOCK`` times.
     """
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be nondecreasing and nonnegative")
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("times must be nonnegative")
     h = build_effective_hamiltonian(p)
     offsets = list(ladder_offsets(p))
     i_in, i_out = offsets.index(0), offsets.index(-p.l0)
-    psi = np.zeros(len(offsets), dtype=np.complex128)
-    psi[i_in] = 1.0
-    steps: dict[float, np.ndarray] = {}
+    psi0 = np.zeros(len(offsets), dtype=np.complex128)
+    psi0[i_in] = 1.0
     undeflected, deflected = [], []
     boundary = 0.0
-    prev = 0.0
-    for t in times:
-        dt = t - prev
-        if dt > 0.0:
-            if dt not in steps:
-                steps[dt] = expm(-1j * dt * h)
-            psi = steps[dt] @ psi
-            prev = t
-        undeflected.append(float(abs(psi[i_in]) ** 2))
-        deflected.append(float(abs(psi[i_out]) ** 2))
-        boundary = max(boundary, _boundary_population(psi))
-    return PopulationSeries(p, tuple(times), tuple(undeflected), tuple(deflected), boundary)
+    for start in range(0, times.size, SERIES_BLOCK):
+        pops = np.abs(propagate(h, psi0, times[start:start + SERIES_BLOCK])) ** 2
+        undeflected.extend(pops[:, i_in].tolist())
+        deflected.extend(pops[:, i_out].tolist())
+        boundary = max(boundary, float(np.max(pops[:, 0] + pops[:, -1])))
+    return PopulationSeries(p, tuple(times.tolist()), tuple(undeflected), tuple(deflected), boundary)
 
 
 def _pair_labels(p: BraggParams) -> tuple:
@@ -426,7 +417,7 @@ def entangled_pair_state(p: BraggParams, t: float | None = None) -> StateVector:
     Labels are (photon number, momentum in hbar k units).
     """
     if t is None:
-        c_plus, c_minus = 0.0j, _nominal_deflected_amplitude(p)
+        c_plus, c_minus = 0.0j, nominal_deflected_amplitude(p)
     else:
         c_plus, c_minus = analytic_amplitudes(p.with_photons(1), t)
     amps = np.array([1.0, 0.0, c_plus, c_minus], dtype=np.complex128) / math.sqrt(2.0)

@@ -40,15 +40,11 @@ DEFAULTS = {
     "shots": 100_000,
     "seed": 1,
     "ladder_halfwidth": None,
-    "step": None,
     "time_scale": 1.0,
     "detection_efficiency": 1.0,
     "output_dir": "out",
     "points": 161,
 }
-
-PARAM_KEYS = ("g", "delta", "l0", "r", "ladder_halfwidth", "step")
-
 
 class ConfigError(ValueError):
     """Invalid configuration; reported on stderr with exit code 1."""
@@ -115,7 +111,6 @@ def resolve_params(cfg: dict) -> BraggParams:
             l0=int(cfg["l0"]),
             r=int(cfg["r"]),
             ladder_halfwidth=None if cfg["ladder_halfwidth"] is None else int(cfg["ladder_halfwidth"]),
-            step=None if cfg["step"] is None else float(cfg["step"]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -123,7 +118,7 @@ def resolve_params(cfg: dict) -> BraggParams:
 
 def _config_echo(cfg: dict, params: BraggParams | None = None) -> dict:
     echo = {k: cfg.get(k) for k in (
-        "g", "delta", "l0", "r", "shots", "seed", "ladder_halfwidth", "step",
+        "g", "delta", "l0", "r", "shots", "seed", "ladder_halfwidth",
         "time_scale", "detection_efficiency", "output_dir", "points",
     )}
     if params is not None:
@@ -315,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--l0", type=int)
         sp.add_argument("--r", type=int)
         sp.add_argument("--ladder-halfwidth", dest="ladder_halfwidth", type=int)
-        sp.add_argument("--step", type=float)
         sp.add_argument("--time-scale", dest="time_scale", type=float)
         sp.add_argument("--detection-efficiency", dest="detection_efficiency", type=float)
         sp.add_argument("--points", type=int)

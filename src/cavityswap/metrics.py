@@ -238,7 +238,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     mean_psi_fidelity=report.mean_psi_fidelity,
                 )
             )
-        except Exception as exc:  # row failures are data, not crashes
+        except ValueError as exc:  # domain errors of a row are data, not crashes
             rows.append(
                 ComparisonRow(
                     value=float(value),

@@ -24,6 +24,7 @@ __all__ = [
     "basis_state",
     "tensor_product",
     "expm",
+    "propagate",
     "evolve",
     "partial_trace",
     "fidelity",
@@ -33,9 +34,6 @@ __all__ = [
 
 # Guard against runaway Kronecker products; protocol spaces are tiny.
 MAX_TENSOR_DIM = 1 << 16
-
-# Cap on fixed-step integration; beyond this the requested step is a bug.
-MAX_INTEGRATION_STEPS = 5_000_000
 
 HERMITICITY_ATOL = 1e-12
 
@@ -188,53 +186,33 @@ def expm(a) -> np.ndarray:
     return out
 
 
-def _integrate_rk4(h: np.ndarray, amps: np.ndarray, t: float, step: float | None) -> np.ndarray:
-    if t == 0.0:
-        return amps.copy()
-    hmax = float(np.max(np.abs(h)))
-    if step is None:
-        # Default step keeps step * max|H| at 0.01.
-        step = 0.01 / hmax if hmax > 0.0 else abs(t)
-    if step <= 0.0:
-        raise ValueError("integration step must be positive")
-    nsteps = max(1, int(math.ceil(abs(t) / step)))
-    if nsteps > MAX_INTEGRATION_STEPS:
-        raise ValueError(
-            f"integration would take {nsteps} steps (limit {MAX_INTEGRATION_STEPS});"
-            " increase the step or use the matrix-exponential path"
-        )
-    dt = t / nsteps
-    y = amps.astype(np.complex128)
-    for _ in range(nsteps):
-        k1 = -1j * (h @ y)
-        k2 = -1j * (h @ (y + 0.5 * dt * k1))
-        k3 = -1j * (h @ (y + 0.5 * dt * k2))
-        k4 = -1j * (h @ (y + dt * k3))
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def propagate(h, amps, times) -> np.ndarray:
+    """Propagate ``amps`` under Hermitian ``h`` to every time in ``times``
+    (hbar = 1); row k of the result is exp(-i h times[k]) @ amps.
 
-
-def evolve(h, psi: StateVector, t: float, method: str = "expm", step: float | None = None) -> StateVector:
-    """Propagate ``psi`` under Hermitian ``h`` for time ``t`` (hbar = 1).
-
-    Two independent routes are provided so they can cross-check each other:
-    ``"expm"`` applies exp(-i h t) built by :func:`expm` (the reference
-    path), ``"rk4"`` integrates the Schroedinger equation with a classic
-    fixed-step fourth-order scheme.
+    ``h`` is diagonalised once, so exp(-i h t) = V diag(e^{-i lambda t}) V^dag
+    is exactly unitary up to eigenvector round-off at any t, and a whole
+    time grid costs one eigendecomposition.  :func:`expm` is kept as the
+    independent check of this path.  Rows at t = 0 are ``amps`` exactly.
     """
     h = _square_matrix(h, "Hamiltonian")
+    # eigh reads one triangle only; a non-Hermitian h would pass silently.
     _require_hermitian(h, "Hamiltonian")
-    if h.shape[0] != psi.dim:
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.shape != (h.shape[0],):
         raise ValueError(
-            f"Hamiltonian dimension {h.shape[0]} does not match state dimension {psi.dim}"
+            f"Hamiltonian dimension {h.shape[0]} does not match state dimension {amps.size}"
         )
-    if method == "expm":
-        out = expm(-1j * t * h) @ psi.amps
-    elif method == "rk4":
-        out = _integrate_rk4(h, psi.amps, t, step)
-    else:
-        raise ValueError(f"unknown evolution method {method!r}")
-    return StateVector(psi.labels, out)
+    times = np.asarray(times, dtype=float)
+    w, v = np.linalg.eigh(h)
+    out = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ amps)) @ v.T
+    out[times == 0.0] = amps
+    return out
+
+
+def evolve(h, psi: StateVector, t: float) -> StateVector:
+    """Propagate ``psi`` under Hermitian ``h`` for time ``t`` (hbar = 1)."""
+    return StateVector(psi.labels, propagate(h, psi.amps, [t])[0])
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from .bragg import BraggParams, analytic_amplitudes, deflection_phase, full_deflection_time
+from .bragg import BraggParams, analytic_amplitudes, full_deflection_time, nominal_deflected_amplitude
 from .quantum import StateVector, concurrence, partial_trace
 
 __all__ = [
@@ -258,9 +258,7 @@ def joint_state(p: BraggParams, time_scale: float = 1.0) -> StateVector:
     closed-form undeflected leakage.
     """
     if time_scale == 1.0:
-        parity = -1.0 if (p.r - 1) // 2 % 2 else 1.0
-        c_plus = 0.0j
-        c_minus = 1j * parity * np.exp(-1j * deflection_phase(p))
+        c_plus, c_minus = 0.0j, nominal_deflected_amplitude(p)
     else:
         t = time_scale * full_deflection_time(p.with_photons(1))
         c_plus, c_minus = analytic_amplitudes(p.with_photons(1), t)

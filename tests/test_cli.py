@@ -78,9 +78,10 @@ def test_both_parameter_blocks_present_is_an_error(tmp_path):
 
 def test_unknown_config_keys_are_rejected(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"detuning": 100.0}))
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        load_config(str(path), {})
+    for key in ("detuning", "step"):
+        path.write_text(json.dumps({key: 100.0}))
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            load_config(str(path), {})
 
 
 def test_flag_overrides_win_over_the_file(tmp_path):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cavityswap import metrics
 from cavityswap.bragg import BraggParams, pendellosung_frequency
 from cavityswap.metrics import (
     ComparisonRow,
@@ -136,13 +137,21 @@ def test_l0_sweep_success_rate_is_phase_independent():
         assert row.mean_psi_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sweep_records_row_failures_and_continues():
+def test_sweep_records_row_failures_and_continues(monkeypatch):
     spec = SweepSpec(axis="delta_over_g", values=(5.0, 100.0), base=BASE, shots=200, seed=4)
     rows = run_sweep(spec).rows
     assert rows[0].error != "" and math.isnan(rows[0].success_rate)
     assert rows[1].error == "" and not math.isnan(rows[1].success_rate)
     csv_text = run_sweep(spec).to_csv_text()
     assert "dispersive ratio" in csv_text
+
+    # Only domain errors become rows; a programming error propagates.
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(metrics, "run_protocol", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        run_sweep(spec)
 
 
 def test_sweep_rows_keep_axis_order():
