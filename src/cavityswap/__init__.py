@@ -13,12 +13,10 @@ __version__ = "0.2.0"
 from .quantum import (
     StateVector,
     basis_state,
-    tensor_product,
     expm,
     evolve,
     partial_trace,
     fidelity,
-    purity,
     concurrence,
 )
 from .bragg import (
@@ -48,7 +46,6 @@ from .swap import (
     epr_decomposition_check,
     click_distribution,
     herald_distribution,
-    sample_shot,
     run_protocol,
 )
 from .metrics import (
@@ -63,12 +60,10 @@ __all__ = [
     "__version__",
     "StateVector",
     "basis_state",
-    "tensor_product",
     "expm",
     "evolve",
     "partial_trace",
     "fidelity",
-    "purity",
     "concurrence",
     "BraggParams",
     "recoil_frequency",
@@ -94,7 +89,6 @@ __all__ = [
     "epr_decomposition_check",
     "click_distribution",
     "herald_distribution",
-    "sample_shot",
     "run_protocol",
     "SweepSpec",
     "ComparisonRow",

@@ -341,10 +341,6 @@ class LadderState:
     def deflected_population(self) -> float:
         return self.population(-self.params.l0)
 
-    def statevector(self) -> StateVector:
-        labels = tuple((self.params.n, int(o)) for o in self.offsets)
-        return StateVector(labels, self.amps)
-
 
 def evolve_ladder(p: BraggParams, t: float) -> LadderState:
     """Numerically exact evolution of the truncated ladder from offset 0.

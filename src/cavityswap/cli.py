@@ -3,8 +3,10 @@
 Subcommands: ``entangle``, ``protocol``, ``oracle-compare``, ``sweep``.
 Configuration comes from an optional JSON file plus flags that mirror the
 config keys; physical parameters (mass, wavelength, rates in rad/s) are
-converted to recoil units exactly once, at load.  Exit codes: 0 success,
-1 invalid input, 2 assertion failure.
+converted to recoil units exactly once, at load.  Every artifact is written
+here, by :func:`_write_csv` and :func:`_write_json`; the other modules
+return data, not text.  Exit codes: 0 success, 1 invalid input,
+2 assertion failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from . import __version__
 from .bragg import (
     BraggParams,
-    analytic_amplitudes,
     entangled_pair_state,
     full_deflection_time,
     ladder_population_series,
@@ -29,7 +30,7 @@ from .bragg import (
     pendellosung_frequency,
     recoil_frequency,
 )
-from .metrics import SweepSpec, oracle_compare, run_sweep
+from .metrics import ComparisonRow, PopulationRow, SweepSpec, oracle_compare, run_sweep
 from .swap import run_protocol
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
@@ -131,21 +132,32 @@ def _config_echo(cfg: dict, params: BraggParams | None = None) -> dict:
 
 
 def _fmt(x) -> str:
+    """One output value: floats to 12 significant digits, text without the
+    CSV separators (commas become semicolons, newlines spaces)."""
     if isinstance(x, float):
         return f"{x:.12g}"
-    return str(x)
+    return str(x).replace(",", ";").replace("\n", " ")
 
 
-def _write(path: Path, text: str) -> None:
+def _write_csv(path: Path, config: dict, columns, rows) -> None:
+    """Version line, config line, column names, then one line per row.
+
+    Rows are written as they are drawn, so a long table is never held as
+    text in memory.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with path.open("w") as f:
+        f.write(f"# cavityswap {__version__}\n")
+        f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _csv_header(cfg: dict, params: BraggParams | None = None) -> list:
-    return [
-        f"# cavityswap {__version__}",
-        "# config: " + json.dumps(_config_echo(cfg, params), sort_keys=True),
-    ]
+def _write_json(path: Path, config: dict, doc: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    doc = {**doc, "version": __version__, "config": config}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_entangle(cfg: dict) -> int:
@@ -155,42 +167,28 @@ def cmd_entangle(cfg: dict) -> int:
     one = params.with_photons(1)
     t_final = ts * full_deflection_time(one)
     times = np.linspace(0.0, t_final, points) if t_final > 0 else np.zeros(points)
-    series_one = ladder_population_series(one, times)
+    comp = oracle_compare(one, times)
     series_zero = ladder_population_series(params.with_photons(0), times)
-    lines = _csv_header(cfg, one) + [
-        "time,analytic_undeflected,analytic_deflected,ladder_undeflected,ladder_deflected,ladder_deflected_n0"
-    ]
-    for i, t in enumerate(times):
-        c_plus, c_minus = analytic_amplitudes(one, t)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    float(t),
-                    abs(c_plus) ** 2,
-                    abs(c_minus) ** 2,
-                    series_one.undeflected[i],
-                    series_one.deflected[i],
-                    series_zero.deflected[i],
-                )
-            )
-        )
+    config = _config_echo(cfg, params)
     out = Path(cfg["output_dir"])
-    _write(out / "entangle_populations.csv", "\n".join(lines) + "\n")
+    _write_csv(
+        out / "entangle_populations.csv",
+        config,
+        PopulationRow._fields[:5] + ("ladder_deflected_n0",),
+        ((*row[:5], n0) for row, n0 in zip(comp.rows, series_zero.deflected)),
+    )
 
+    final = comp.rows[-1].ladder_deflected
     pair = entangled_pair_state(params) if ts == 1.0 else entangled_pair_state(params, t_final)
     fid, warn = pair_oracle_fidelity(params, None if ts == 1.0 else t_final)
-    state_doc = {
-        "version": __version__,
-        "config": _config_echo(cfg, params),
+    _write_json(out / "entangle_state.json", config, {
         "basis": [list(lab) for lab in pair.labels],
         "amplitudes": [[a.real, a.imag] for a in pair.amps],
-        "final_deflected_population": series_one.deflected[-1],
+        "final_deflected_population": final,
         "oracle_fidelity": fid,
-        "truncation_warning": bool(warn or series_one.truncation_warning),
-    }
-    _write(out / "entangle_state.json", json.dumps(state_doc, indent=2, sort_keys=True) + "\n")
-    print(f"final deflected population (ladder): {_fmt(series_one.deflected[-1])}")
+        "truncation_warning": bool(warn or comp.truncation_warning),
+    })
+    print(f"final deflected population (ladder): {_fmt(final)}")
     print(f"pair-state fidelity vs ladder: {_fmt(fid)}")
     return 0
 
@@ -207,12 +205,21 @@ def cmd_protocol(cfg: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    config = _config_echo(cfg, params)
     out = Path(cfg["output_dir"])
-    _write(out / "protocol_report.csv", report.to_csv_text(_config_echo(cfg, params)))
-    _write(
-        out / "protocol_summary.json",
-        json.dumps(report.to_json_dict(_config_echo(cfg, params)), indent=2, sort_keys=True) + "\n",
+    retained = max(report.retained_shots, 1)
+    _write_csv(
+        out / "protocol_report.csv",
+        config,
+        ("pattern", "probability", "empirical_frequency", "classification", "paper_label",
+         "fidelity", "concurrence"),
+        (
+            (h.pattern.label, h.probability, count / retained, h.classification, h.paper_label,
+             h.fidelity_to_class, h.concurrence)
+            for h, count in zip(report.results, report.counts)
+        ),
     )
+    _write_json(out / "protocol_summary.json", config, report.summary())
     print(f"success rate: {_fmt(report.success_rate)} (exact {_fmt(report.success_probability)})")
     for name, stats in report.class_stats.items():
         if "fidelity_exact" in stats:
@@ -231,7 +238,7 @@ def cmd_oracle_compare(cfg: dict) -> int:
     period = 2.0 * math.pi / pendellosung_frequency(params)
     comp = oracle_compare(params, np.linspace(0.0, period, points))
     out = Path(cfg["output_dir"])
-    _write(out / "oracle_compare.csv", comp.to_csv_text(_config_echo(cfg, params)))
+    _write_csv(out / "oracle_compare.csv", _config_echo(cfg, params), PopulationRow._fields, comp.rows)
     print(f"max population error: {_fmt(comp.max_error)}")
     if comp.truncation_warning:
         print("warning: ladder truncation too tight (boundary population exceeded limit)")
@@ -247,6 +254,8 @@ def cmd_oracle_compare(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     params = resolve_params(cfg)
+    if float(cfg["detection_efficiency"]) != 1.0:
+        raise ConfigError("sweep does not apply detection_efficiency; leave it at 1")
     sweep_cfg = dict(cfg.get("sweep") or {})
     axis = cfg.get("axis") or sweep_cfg.get("axis")
     values = cfg.get("values") or sweep_cfg.get("values")
@@ -266,14 +275,11 @@ def cmd_sweep(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     result = run_sweep(spec)
-    echo = _config_echo(cfg, params)
-    echo["sweep"] = {"axis": axis, "values": list(spec.values)}
+    config = _config_echo(cfg, params)
+    config["sweep"] = {"axis": axis, "values": list(spec.values)}
     out = Path(cfg["output_dir"])
-    _write(out / "sweep.csv", result.to_csv_text(echo))
-    manifest = result.manifest()
-    manifest["version"] = __version__
-    manifest["config"] = echo
-    _write(out / "sweep_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_csv(out / "sweep.csv", config, ComparisonRow._fields, result.rows)
+    _write_json(out / "sweep_manifest.json", config, result.manifest())
     for row in result.rows:
         if row.error:
             print(f"row {_fmt(row.value)} failed: {row.error}")

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .bragg import (
     BraggParams,
     analytic_amplitudes,
@@ -49,8 +48,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass(frozen=True)
-class PopulationRow:
+class PopulationRow(NamedTuple):
+    """One ``oracle_compare.csv`` row; the field names are its columns."""
+
     time: float
     analytic_undeflected: float
     analytic_deflected: float
@@ -67,28 +67,6 @@ class PopulationComparison:
     rows: tuple
     max_error: float
     truncation_warning: bool
-
-    def to_csv_text(self, config: dict | None = None) -> str:
-        lines = [
-            f"# cavityswap {__version__}",
-            "# config: " + json.dumps(config if config is not None else asdict(self.params), sort_keys=True),
-            "time,analytic_undeflected,analytic_deflected,ladder_undeflected,ladder_deflected,error",
-        ]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        row.time,
-                        row.analytic_undeflected,
-                        row.analytic_deflected,
-                        row.ladder_undeflected,
-                        row.ladder_deflected,
-                        row.error,
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
 
 
 def oracle_compare(p: BraggParams, times) -> PopulationComparison:
@@ -133,8 +111,9 @@ class SweepSpec:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
+    """One ``sweep.csv`` row; the field names are its columns."""
+
     value: float
     analytic_deflected: float
     ladder_deflected: float
@@ -150,30 +129,6 @@ class ComparisonRow:
 class SweepResult:
     spec: SweepSpec
     rows: tuple
-
-    def to_csv_text(self, config: dict | None = None) -> str:
-        lines = [
-            f"# cavityswap {__version__}",
-            "# config: " + json.dumps(config if config is not None else self.manifest(), sort_keys=True),
-            "value,analytic_deflected,ladder_deflected,abs_error,success_rate,success_low,success_high,mean_psi_fidelity,error",
-        ]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row.value),
-                        _fmt(row.analytic_deflected),
-                        _fmt(row.ladder_deflected),
-                        _fmt(row.abs_error),
-                        _fmt(row.success_rate),
-                        _fmt(row.success_low),
-                        _fmt(row.success_high),
-                        _fmt(row.mean_psi_fidelity),
-                        row.error.replace(",", ";").replace("\n", " "),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
 
     def manifest(self) -> dict:
         return {
@@ -253,9 +208,3 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 )
             )
     return SweepResult(spec, tuple(rows))
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)

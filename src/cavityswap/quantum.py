@@ -1,7 +1,7 @@
 """Dense linear algebra for small labelled quantum systems.
 
-States carry an explicit, ordered tuple of basis labels so that tensor
-factors and serialised amplitudes are unambiguous; operators and density
+States carry an explicit, ordered tuple of basis labels so that factor
+order and serialised amplitudes are unambiguous; operators and density
 matrices are plain complex ndarrays.  Everything is pure and immutable,
 so callers may evaluate in parallel without coordination.  Dimensions
 stay in the tens to hundreds, which is why dense storage is used
@@ -16,30 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_TENSOR_DIM",
     "PAULI_X",
     "PAULI_Y",
-    "PAULI_Z",
     "StateVector",
     "basis_state",
-    "tensor_product",
     "expm",
     "propagate",
     "evolve",
     "partial_trace",
     "fidelity",
-    "purity",
     "concurrence",
 ]
-
-# Guard against runaway Kronecker products; protocol spaces are tiny.
-MAX_TENSOR_DIM = 1 << 16
 
 HERMITICITY_ATOL = 1e-12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 _SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
 
@@ -64,8 +56,8 @@ class StateVector:
     """Pure state over an ordered, labelled basis.
 
     ``labels[i]`` names the basis vector whose amplitude is ``amps[i]``.
-    Labels are tuples; tensor products concatenate them, with the first
-    factor varying slowest.  Amplitudes are stored read-only and are never
+    Labels are tuples with one entry per tensor factor, the first factor
+    varying slowest.  Amplitudes are stored read-only and are never
     renormalised behind the caller's back.
     """
 
@@ -107,21 +99,6 @@ class StateVector:
     def amplitude(self, label) -> complex:
         return complex(self.amps[self.index(label)])
 
-    def probability(self, label) -> float:
-        return float(abs(self.amps[self.index(label)]) ** 2)
-
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>; bases must match exactly."""
-        if self.labels != other.labels:
-            raise ValueError("states are expressed in different bases")
-        return complex(np.vdot(self.amps, other.amps))
-
-    def normalized(self) -> "StateVector":
-        nrm = self.norm
-        if nrm == 0.0:
-            raise ValueError("cannot normalise the zero vector")
-        return StateVector(self.labels, self.amps / nrm)
-
     def density(self) -> np.ndarray:
         """Outer product |psi><psi| as a dense matrix."""
         return np.outer(self.amps, self.amps.conj())
@@ -133,33 +110,6 @@ def basis_state(labels, label) -> StateVector:
     amps = np.zeros(len(labels), dtype=np.complex128)
     amps[labels.index(label)] = 1.0
     return StateVector(labels, amps)
-
-
-def tensor_product(a, b):
-    """Kronecker product of two states or two operators.
-
-    The first factor varies slowest: for states the combined label is the
-    concatenation of the factor labels, for operators the result is the
-    plain Kronecker product of matrices.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        dim = a.dim * b.dim
-        if dim > MAX_TENSOR_DIM:
-            raise ValueError(
-                f"tensor product dimension {dim} exceeds limit {MAX_TENSOR_DIM}"
-            )
-        labels = tuple(la + lb for la in a.labels for lb in b.labels)
-        return StateVector(labels, np.kron(a.amps, b.amps))
-    if isinstance(a, StateVector) or isinstance(b, StateVector):
-        raise TypeError("cannot mix a state with an operator in tensor_product")
-    ma = _square_matrix(a, "left operand")
-    mb = _square_matrix(b, "right operand")
-    dim = ma.shape[0] * mb.shape[0]
-    if dim > MAX_TENSOR_DIM:
-        raise ValueError(
-            f"tensor product dimension {dim} exceeds limit {MAX_TENSOR_DIM}"
-        )
-    return np.kron(ma, mb)
 
 
 def expm(a) -> np.ndarray:
@@ -258,12 +208,6 @@ def fidelity(rho, target: StateVector | np.ndarray) -> float:
     if abs(value.imag) > 1e-12:
         raise ValueError(f"fidelity came out non-real ({value.imag:.3e}); rho is malformed")
     return float(min(1.0, max(0.0, value.real)))
-
-
-def purity(rho) -> float:
-    """Tr(rho^2); 1 for pure states."""
-    rho = _square_matrix(rho, "density matrix")
-    return float(np.trace(rho @ rho).real)
 
 
 def concurrence(rho) -> float:

@@ -14,16 +14,14 @@ does.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import __version__
 from .bragg import BraggParams, analytic_amplitudes, full_deflection_time, nominal_deflected_amplitude
-from .quantum import StateVector, concurrence, partial_trace
+from .quantum import StateVector, concurrence
 
 __all__ = [
     "DETECTORS",
@@ -40,7 +38,6 @@ __all__ = [
     "HeraldResult",
     "click_distribution",
     "herald_distribution",
-    "sample_shot",
     "shot_generator",
     "run_protocol",
     "ProtocolReport",
@@ -102,10 +99,6 @@ class ClickPattern:
         return cls(tuple(clicks))
 
     @property
-    def is_double(self) -> bool:
-        return self.clicks[0] == self.clicks[1]
-
-    @property
     def label(self) -> str:
         return f"{self.clicks[0]}&{self.clicks[1]}"
 
@@ -145,15 +138,6 @@ def mode_basis(total: int = 2) -> ModeBasis:
     if total < 0:
         raise ValueError("total occupation must be nonnegative")
     return ModeBasis(tuple(_occupations_with_total(total)))
-
-
-@lru_cache(maxsize=None)
-def mixed_total_basis(*totals: int) -> ModeBasis:
-    """Basis spanning several total-occupation sectors (diagnostics only)."""
-    occs = []
-    for total in totals:
-        occs.extend(_occupations_with_total(total))
-    return ModeBasis(tuple(occs))
 
 
 def single_particle_mixer() -> np.ndarray:
@@ -399,21 +383,10 @@ def shot_generator(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
 
 
-def _cumulative(dist) -> np.ndarray:
-    cum = np.cumsum([h.probability for h in dist])
-    cum[-1] = max(cum[-1], 1.0)
-    return cum
-
-
-def sample_shot(dist, rng: np.random.Generator) -> tuple[ClickPattern, HeraldResult]:
-    """Draw one click pattern from an exact distribution."""
-    idx = int(np.searchsorted(_cumulative(dist), rng.random(), side="right"))
-    herald = dist[idx]
-    return herald.pattern, herald
-
-
 def _sample_counts(dist, shots: int, seed: int, efficiency: float) -> tuple[np.ndarray, int]:
-    cum = _cumulative(dist)
+    cum = np.cumsum([h.probability for h in dist])
+    # A sum rounded below one must not let a uniform fall past the last pattern.
+    cum[-1] = max(cum[-1], 1.0)
     counts = np.zeros(len(dist), dtype=np.int64)
     discarded = 0
     for block in range(0, (shots + SHOT_BLOCK - 1) // SHOT_BLOCK):
@@ -449,43 +422,9 @@ class ProtocolReport:
     paper_label_divergences: tuple
     note: str
 
-    def config_echo(self) -> dict:
-        cfg = asdict(self.params)
-        cfg.update(
-            seed=self.seed,
-            shots=self.shots,
-            time_scale=self.time_scale,
-            detection_efficiency=self.detection_efficiency,
-        )
-        return cfg
-
-    def to_csv_text(self, config: dict | None = None) -> str:
-        lines = [
-            f"# cavityswap {__version__}",
-            "# config: " + json.dumps(config if config is not None else self.config_echo(), sort_keys=True),
-            "pattern,probability,empirical_frequency,classification,paper_label,fidelity,concurrence",
-        ]
-        retained = max(self.retained_shots, 1)
-        for herald, count in zip(self.results, self.counts):
-            lines.append(
-                ",".join(
-                    [
-                        herald.pattern.label,
-                        _fmt(herald.probability),
-                        _fmt(count / retained),
-                        herald.classification,
-                        herald.paper_label,
-                        _fmt(herald.fidelity_to_class),
-                        _fmt(herald.concurrence),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self, config: dict | None = None) -> dict:
+    def summary(self) -> dict:
+        """Body of the protocol summary artifact (the CLI adds version and config)."""
         return {
-            "version": __version__,
-            "config": config if config is not None else self.config_echo(),
             "seed": self.seed,
             "shots": self.shots,
             "retained_shots": self.retained_shots,
@@ -579,28 +518,3 @@ def run_protocol(
         paper_label_divergences=divergences,
         note=note,
     )
-
-
-def conditional_cavity_state(s: StateVector, pattern: ClickPattern) -> tuple[np.ndarray, float]:
-    """Project a mode-mixed joint state on one click pattern and trace out
-    the modes; returns (two-cavity density matrix, pattern probability)."""
-    basis = mode_basis(2)
-    occ_index = next(
-        j for j, occ in enumerate(basis.occupations) if ClickPattern.from_occupation(occ) == pattern
-    )
-    rho = s.density()
-    proj = np.zeros((basis.dim, basis.dim))
-    proj[occ_index, occ_index] = 1.0
-    proj_full = np.kron(np.eye(4), proj)
-    projected = proj_full @ rho @ proj_full
-    prob = float(np.trace(projected).real)
-    if prob <= 0.0:
-        raise ValueError(f"pattern {pattern.label} has zero probability")
-    reduced = partial_trace(projected / prob, (4, basis.dim), keep=0)
-    return reduced, prob
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)

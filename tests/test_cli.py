@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cavityswap import __version__
 from cavityswap.bragg import recoil_frequency
 from cavityswap.cli import ConfigError, load_config, main, resolve_params
 
@@ -277,3 +278,39 @@ def test_sweep_from_config_block_with_failing_assert(tmp_path, capsys):
 def test_sweep_without_axis_is_invalid(tmp_path, capsys):
     assert run_cli("sweep", "--out", str(tmp_path)) == 1
     assert "axis" in capsys.readouterr().err
+
+
+def test_sweep_rejects_detection_efficiency(tmp_path, capsys):
+    argv = ("sweep", "--axis", "l0", "--values", "2", "--shots", "10", "--out", str(tmp_path))
+    assert run_cli(*argv, "--detection-efficiency", "0.9") == 1
+    assert "detection_efficiency" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+# ---------------------------------------------------------------- artifacts
+
+
+def test_every_csv_opens_with_the_version_and_its_json_config(tmp_path):
+    common = ("--points", "5", "--shots", "200", "--seed", "2")
+    commands = {
+        "entangle": (("entangle",), "entangle_populations.csv", "entangle_state.json"),
+        "protocol": (("protocol",), "protocol_report.csv", "protocol_summary.json"),
+        "oracle-compare": (("oracle-compare",), "oracle_compare.csv", None),
+        "sweep": (("sweep", "--axis", "l0", "--values", "2,4"), "sweep.csv", "sweep_manifest.json"),
+    }
+    configs = {}
+    for name, (argv, csv_name, json_name) in commands.items():
+        out = tmp_path / name
+        assert run_cli(*argv, *common, "--out", str(out)) == 0
+        version_line, config_line = read(out / csv_name).splitlines()[:2]
+        assert version_line == f"# cavityswap {__version__}"
+        config = json.loads(config_line.removeprefix("# config: "))
+        assert config_line == "# config: " + json.dumps(config, sort_keys=True)
+        if json_name is not None:
+            doc = json.loads(read(out / json_name))
+            assert doc["version"] == __version__
+            assert doc["config"] == config
+        config.pop("output_dir")
+        configs[name] = config
+    # oracle-compare writes no JSON; the same flags give the entangle config.
+    assert configs["oracle-compare"] == configs["entangle"]

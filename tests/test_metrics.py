@@ -6,6 +6,7 @@ import pytest
 
 from cavityswap import metrics
 from cavityswap.bragg import BraggParams, pendellosung_frequency
+from cavityswap.cli import main
 from cavityswap.metrics import (
     ComparisonRow,
     SweepSpec,
@@ -68,9 +69,9 @@ def test_oracle_compare_error_grows_at_lower_detuning():
     assert loose.max_error > tight.max_error
 
 
-def test_oracle_compare_csv_shape():
-    comp = oracle_compare(BASE, period_grid(BASE, points=5))
-    lines = comp.to_csv_text().splitlines()
+def test_oracle_compare_csv_shape(tmp_path):
+    assert main(["oracle-compare", "--points", "5", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "oracle_compare.csv").read_text().splitlines()
     assert lines[2] == "time,analytic_undeflected,analytic_deflected,ladder_undeflected,ladder_deflected,error"
     assert len(lines) == 3 + 5
 
@@ -89,7 +90,7 @@ def test_sweep_spec_validation():
         SweepSpec(axis="l0", values=(2,), base=BASE, shots=0, seed=1)
 
 
-def test_sweep_is_deterministic_and_byte_identical():
+def test_sweep_is_deterministic_and_byte_identical(tmp_path):
     spec = SweepSpec(
         axis="interaction_time_scale",
         values=(0.9, 1.0, 1.1),
@@ -97,10 +98,14 @@ def test_sweep_is_deterministic_and_byte_identical():
         shots=2_000,
         seed=21,
     )
-    first = run_sweep(spec)
-    second = run_sweep(spec)
-    assert first.to_csv_text() == second.to_csv_text()
-    assert first.rows == second.rows
+    assert run_sweep(spec).rows == run_sweep(spec).rows
+    argv = ["sweep", "--axis", "interaction_time_scale", "--values", "0.9,1.0,1.1",
+            "--shots", "2000", "--seed", "21", "--out", str(tmp_path)]
+    names = ("sweep.csv", "sweep_manifest.json")
+    assert main(argv) == 0
+    first = [(tmp_path / name).read_text() for name in names]
+    assert main(argv) == 0
+    assert [(tmp_path / name).read_text() for name in names] == first
 
 
 def test_time_scale_sweep_peaks_at_nominal_timing():
@@ -137,13 +142,17 @@ def test_l0_sweep_success_rate_is_phase_independent():
         assert row.mean_psi_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sweep_records_row_failures_and_continues(monkeypatch):
+def test_sweep_records_row_failures_and_continues(tmp_path, monkeypatch):
     spec = SweepSpec(axis="delta_over_g", values=(5.0, 100.0), base=BASE, shots=200, seed=4)
     rows = run_sweep(spec).rows
     assert rows[0].error != "" and math.isnan(rows[0].success_rate)
     assert rows[1].error == "" and not math.isnan(rows[1].success_rate)
-    csv_text = run_sweep(spec).to_csv_text()
-    assert "dispersive ratio" in csv_text
+    argv = ["sweep", "--axis", "delta_over_g", "--values", "5,100", "--shots", "200", "--seed", "4",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    failed = (tmp_path / "sweep.csv").read_text().splitlines()[3].split(",")
+    assert len(failed) == len(ComparisonRow._fields)
+    assert "dispersive ratio" in failed[-1]
 
     # Only domain errors become rows; a programming error propagates.
     def broken(*args, **kwargs):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cavityswap.quantum import (
-    MAX_TENSOR_DIM,
     PAULI_X,
     StateVector,
     basis_state,
@@ -11,8 +10,6 @@ from cavityswap.quantum import (
     expm,
     fidelity,
     partial_trace,
-    purity,
-    tensor_product,
 )
 
 QUBIT = ((0,), (1,))
@@ -43,42 +40,6 @@ def bell(which):
         "psi_minus": [0, 1, -1, 0],
     }
     return np.array(vecs[which], dtype=complex) / np.sqrt(2)
-
-
-# ---------------------------------------------------------------- tensors
-
-
-def test_tensor_of_computational_basis_states():
-    ket0 = basis_state(QUBIT, (0,))
-    ket1 = basis_state(QUBIT, (1,))
-    combined = tensor_product(ket0, ket1)
-    assert combined.dim == 4
-    assert combined.labels == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert combined.amps[1] == 1.0
-    assert np.count_nonzero(combined.amps) == 1
-
-
-def test_tensor_of_identity_operators():
-    eye2 = np.eye(2, dtype=complex)
-    assert np.array_equal(tensor_product(eye2, eye2), np.eye(4))
-
-
-def test_tensor_of_equal_superpositions_is_uniform():
-    plus = StateVector(QUBIT, np.array([1, 1]) / np.sqrt(2))
-    state = tensor_product(plus, plus)
-    assert np.allclose(state.amps, 0.5, atol=1e-15)
-
-
-def test_tensor_dimension_guard():
-    dim = int(np.sqrt(MAX_TENSOR_DIM)) + 1
-    big = StateVector(tuple((i,) for i in range(dim)), np.ones(dim) / np.sqrt(dim))
-    with pytest.raises(ValueError, match="exceeds limit"):
-        tensor_product(big, big)
-
-
-def test_tensor_rejects_mixing_state_and_operator():
-    with pytest.raises(TypeError):
-        tensor_product(basis_state(QUBIT, (0,)), np.eye(2))
 
 
 # ---------------------------------------------------------------- evolve
@@ -278,9 +239,3 @@ def test_statevector_is_immutable():
     psi = basis_state(QUBIT, (0,))
     with pytest.raises(ValueError):
         psi.amps[0] = 2.0
-
-
-def test_purity_of_pure_and_mixed_states():
-    psi = bell("phi_plus")
-    assert purity(np.outer(psi, psi.conj())) == pytest.approx(1.0, abs=1e-12)
-    assert purity(np.eye(4) / 4) == pytest.approx(0.25, abs=1e-12)

@@ -4,25 +4,20 @@ import numpy as np
 import pytest
 
 from cavityswap.bragg import BraggParams, deflection_phase
+from cavityswap.cli import main
 from cavityswap.metrics import wilson_interval
-from cavityswap.quantum import concurrence, fidelity, partial_trace, purity
+from cavityswap.quantum import partial_trace
 from cavityswap.swap import (
-    CLASS_TARGETS,
     ClickPattern,
-    HeraldResult,
     apply_beam_splitter,
     beam_splitter_unitary,
     click_distribution,
-    conditional_cavity_state,
     epr_decomposition_check,
     herald_distribution,
     joint_state,
     joint_state_from_amplitudes,
-    mixed_total_basis,
     mode_basis,
     run_protocol,
-    sample_shot,
-    shot_generator,
 )
 
 P2 = BraggParams()
@@ -33,6 +28,22 @@ PSI_MINUS_PATTERNS = {"D4&D1", "D3&D2"}
 ZERO_PATTERNS = {"D4&D3", "D2&D1"}
 DOUBLE_00 = {"D4&D4", "D3&D3"}
 DOUBLE_11 = {"D2&D2", "D1&D1"}
+
+
+def conditional_cavity_state(s, pattern):
+    """Brute-force reference for one herald: project the whole mode-mixed
+    joint state on the click pattern with a full-space projector, trace out
+    the modes, and return (two-cavity density matrix, pattern probability)."""
+    basis = mode_basis(2)
+    occ_index = next(
+        j for j, occ in enumerate(basis.occupations) if ClickPattern.from_occupation(occ) == pattern
+    )
+    proj = np.zeros((basis.dim, basis.dim))
+    proj[occ_index, occ_index] = 1.0
+    proj_full = np.kron(np.eye(4), proj)
+    projected = proj_full @ s.density() @ proj_full
+    prob = float(np.trace(projected).real)
+    return partial_trace(projected / prob, (4, basis.dim), keep=0), prob
 
 
 def mode_vector(occ, *extra_occupations):
@@ -115,12 +126,11 @@ def test_beam_splitter_is_unitary_on_the_two_atom_space():
 
 
 def test_beam_splitter_conserves_atom_number():
-    basis = mixed_total_basis(0, 1, 2)
-    u = beam_splitter_unitary(basis)
-    for i, occ_out in enumerate(basis.occupations):
-        for j, occ_in in enumerate(basis.occupations):
-            if sum(occ_out) != sum(occ_in):
-                assert u[i, j] == 0.0
+    # An amplitude leaking out of the n-atom sector would raise in
+    # basis.index or break unitarity within the sector.
+    for n in range(4):
+        u = beam_splitter_unitary(mode_basis(n))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-12
 
 
 def test_single_atom_splits_evenly_between_its_two_detectors():
@@ -217,7 +227,8 @@ def test_click_distribution_herald_classes():
 def test_click_distribution_heralds_are_pure_at_nominal_timing():
     for h in herald_distribution(P2):
         if h.probability > 0.0:
-            assert abs(purity(h.conditional_state) - 1.0) <= 1e-10
+            rho = h.conditional_state
+            assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-10
 
 
 def test_heralds_are_independent_of_the_deflection_phase():
@@ -249,31 +260,19 @@ def test_paper_table_labels_disagree_with_the_calculation():
 
 
 def test_conditional_state_via_projection_and_partial_trace():
-    post = apply_beam_splitter(joint_state(P2))
-    rho, prob = conditional_cavity_state(post, ClickPattern(("D4", "D2")))
-    assert prob == pytest.approx(0.125, abs=1e-12)
-    assert fidelity(rho, CLASS_TARGETS["psi_plus"]) == pytest.approx(1.0, abs=1e-10)
+    # l0 = 4 off nominal timing gives complex conditional states.
+    for p in (P2, P4):
+        for ts in (1.0, 0.7):
+            post = apply_beam_splitter(joint_state(p, time_scale=ts))
+            for h in click_distribution(post):
+                if h.probability == 0.0:
+                    continue
+                rho, prob = conditional_cavity_state(post, h.pattern)
+                assert abs(prob - h.probability) <= 1e-12
+                assert np.max(np.abs(rho - h.conditional_state)) <= 1e-12
 
 
 # ---------------------------------------------------------------- sampling
-
-
-def test_sample_shot_is_reproducible_for_a_fixed_seed():
-    dist = herald_distribution(P2)
-    rng1, rng2 = shot_generator(99, 0), shot_generator(99, 0)
-    seq1 = [sample_shot(dist, rng1)[0].label for _ in range(200)]
-    seq2 = [sample_shot(dist, rng2)[0].label for _ in range(200)]
-    assert seq1 == seq2
-
-
-def test_sample_shot_with_a_degenerate_distribution():
-    pattern = ClickPattern(("D4", "D2"))
-    dist = [HeraldResult(pattern, 1.0, None, "psi_plus", 1.0, 1.0, "psi_minus")]
-    rng = shot_generator(5, 0)
-    for _ in range(50):
-        drawn, herald = sample_shot(dist, rng)
-        assert drawn == pattern
-        assert herald is dist[0]
 
 
 def test_sampled_frequencies_match_the_exact_distribution():
@@ -347,16 +346,19 @@ def test_protocol_detection_efficiency_discards_shots():
             assert abs(count / report.retained_shots - 0.125) <= 4 * sigma
 
 
-def test_protocol_report_serialisation_is_deterministic():
-    a = run_protocol(P2, shots=10_000, seed=11)
-    b = run_protocol(P2, shots=10_000, seed=11)
-    assert a.to_csv_text() == b.to_csv_text()
-    assert a.to_json_dict() == b.to_json_dict()
+def test_protocol_report_serialisation_is_deterministic(tmp_path):
+    argv = ["protocol", "--shots", "10000", "--seed", "11", "--detection-efficiency", "0.9",
+            "--out", str(tmp_path)]
+    names = ("protocol_report.csv", "protocol_summary.json")
+    assert main(argv) == 0
+    first = [(tmp_path / name).read_text() for name in names]
+    assert main(argv) == 0
+    assert [(tmp_path / name).read_text() for name in names] == first
 
 
-def test_protocol_report_csv_columns():
-    report = run_protocol(P2, shots=100, seed=1)
-    lines = report.to_csv_text().splitlines()
+def test_protocol_report_csv_columns(tmp_path):
+    assert main(["protocol", "--shots", "100", "--seed", "1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "protocol_report.csv").read_text().splitlines()
     assert lines[0].startswith("# cavityswap ")
     assert lines[1].startswith("# config: ")
     assert lines[2] == "pattern,probability,empirical_frequency,classification,paper_label,fidelity,concurrence"
