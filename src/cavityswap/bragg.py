@@ -216,22 +216,20 @@ def build_full_hamiltonian(p: BraggParams) -> FullModel:
     return FullModel(h, tuple(labels), ground, excited)
 
 
-def max_excited_population(p: BraggParams, t_final: float | None = None, samples: int = 400) -> float:
+def max_excited_population(p: BraggParams) -> float:
     """Largest excited-manifold population seen while evolving the full model.
 
     Starts from the ground manifold at the incoming momentum and samples
-    the population uniformly up to ``t_final`` (default: the full
-    deflection time).  Small values validate the adiabatic elimination
-    behind the effective ladder.
+    the population at 400 evenly spaced times up to the full deflection
+    time.  Small values validate the adiabatic elimination behind the
+    effective ladder.
     """
     if p.n < 1:
         return 0.0
-    if t_final is None:
-        t_final = full_deflection_time(p)
     model = build_full_hamiltonian(p)
     psi0 = np.zeros(len(model.labels), dtype=np.complex128)
     psi0[model.labels.index(("g", 0))] = 1.0
-    times = t_final * np.arange(1, samples + 1) / samples
+    times = full_deflection_time(p) * np.arange(1, 401) / 400
     psi = propagate(model.hamiltonian, psi0, times)
     return float(np.max(np.sum(np.abs(psi[:, list(model.excited_indices)]) ** 2, axis=1)))
 

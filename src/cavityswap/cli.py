@@ -160,13 +160,22 @@ def _write_json(path: Path, config: dict, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _points(cfg: dict) -> int:
+    points = int(cfg["points"])
+    if points < 2:
+        raise ConfigError(f"points must be at least 2 (the first and last time), got {points}")
+    return points
+
+
 def cmd_entangle(cfg: dict) -> int:
     params = resolve_params(cfg)
     ts = float(cfg["time_scale"])
-    points = int(cfg["points"])
+    if ts < 0.0:
+        raise ConfigError(f"time_scale must be nonnegative, got {ts!r}")
+    points = _points(cfg)
     one = params.with_photons(1)
     t_final = ts * full_deflection_time(one)
-    times = np.linspace(0.0, t_final, points) if t_final > 0 else np.zeros(points)
+    times = np.linspace(0.0, t_final, points)
     comp = oracle_compare(one, times)
     series_zero = ladder_population_series(params.with_photons(0), times)
     config = _config_echo(cfg, params)
@@ -234,7 +243,7 @@ def cmd_protocol(cfg: dict) -> int:
 
 def cmd_oracle_compare(cfg: dict) -> int:
     params = resolve_params(cfg).with_photons(1)
-    points = int(cfg["points"])
+    points = _points(cfg)
     period = 2.0 * math.pi / pendellosung_frequency(params)
     comp = oracle_compare(params, np.linspace(0.0, period, points))
     out = Path(cfg["output_dir"])

@@ -38,7 +38,6 @@ __all__ = [
     "HeraldResult",
     "click_distribution",
     "herald_distribution",
-    "shot_generator",
     "run_protocol",
     "ProtocolReport",
     "CLASS_TARGETS",
@@ -75,9 +74,6 @@ PAPER_TABLE_LABELS = {
     "D4&D3": "none",
     "D2&D1": "none",
 }
-
-SHOT_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class ClickPattern:
@@ -374,31 +370,15 @@ def herald_distribution(p: BraggParams, time_scale: float = 1.0) -> list:
     return click_distribution(apply_beam_splitter(joint_state(p, time_scale)))
 
 
-def shot_generator(seed: int, block: int) -> np.random.Generator:
-    """Independent stream for one block of shots.
-
-    Streams are keyed by (seed, block index), so blocks may be evaluated
-    in parallel and merged by index with bit-identical results.
-    """
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
-
-
 def _sample_counts(dist, shots: int, seed: int, efficiency: float) -> tuple[np.ndarray, int]:
-    cum = np.cumsum([h.probability for h in dist])
-    # A sum rounded below one must not let a uniform fall past the last pattern.
-    cum[-1] = max(cum[-1], 1.0)
-    counts = np.zeros(len(dist), dtype=np.int64)
-    discarded = 0
-    for block in range(0, (shots + SHOT_BLOCK - 1) // SHOT_BLOCK):
-        count = min(SHOT_BLOCK, shots - block * SHOT_BLOCK)
-        rng = shot_generator(seed, block)
-        idx = np.searchsorted(cum, rng.random(count), side="right")
-        if efficiency < 1.0:
-            detected = np.all(rng.random((count, 2)) < efficiency, axis=1)
-            discarded += int(count - detected.sum())
-            idx = idx[detected]
-        counts += np.bincount(idx, minlength=len(dist))
-    return counts, discarded
+    # Each atom is missed independently of the pattern, so a discarded shot
+    # is one more outcome, of probability 1 - efficiency^2.  It goes first,
+    # because multinomial gives the rounding remainder to the last outcome:
+    # at efficiency 1 nothing is discarded.
+    kept = efficiency**2
+    pvals = [1.0 - kept, *(h.probability * kept for h in dist)]
+    drawn = np.random.default_rng(seed).multinomial(shots, pvals)
+    return drawn[1:], int(drawn[0])
 
 
 @dataclass(frozen=True)
@@ -450,14 +430,17 @@ def run_protocol(
 ) -> ProtocolReport:
     """Sample the protocol and aggregate herald statistics.
 
-    Draws ``shots`` click patterns from the exact distribution at the
-    given interaction-time scale.  With ``detection_efficiency`` below one
-    each atom is detected independently with that probability and shots
-    with a missed click are discarded.  Success means heralding one of the
-    psi Bell states.
+    Draws the counts of ``shots`` click patterns from the exact
+    distribution at the given interaction-time scale, in one multinomial
+    draw seeded by ``seed``.  With ``detection_efficiency`` below one each
+    atom is detected independently with that probability and shots with a
+    missed click are discarded.  Success means heralding one of the psi
+    Bell states.
     """
     if shots <= 0:
         raise ValueError("shots must be a positive integer")
+    if time_scale < 0.0:
+        raise ValueError(f"time_scale must be nonnegative, got {time_scale!r}")
     if not 0.0 < detection_efficiency <= 1.0:
         raise ValueError("detection efficiency must be in (0, 1]")
     dist = herald_distribution(p, time_scale)

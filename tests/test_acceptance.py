@@ -103,7 +103,7 @@ def test_criterion_2_full_deflection_at_the_nominal_time():
 
 
 def test_criterion_3_adiabaticity_of_the_two_manifold_model():
-    worst = max_excited_population(P2, samples=400)
+    worst = max_excited_population(P2)
     report(3, f"max excited-manifold population {worst:.2e} <= 1e-3", worst <= 1e-3)
 
 

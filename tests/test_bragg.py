@@ -145,7 +145,7 @@ def test_full_hamiltonian_without_photons_has_no_excited_manifold():
 def test_adiabaticity_of_the_effective_reduction():
     # Excited-manifold population stays perturbatively small, (g/2 delta)^2
     # per virtual transition, validating the ladder model.
-    worst = max_excited_population(params(), samples=300)
+    worst = max_excited_population(params())
     assert worst <= 1e-3
 
 

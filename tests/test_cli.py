@@ -117,6 +117,23 @@ def test_zero_shots_exits_one(tmp_path, capsys):
     assert "shots" in capsys.readouterr().err
 
 
+def test_negative_time_scale_exits_one(tmp_path, capsys):
+    for command in ("entangle", "protocol"):
+        out = tmp_path / command
+        assert run_cli(command, "--time-scale", "-1", "--shots", "100", "--out", str(out)) == 1
+        assert "time_scale" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_fewer_than_two_points_exits_one(tmp_path, capsys):
+    for command in ("entangle", "oracle-compare"):
+        for points in ("1", "0", "-2"):
+            out = tmp_path / f"{command}{points}"
+            assert run_cli(command, "--points", points, "--out", str(out)) == 1
+            assert "points" in capsys.readouterr().err
+            assert not out.exists()
+
+
 # ---------------------------------------------------------------- entangle
 
 

@@ -340,10 +340,27 @@ def test_protocol_detection_efficiency_discards_shots():
     report = run_protocol(P2, shots=50_000, seed=7, detection_efficiency=0.8)
     assert report.retained_shots + report.discarded_shots == 50_000
     assert report.retained_shots == pytest.approx(50_000 * 0.64, rel=0.05)
+    low, high = wilson_interval(report.discarded_shots, 50_000, z=4.0)
+    assert low <= 1.0 - 0.8**2 <= high
     sigma = math.sqrt(0.125 * 0.875 / report.retained_shots)
     for h, count in zip(report.results, report.counts):
         if h.probability > 0.0:
             assert abs(count / report.retained_shots - 0.125) <= 4 * sigma
+    # At this timing the pattern probabilities sum to 1 - 5.6e-16; ideal
+    # detectors must still discard nothing.
+    assert run_protocol(P2, shots=50_000, seed=7, time_scale=0.7).discarded_shots == 0
+
+
+def test_protocol_counts_are_consistent_at_a_billion_shots():
+    report = run_protocol(P2, shots=10**9, seed=13, detection_efficiency=0.9)
+    assert sum(report.counts) == report.retained_shots
+    assert report.retained_shots + report.discarded_shots == 10**9
+    for h, count in zip(report.results, report.counts):
+        if h.probability > 0.0:
+            low, high = wilson_interval(count, report.retained_shots, z=4.0)
+            assert low <= h.probability <= high
+        else:
+            assert count == 0
 
 
 def test_protocol_report_serialisation_is_deterministic(tmp_path):
