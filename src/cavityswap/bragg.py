@@ -36,8 +36,8 @@ __all__ = [
     "pendellosung_phase_rate",
     "full_deflection_time",
     "deflection_phase",
-    "nominal_deflected_amplitude",
     "analytic_amplitudes",
+    "branch_amplitudes",
     "LadderState",
     "evolve_ladder",
     "PopulationSeries",
@@ -176,7 +176,6 @@ class FullModel:
 
     hamiltonian: np.ndarray
     labels: tuple
-    ground_indices: tuple
     excited_indices: tuple
 
 
@@ -211,9 +210,8 @@ def build_full_hamiltonian(p: BraggParams) -> FullModel:
                     i, j = index[("g", int(l))], index[target]
                     h[i, j] = coupling
                     h[j, i] = coupling
-    ground = tuple(i for i, lab in enumerate(labels) if lab[0] == "g")
     excited = tuple(i for i, lab in enumerate(labels) if lab[0] == "e")
-    return FullModel(h, tuple(labels), ground, excited)
+    return FullModel(h, tuple(labels), excited)
 
 
 def max_excited_population(p: BraggParams) -> float:
@@ -276,7 +274,7 @@ def deflection_phase(p: BraggParams) -> float:
     deflection time, evaluated for the one-photon branch.
 
     The deflected amplitude there is i (-1)^((r-1)/2) e^{-i phi} (see
-    :func:`nominal_deflected_amplitude`); the phi returned here leaves the
+    :func:`branch_amplitudes`); the phi returned here leaves the
     sign (-1)^((r-1)/2) out, so at r = 3 mod 4 it is off by pi from the
     phase the amplitude actually carries.
     """
@@ -297,15 +295,21 @@ def analytic_amplitudes(p: BraggParams, t: float) -> tuple[complex, complex]:
     return complex(phase * math.cos(0.5 * b * t)), complex(1j * phase * math.sin(0.5 * b * t))
 
 
-def nominal_deflected_amplitude(p: BraggParams) -> complex:
-    """Deflected one-photon amplitude at the full deflection time.
+def branch_amplitudes(p: BraggParams, time_scale: float = 1.0) -> tuple[complex, complex]:
+    """One-photon branch amplitudes (undeflected, deflected) after
+    ``time_scale`` full deflection times.
 
-    Exact algebraic limit of :func:`analytic_amplitudes` there, free of
-    numerical cosine dust: sin(r pi / 2) = (-1)^((r-1)/2) and the accrued
-    phase equals the deflection phase.
+    At the nominal scale 1 they are the exact algebraic limit of
+    :func:`analytic_amplitudes`, free of numerical cosine dust: 0 and
+    i (-1)^((r-1)/2) e^{-i phi}, since sin(r pi / 2) = (-1)^((r-1)/2) and the
+    accrued phase equals the deflection phase.  Other scales keep the
+    closed-form undeflected leakage.
     """
-    parity = -1.0 if (p.r - 1) // 2 % 2 else 1.0
-    return complex(1j * parity * np.exp(-1j * deflection_phase(p)))
+    if time_scale == 1.0:
+        parity = -1.0 if (p.r - 1) // 2 % 2 else 1.0
+        return 0.0j, complex(1j * parity * np.exp(-1j * deflection_phase(p)))
+    one = p.with_photons(1)
+    return analytic_amplitudes(one, time_scale * full_deflection_time(one))
 
 
 @dataclass(frozen=True)
@@ -399,27 +403,24 @@ def _pair_labels(p: BraggParams) -> tuple:
     return ((0, m), (0, -m), (1, m), (1, -m))
 
 
-def entangled_pair_state(p: BraggParams, t: float | None = None) -> StateVector:
-    """Atom-cavity entangled state after the interaction.
+def entangled_pair_state(p: BraggParams, time_scale: float = 1.0) -> StateVector:
+    """Atom-cavity entangled state after ``time_scale`` full deflection times.
 
     The cavity starts in (|0> + |1>)/sqrt(2); the zero-photon branch leaves
-    the atom untouched while the one-photon branch deflects it.  At the
-    nominal full-deflection time (``t`` omitted) the state is
-    (|0, +p> + i e^{-i phi} |1, -p>)/sqrt(2); for other times the
-    one-photon branch keeps its closed-form undeflected leakage.
+    the atom untouched while the one-photon branch carries
+    :func:`branch_amplitudes`.  At the nominal scale 1 the state is
+    (|0, +p> + i (-1)^((r-1)/2) e^{-i phi} |1, -p>)/sqrt(2).
 
     Labels are (photon number, momentum in hbar k units).
     """
-    if t is None:
-        c_plus, c_minus = 0.0j, nominal_deflected_amplitude(p)
-    else:
-        c_plus, c_minus = analytic_amplitudes(p.with_photons(1), t)
+    c_plus, c_minus = branch_amplitudes(p, time_scale)
     amps = np.array([1.0, 0.0, c_plus, c_minus], dtype=np.complex128) / math.sqrt(2.0)
     return StateVector(_pair_labels(p), amps)
 
 
-def pair_state_from_ladder(p: BraggParams, t: float | None = None) -> tuple[StateVector, bool]:
-    """Pair state assembled from exact ladder runs of both photon branches.
+def pair_state_from_ladder(p: BraggParams, time_scale: float = 1.0) -> tuple[StateVector, bool]:
+    """Pair state assembled from exact ladder runs of both photon branches,
+    run for ``time_scale`` full deflection times.
 
     Phases are reported in the frame co-rotating with the photon-number
     light shift, which is where the closed-form amplitudes live; without
@@ -428,8 +429,7 @@ def pair_state_from_ladder(p: BraggParams, t: float | None = None) -> tuple[Stat
     labels (photon number, momentum in hbar k units) together with a
     truncation warning flag.
     """
-    if t is None:
-        t = full_deflection_time(p.with_photons(1))
+    t = time_scale * full_deflection_time(p.with_photons(1))
     zero = evolve_ladder(p.with_photons(0), t)
     one = evolve_ladder(p.with_photons(1), t)
     frame = np.exp(-1j * (p.g**2 / (2.0 * p.delta)) * t)
@@ -440,14 +440,14 @@ def pair_state_from_ladder(p: BraggParams, t: float | None = None) -> tuple[Stat
     return state, (zero.truncation_warning or one.truncation_warning)
 
 
-def pair_oracle_fidelity(p: BraggParams, t: float | None = None) -> tuple[float, bool]:
+def pair_oracle_fidelity(p: BraggParams, time_scale: float = 1.0) -> tuple[float, bool]:
     """Fidelity of the closed-form pair state against the exact ladder pair.
 
     Embeds the four closed-form amplitudes into the ladder pair basis and
     returns |<closed form|ladder>|^2 plus the truncation flag.
     """
-    ladder, warn = pair_state_from_ladder(p, t)
-    analytic = entangled_pair_state(p, t)
+    ladder, warn = pair_state_from_ladder(p, time_scale)
+    analytic = entangled_pair_state(p, time_scale)
     embedded = np.zeros(ladder.dim, dtype=np.complex128)
     for label, amp in zip(analytic.labels, analytic.amps):
         embedded[ladder.index(label)] = amp

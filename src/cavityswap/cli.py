@@ -117,15 +117,10 @@ def resolve_params(cfg: dict) -> BraggParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _config_echo(cfg: dict, params: BraggParams | None = None) -> dict:
-    echo = {k: cfg.get(k) for k in (
-        "g", "delta", "l0", "r", "shots", "seed", "ladder_halfwidth",
-        "time_scale", "detection_efficiency", "output_dir", "points",
-    )}
-    if params is not None:
-        resolved = asdict(params)
-        resolved.pop("n")
-        echo.update(resolved)
+def _config_echo(cfg: dict, params: BraggParams) -> dict:
+    echo = {k: cfg[k] for k in DEFAULTS}
+    echo.update(asdict(params))
+    del echo["n"]
     if "recoil_rad_per_s" in cfg:
         echo["recoil_rad_per_s"] = cfg["recoil_rad_per_s"]
     return echo
@@ -188,8 +183,8 @@ def cmd_entangle(cfg: dict) -> int:
     )
 
     final = comp.rows[-1].ladder_deflected
-    pair = entangled_pair_state(params) if ts == 1.0 else entangled_pair_state(params, t_final)
-    fid, warn = pair_oracle_fidelity(params, None if ts == 1.0 else t_final)
+    pair = entangled_pair_state(params, ts)
+    fid, warn = pair_oracle_fidelity(params, ts)
     _write_json(out / "entangle_state.json", config, {
         "basis": [list(lab) for lab in pair.labels],
         "amplitudes": [[a.real, a.imag] for a in pair.amps],

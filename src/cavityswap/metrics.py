@@ -87,7 +87,9 @@ class SweepSpec:
 
     ``axis`` picks what the values mean; the base parameters, shot count
     and seed are shared by every row.  Values must be strictly monotone so
-    rows have a well-defined order.
+    rows have a well-defined order.  The shared ``time_scale`` must be
+    nonnegative; a negative value on the ``interaction_time_scale`` axis
+    fails only its own row.
     """
 
     axis: str
@@ -108,6 +110,8 @@ class SweepSpec:
             raise ValueError("sweep values must be strictly monotone")
         if self.shots <= 0:
             raise ValueError("shots must be positive")
+        if self.time_scale < 0.0:
+            raise ValueError(f"time_scale must be nonnegative, got {self.time_scale!r}")
         object.__setattr__(self, "values", values)
 
 
@@ -174,19 +178,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         try:
             params, ts = _row_params(spec, value)
             one = params.with_photons(1)
-            t = ts * full_deflection_time(one)
-            analytic = abs(analytic_amplitudes(one, t)[1]) ** 2
-            series = ladder_population_series(one, [t])
-            ladder = series.deflected[0]
+            final = oracle_compare(one, [ts * full_deflection_time(one)]).rows[0]
             report = run_protocol(params, spec.shots, _row_seed(spec.seed, i), time_scale=ts)
             successes = round(report.success_rate * report.retained_shots)
             low, high = wilson_interval(successes, report.retained_shots)
             rows.append(
                 ComparisonRow(
                     value=float(value),
-                    analytic_deflected=analytic,
-                    ladder_deflected=ladder,
-                    abs_error=abs(analytic - ladder),
+                    analytic_deflected=final.analytic_deflected,
+                    ladder_deflected=final.ladder_deflected,
+                    abs_error=abs(final.analytic_deflected - final.ladder_deflected),
                     success_rate=report.success_rate,
                     success_low=low,
                     success_high=high,

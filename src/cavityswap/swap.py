@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bragg import BraggParams, analytic_amplitudes, full_deflection_time, nominal_deflected_amplitude
+from .bragg import BraggParams, branch_amplitudes
 from .quantum import StateVector, concurrence
 
 __all__ = [
@@ -231,18 +231,17 @@ def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> StateVecto
 
 
 def joint_state(p: BraggParams, time_scale: float = 1.0) -> StateVector:
-    """Joint state of both cavities and both atoms before the mode mixer.
+    """Joint state of both cavities and both atoms before the mode mixer,
+    with the one-photon branch amplitudes of :func:`branch_amplitudes`."""
+    return joint_state_from_amplitudes(*branch_amplitudes(p, time_scale))
 
-    At ``time_scale`` 1 the branch amplitudes take their exact nominal
-    values (no numerical cosine dust); off-nominal scales keep the
-    closed-form undeflected leakage.
-    """
-    if time_scale == 1.0:
-        c_plus, c_minus = 0.0j, nominal_deflected_amplitude(p)
-    else:
-        t = time_scale * full_deflection_time(p.with_photons(1))
-        c_plus, c_minus = analytic_amplitudes(p.with_photons(1), t)
-    return joint_state_from_amplitudes(c_plus, c_minus)
+
+def _mode_amplitudes(s: StateVector) -> np.ndarray:
+    """Amplitudes of a joint state as a (cavity pair, two-atom mode) array."""
+    dim = mode_basis(2).dim
+    if s.dim != 4 * dim:
+        raise ValueError("expected a (cavity pair x two-atom mode) joint state")
+    return s.amps.reshape(4, dim)
 
 
 def apply_beam_splitter(s: StateVector) -> StateVector:
@@ -251,11 +250,8 @@ def apply_beam_splitter(s: StateVector) -> StateVector:
     The labels keep their positions; after this call the occupation slots
     refer to the primed (detector-facing) modes.
     """
-    basis = mode_basis(2)
-    if s.dim != 4 * basis.dim:
-        raise ValueError("expected a (cavity pair x two-atom mode) joint state")
-    u = beam_splitter_unitary(basis)
-    out = (s.amps.reshape(4, basis.dim) @ u.T).reshape(-1)
+    u = beam_splitter_unitary(mode_basis(2))
+    out = (_mode_amplitudes(s) @ u.T).reshape(-1)
     return StateVector(s.labels, out)
 
 
@@ -273,9 +269,8 @@ def epr_decomposition_check(s: StateVector, phase: float) -> tuple[bool, float]:
     and returns (residual <= 1e-12, residual) against ``s``.  P and M are
     the undeflected/deflected single-atom modes, so PP = a1+a2+|vac> etc.
     """
+    amps = _mode_amplitudes(s)
     basis = mode_basis(2)
-    if s.dim != 4 * basis.dim:
-        raise ValueError("expected a (cavity pair x two-atom mode) joint state")
 
     def occ_vec(occ):
         v = np.zeros(basis.dim, dtype=np.complex128)
@@ -298,7 +293,7 @@ def epr_decomposition_check(s: StateVector, phase: float) -> tuple[bool, float]:
         + 0.25j * ph1 * np.kron(c01 + c10, pm + mp)
         + 0.25j * ph1 * np.kron(c01 - c10, pm - mp)
     )
-    residual = float(np.max(np.abs(total - s.amps)))
+    residual = float(np.max(np.abs(total.reshape(amps.shape) - amps)))
     return residual <= 1e-12, residual
 
 
@@ -328,13 +323,10 @@ def click_distribution(s: StateVector) -> list:
     included); probabilities must sum to one within 1e-12 or the state was
     not a valid post-mixer joint state.
     """
-    basis = mode_basis(2)
-    if s.dim != 4 * basis.dim:
-        raise ValueError("expected a (cavity pair x two-atom mode) joint state")
-    psi = s.amps.reshape(4, basis.dim)
+    psi = _mode_amplitudes(s)
     results = []
     total = 0.0
-    for j, occ in enumerate(basis.occupations):
+    for j, occ in enumerate(mode_basis(2).occupations):
         pattern = ClickPattern.from_occupation(occ)
         vec = psi[:, j]
         prob = float(np.vdot(vec, vec).real)

@@ -7,6 +7,7 @@ import pytest
 from cavityswap.bragg import (
     BraggParams,
     analytic_amplitudes,
+    branch_amplitudes,
     build_effective_hamiltonian,
     build_full_hamiltonian,
     deflection_phase,
@@ -23,6 +24,7 @@ from cavityswap.bragg import (
     recoil_frequency,
 )
 from cavityswap.quantum import expm, partial_trace
+from cavityswap.swap import joint_state
 
 
 def params(**kw):
@@ -212,6 +214,32 @@ def test_analytic_populations_sum_to_one_for_any_time():
     for t in rng.uniform(0.0, 3.0 / pendellosung_frequency(p), size=50):
         c_plus, c_minus = analytic_amplitudes(p, float(t))
         assert abs(abs(c_plus) ** 2 + abs(c_minus) ** 2 - 1.0) <= 1e-12
+
+
+def test_branch_amplitudes_at_nominal_timing_match_the_closed_form():
+    # Pins the (-1)^((r-1)/2) sign of the exact nominal amplitude.
+    for l0 in (2, 4, 6):
+        for r in (1, 3):
+            p = params(l0=l0, r=r)
+            one = p.with_photons(1)
+            exact = branch_amplitudes(p)
+            closed = analytic_amplitudes(one, full_deflection_time(one))
+            assert exact[0] == 0.0
+            assert max(abs(a - b) for a, b in zip(exact, closed)) <= 1e-12, (l0, r)
+
+
+def test_pair_and_joint_states_carry_the_branch_amplitudes():
+    p = params(l0=4)
+    m = p.l0 // 2
+    for ts in (0.6, 0.0):
+        c_plus, c_minus = branch_amplitudes(p, ts)
+        pair = entangled_pair_state(p, ts)
+        assert pair.amplitude((1, m)) == c_plus / math.sqrt(2.0)
+        assert pair.amplitude((1, -m)) == c_minus / math.sqrt(2.0)
+        js = joint_state(p, ts)
+        assert js.amplitude((0, 1, (1, 1, 0, 0))) == 0.5 * c_plus
+        assert js.amplitude((0, 1, (1, 0, 0, 1))) == 0.5 * c_minus
+        assert js.amplitude((1, 1, (0, 0, 1, 1))) == 0.5 * c_minus * c_minus
 
 
 # ---------------------------------------------------------------- ladder oracle

@@ -118,9 +118,9 @@ def test_zero_shots_exits_one(tmp_path, capsys):
 
 
 def test_negative_time_scale_exits_one(tmp_path, capsys):
-    for command in ("entangle", "protocol"):
+    for command, *extra in (("entangle",), ("protocol",), ("sweep", "--axis", "l0", "--values", "2")):
         out = tmp_path / command
-        assert run_cli(command, "--time-scale", "-1", "--shots", "100", "--out", str(out)) == 1
+        assert run_cli(command, *extra, "--time-scale", "-1", "--shots", "100", "--out", str(out)) == 1
         assert "time_scale" in capsys.readouterr().err
         assert not out.exists()
 

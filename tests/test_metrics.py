@@ -88,6 +88,8 @@ def test_sweep_spec_validation():
         SweepSpec(axis="l0", values=(2, 4, 2), base=BASE, shots=10, seed=1)
     with pytest.raises(ValueError, match="shots"):
         SweepSpec(axis="l0", values=(2,), base=BASE, shots=0, seed=1)
+    with pytest.raises(ValueError, match="time_scale"):
+        SweepSpec(axis="l0", values=(2,), base=BASE, shots=10, seed=1, time_scale=-1.0)
 
 
 def test_sweep_is_deterministic_and_byte_identical(tmp_path):

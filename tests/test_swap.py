@@ -97,6 +97,14 @@ def test_joint_state_from_amplitudes_rejects_unnormalised_branches():
         joint_state_from_amplitudes(0.9, 0.9)
 
 
+def test_joint_state_functions_reject_a_state_of_the_wrong_dimension():
+    wrong = joint_state_from_amplitudes(0.0, 1.0)
+    wrong = type(wrong)(wrong.labels[:-1], wrong.amps[:-1])
+    for check in (apply_beam_splitter, lambda s: epr_decomposition_check(s, 0.0), click_distribution):
+        with pytest.raises(ValueError, match="joint state"):
+            check(wrong)
+
+
 # ---------------------------------------------------------------- EPR identity
 
 
