@@ -282,8 +282,9 @@ def deflection_phase(p: BraggParams) -> float:
     return p.r * math.pi * pendellosung_phase_rate(one) / pendellosung_frequency(one)
 
 
-def analytic_amplitudes(p: BraggParams, t: float) -> tuple[complex, complex]:
-    """Closed-form amplitudes (undeflected, deflected) at time ``t``.
+def analytic_amplitudes(p: BraggParams, t):
+    """Closed-form amplitudes (undeflected, deflected) at time ``t``, a
+    number or an array of times (then two arrays of that shape).
 
     The atom starts fully in the incoming momentum, so the undeflected
     amplitude is exp(-i A t) cos(B t / 2) and the deflected amplitude is
@@ -292,7 +293,7 @@ def analytic_amplitudes(p: BraggParams, t: float) -> tuple[complex, complex]:
     a = pendellosung_phase_rate(p)
     b = pendellosung_frequency(p)
     phase = np.exp(-1j * a * t)
-    return complex(phase * math.cos(0.5 * b * t)), complex(1j * phase * math.sin(0.5 * b * t))
+    return phase * np.cos(0.5 * b * t), 1j * phase * np.sin(0.5 * b * t)
 
 
 def branch_amplitudes(p: BraggParams, time_scale: float = 1.0) -> tuple[complex, complex]:
@@ -361,12 +362,13 @@ def evolve_ladder(p: BraggParams, t: float) -> LadderState:
 
 @dataclass(frozen=True)
 class PopulationSeries:
-    """Undeflected/deflected ladder populations sampled along a time grid."""
+    """Undeflected/deflected ladder populations sampled along a time grid,
+    as float arrays of one entry per time."""
 
     params: BraggParams
-    times: tuple
-    undeflected: tuple
-    deflected: tuple
+    times: np.ndarray
+    undeflected: np.ndarray
+    deflected: np.ndarray
     boundary_max: float
 
     @property
@@ -378,24 +380,23 @@ def ladder_population_series(p: BraggParams, times) -> PopulationSeries:
     """Ladder populations at each time of a nonnegative grid.
 
     Each time is propagated directly from t = 0, with one eigendecomposition
-    of the ladder Hamiltonian per block of ``SERIES_BLOCK`` times.
+    of the ladder Hamiltonian per block of ``SERIES_BLOCK`` times.  Only the
+    incoming, deflected and two boundary sites are computed.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
     h = build_effective_hamiltonian(p)
     offsets = list(ladder_offsets(p))
-    i_in, i_out = offsets.index(0), offsets.index(-p.l0)
+    sites = [offsets.index(0), offsets.index(-p.l0), 0, len(offsets) - 1]
     psi0 = np.zeros(len(offsets), dtype=np.complex128)
-    psi0[i_in] = 1.0
-    undeflected, deflected = [], []
-    boundary = 0.0
+    psi0[sites[0]] = 1.0
+    pops = np.empty((len(sites), times.size))
     for start in range(0, times.size, SERIES_BLOCK):
-        pops = np.abs(propagate(h, psi0, times[start:start + SERIES_BLOCK])) ** 2
-        undeflected.extend(pops[:, i_in].tolist())
-        deflected.extend(pops[:, i_out].tolist())
-        boundary = max(boundary, float(np.max(pops[:, 0] + pops[:, -1])))
-    return PopulationSeries(p, tuple(times.tolist()), tuple(undeflected), tuple(deflected), boundary)
+        block = slice(start, start + SERIES_BLOCK)
+        pops[:, block] = (np.abs(propagate(h, psi0, times[block], rows=sites)) ** 2).T
+    boundary = float(np.max(pops[2] + pops[3], initial=0.0))
+    return PopulationSeries(p, times, pops[0], pops[1], boundary)
 
 
 def _pair_labels(p: BraggParams) -> tuple:

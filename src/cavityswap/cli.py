@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .bragg import (
+    SERIES_BLOCK,
     BraggParams,
     entangled_pair_state,
     full_deflection_time,
@@ -30,7 +31,7 @@ from .bragg import (
     pendellosung_frequency,
     recoil_frequency,
 )
-from .metrics import ComparisonRow, PopulationRow, SweepSpec, oracle_compare, run_sweep
+from .metrics import POPULATION_COLUMNS, ComparisonRow, SweepSpec, oracle_compare, run_sweep
 from .swap import run_protocol
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
@@ -51,13 +52,14 @@ class ConfigError(ValueError):
     """Invalid configuration; reported on stderr with exit code 1."""
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
+def load_config(path: str | None, overrides: dict, unused=()) -> dict:
     """Resolve defaults, config file, and flag overrides into one dict.
 
     Exactly one of the ``dimensionless`` block (g, delta in recoil units)
     and the ``physical`` block (mass_kg, wavelength_m, g_rad_per_s,
     delta_rad_per_s) must end up present; the physical block is converted
-    here and nowhere else.
+    here and nowhere else.  A config file that sets one of the ``unused``
+    keys (keys the command does not read) is rejected.
     """
     cfg = dict(DEFAULTS)
     file_cfg: dict = {}
@@ -74,6 +76,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
     unknown = set(file_cfg) - set(DEFAULTS) - {"dimensionless", "physical", "assert", "sweep"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    ignored = set(file_cfg) & set(unused)
+    if ignored:
+        raise ConfigError(f"config keys this command does not read: {sorted(ignored)}")
     cfg.update({k: v for k, v in file_cfg.items() if k not in ("dimensionless", "physical")})
 
     dimless = file_cfg.get("dimensionless")
@@ -137,16 +142,33 @@ def _fmt(x) -> str:
 def _write_csv(path: Path, config: dict, columns, rows) -> None:
     """Version line, config line, column names, then one line per row.
 
-    Rows are written as they are drawn, so a long table is never held as
-    text in memory.
+    Every column keeps one type, so the first row fixes one line template:
+    float cells print as ``%.12g`` (what :func:`_fmt` gives them), other
+    cells go through :func:`_fmt`.  Rows are written as they are drawn, so
+    a long table is never held as text in memory.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
         f.write(f"# cavityswap {__version__}\n")
         f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         f.write(",".join(columns) + "\n")
+        line = None
         for row in rows:
-            f.write(",".join(map(_fmt, row)) + "\n")
+            if line is None:
+                text = [i for i, x in enumerate(row) if not isinstance(x, float)]
+                line = ",".join("%s" if i in text else "%.12g" for i in range(len(row))) + "\n"
+            if text:
+                row = list(row)
+                for i in text:
+                    row[i] = _fmt(row[i])
+            f.write(line % tuple(row))
+
+
+def _table_rows(table: np.ndarray):
+    """Rows of a float table as lists of Python floats, converted one
+    block of ``SERIES_BLOCK`` rows at a time."""
+    for start in range(0, len(table), SERIES_BLOCK):
+        yield from table[start:start + SERIES_BLOCK].tolist()
 
 
 def _write_json(path: Path, config: dict, doc: dict) -> None:
@@ -178,11 +200,11 @@ def cmd_entangle(cfg: dict) -> int:
     _write_csv(
         out / "entangle_populations.csv",
         config,
-        PopulationRow._fields[:5] + ("ladder_deflected_n0",),
-        ((*row[:5], n0) for row, n0 in zip(comp.rows, series_zero.deflected)),
+        POPULATION_COLUMNS[:5] + ("ladder_deflected_n0",),
+        _table_rows(np.column_stack((comp.table[:, :5], series_zero.deflected))),
     )
 
-    final = comp.rows[-1].ladder_deflected
+    final = float(comp.table[-1, POPULATION_COLUMNS.index("ladder_deflected")])
     pair = entangled_pair_state(params, ts)
     fid, warn = pair_oracle_fidelity(params, ts)
     _write_json(out / "entangle_state.json", config, {
@@ -242,7 +264,8 @@ def cmd_oracle_compare(cfg: dict) -> int:
     period = 2.0 * math.pi / pendellosung_frequency(params)
     comp = oracle_compare(params, np.linspace(0.0, period, points))
     out = Path(cfg["output_dir"])
-    _write_csv(out / "oracle_compare.csv", _config_echo(cfg, params), PopulationRow._fields, comp.rows)
+    _write_csv(out / "oracle_compare.csv", _config_echo(cfg, params), POPULATION_COLUMNS,
+               _table_rows(comp.table))
     print(f"max population error: {_fmt(comp.max_error)}")
     if comp.truncation_warning:
         print("warning: ladder truncation too tight (boundary population exceeded limit)")
@@ -322,10 +345,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ladder-halfwidth", dest="ladder_halfwidth", type=int)
         sp.add_argument("--time-scale", dest="time_scale", type=float)
         sp.add_argument("--detection-efficiency", dest="detection_efficiency", type=float)
-        sp.add_argument("--points", type=int)
         if name == "sweep":
             sp.add_argument("--axis")
-            sp.add_argument("--values", help="comma-separated axis values")
+            sp.add_argument(
+                "--values",
+                help="comma-separated axis values; when the first is negative, "
+                "join with '=' (--values=-0.5,0.5)",
+            )
+        else:
+            sp.add_argument("--points", type=int)
     return parser
 
 
@@ -337,6 +365,10 @@ _COMMANDS = {
 }
 
 
+# Config keys a command does not read (it has no flag for them either).
+_UNUSED_KEYS = {"sweep": ("points",)}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
@@ -345,7 +377,7 @@ def main(argv=None) -> int:
         if k not in ("command", "config") and v is not None
     }
     try:
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides, unused=_UNUSED_KEYS.get(args.command, ()))
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -354,3 +386,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

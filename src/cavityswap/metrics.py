@@ -18,7 +18,7 @@ from .swap import run_protocol
 
 __all__ = [
     "wilson_interval",
-    "PopulationRow",
+    "POPULATION_COLUMNS",
     "PopulationComparison",
     "oracle_compare",
     "SWEEP_AXES",
@@ -48,37 +48,46 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-class PopulationRow(NamedTuple):
-    """One ``oracle_compare.csv`` row; the field names are its columns."""
-
-    time: float
-    analytic_undeflected: float
-    analytic_deflected: float
-    ladder_undeflected: float
-    ladder_deflected: float
-    error: float
+# Columns of PopulationComparison.table, and of ``oracle_compare.csv``.
+POPULATION_COLUMNS = (
+    "time",
+    "analytic_undeflected",
+    "analytic_deflected",
+    "ladder_undeflected",
+    "ladder_deflected",
+    "error",
+)
 
 
 @dataclass(frozen=True)
 class PopulationComparison:
-    """Closed-form vs exact-ladder populations along a time grid."""
+    """Closed-form vs exact-ladder populations along a time grid.
+
+    ``table`` holds one row per time and one column per name in
+    :data:`POPULATION_COLUMNS`.
+    """
 
     params: BraggParams
-    rows: tuple
+    table: np.ndarray
     max_error: float
     truncation_warning: bool
 
 
+def _population(z: np.ndarray) -> np.ndarray:
+    # |z|^2 rounded exactly as Python's abs(z) ** 2: hypot, then pow(x, 2),
+    # which is not always the x * x that np.abs(z) ** 2 computes.
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
 def oracle_compare(p: BraggParams, times) -> PopulationComparison:
-    """Closed-form populations against the exact ladder, time by time."""
+    """Closed-form populations against the exact ladder along ``times``."""
     series = ladder_population_series(p, times)
-    rows = []
-    for t, lu, ld in zip(series.times, series.undeflected, series.deflected):
-        c_plus, c_minus = analytic_amplitudes(p, t)
-        au, ad = abs(c_plus) ** 2, abs(c_minus) ** 2
-        rows.append(PopulationRow(t, au, ad, lu, ld, max(abs(au - lu), abs(ad - ld))))
-    max_error = max((row.error for row in rows), default=0.0)
-    return PopulationComparison(p, tuple(rows), max_error, series.truncation_warning)
+    c_plus, c_minus = analytic_amplitudes(p, series.times)
+    au, ad = _population(c_plus), _population(c_minus)
+    error = np.maximum(np.abs(au - series.undeflected), np.abs(ad - series.deflected))
+    table = np.column_stack((series.times, au, ad, series.undeflected, series.deflected, error))
+    max_error = float(np.max(error, initial=0.0))
+    return PopulationComparison(p, table, max_error, series.truncation_warning)
 
 
 @dataclass(frozen=True)
@@ -178,16 +187,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         try:
             params, ts = _row_params(spec, value)
             one = params.with_photons(1)
-            final = oracle_compare(one, [ts * full_deflection_time(one)]).rows[0]
+            comp = oracle_compare(one, [ts * full_deflection_time(one)])
+            _, _, analytic, _, ladder, _ = comp.table[0].tolist()
             report = run_protocol(params, spec.shots, _row_seed(spec.seed, i), time_scale=ts)
             successes = round(report.success_rate * report.retained_shots)
             low, high = wilson_interval(successes, report.retained_shots)
             rows.append(
                 ComparisonRow(
                     value=float(value),
-                    analytic_deflected=final.analytic_deflected,
-                    ladder_deflected=final.ladder_deflected,
-                    abs_error=abs(final.analytic_deflected - final.ladder_deflected),
+                    analytic_deflected=analytic,
+                    ladder_deflected=ladder,
+                    abs_error=abs(analytic - ladder),
                     success_rate=report.success_rate,
                     success_low=low,
                     success_high=high,

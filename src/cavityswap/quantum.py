@@ -136,7 +136,7 @@ def expm(a) -> np.ndarray:
     return out
 
 
-def propagate(h, amps, times) -> np.ndarray:
+def propagate(h, amps, times, rows=None) -> np.ndarray:
     """Propagate ``amps`` under Hermitian ``h`` to every time in ``times``
     (hbar = 1); row k of the result is exp(-i h times[k]) @ amps.
 
@@ -144,6 +144,10 @@ def propagate(h, amps, times) -> np.ndarray:
     is exactly unitary up to eigenvector round-off at any t, and a whole
     time grid costs one eigendecomposition.  :func:`expm` is kept as the
     independent check of this path.  Rows at t = 0 are ``amps`` exactly.
+
+    ``rows`` (indices into the state) limits the result to those
+    components, in that order; the others are never formed.  Eigenmodes
+    with no overlap with ``amps`` contribute exact zeros and are skipped.
     """
     h = _square_matrix(h, "Hamiltonian")
     # eigh reads one triangle only; a non-Hermitian h would pass silently.
@@ -154,9 +158,15 @@ def propagate(h, amps, times) -> np.ndarray:
             f"Hamiltonian dimension {h.shape[0]} does not match state dimension {amps.size}"
         )
     times = np.asarray(times, dtype=float)
+    rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
     w, v = np.linalg.eigh(h)
-    out = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ amps)) @ v.T
-    out[times == 0.0] = amps
+    overlap = v.conj().T @ amps
+    live = overlap != 0.0
+    # F order, as v.T itself: BLAS sums a one-time grid (a matrix-vector
+    # product) in an order that follows the operand layout.
+    modes = np.asfortranarray(v.T[live][:, rows])
+    out = (np.exp(-1j * np.outer(times, w[live])) * overlap[live]) @ modes
+    out[times == 0.0] = amps[rows]
     return out
 
 

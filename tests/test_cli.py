@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cavityswap
 from cavityswap import __version__
 from cavityswap.bragg import recoil_frequency
 from cavityswap.cli import ConfigError, load_config, main, resolve_params
@@ -304,15 +309,55 @@ def test_sweep_rejects_detection_efficiency(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_rejects_points(tmp_path, capsys):
+    # sweep has no time grid: a config file setting points is refused, and
+    # so is the flag.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 3}))
+    out = tmp_path / "run"
+    argv = ("sweep", "--axis", "l0", "--values", "2", "--shots", "10", "--out", str(out))
+    assert run_cli(*argv, "--config", str(cfg)) == 1
+    assert "points" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        run_cli(*argv, "--points", "3")
+
+
+def test_sweep_negative_values_need_the_equals_form(tmp_path, capsys):
+    argv = ("sweep", "--axis", "interaction_time_scale", "--shots", "10", "--out", str(tmp_path))
+    with pytest.raises(SystemExit):
+        run_cli(*argv, "--values", "-0.5,0.5")  # read as a flag by argparse
+    capsys.readouterr()
+    assert run_cli(*argv, "--values=-0.5,0.5") == 0
+    rows = [line.split(",") for line in read(tmp_path / "sweep.csv").splitlines()[3:]]
+    assert [float(row[0]) for row in rows] == [-0.5, 0.5]
+    assert "time_scale" in rows[0][-1] or "nonnegative" in rows[0][-1]
+    assert rows[1][-1] == "" and float(rows[1][4]) >= 0.0
+    assert "row -0.5 failed" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    src = Path(cavityswap.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "run"
+    done = subprocess.run(
+        [sys.executable, "-m", "cavityswap.cli", "entangle", "--time-scale", "-1", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert "time_scale" in done.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- artifacts
 
 
 def test_every_csv_opens_with_the_version_and_its_json_config(tmp_path):
-    common = ("--points", "5", "--shots", "200", "--seed", "2")
+    common = ("--shots", "200", "--seed", "2")
     commands = {
-        "entangle": (("entangle",), "entangle_populations.csv", "entangle_state.json"),
-        "protocol": (("protocol",), "protocol_report.csv", "protocol_summary.json"),
-        "oracle-compare": (("oracle-compare",), "oracle_compare.csv", None),
+        "entangle": (("entangle", "--points", "5"), "entangle_populations.csv", "entangle_state.json"),
+        "protocol": (("protocol", "--points", "5"), "protocol_report.csv", "protocol_summary.json"),
+        "oracle-compare": (("oracle-compare", "--points", "5"), "oracle_compare.csv", None),
         "sweep": (("sweep", "--axis", "l0", "--values", "2,4"), "sweep.csv", "sweep_manifest.json"),
     }
     configs = {}

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from cavityswap import metrics
-from cavityswap.bragg import BraggParams, pendellosung_frequency
+from cavityswap.bragg import (
+    BraggParams,
+    analytic_amplitudes,
+    ladder_population_series,
+    pendellosung_frequency,
+)
 from cavityswap.cli import main
 from cavityswap.metrics import (
+    POPULATION_COLUMNS,
     ComparisonRow,
     SweepSpec,
     oracle_compare,
@@ -57,7 +63,24 @@ def test_oracle_compare_is_tight_in_the_deep_dispersive_regime():
 
 def test_oracle_compare_error_vanishes_at_time_zero():
     comp = oracle_compare(BASE, [0.0])
-    assert comp.rows[0].error == pytest.approx(0.0, abs=1e-14)
+    assert comp.table[0, POPULATION_COLUMNS.index("error")] == pytest.approx(0.0, abs=1e-14)
+
+
+def test_oracle_compare_table_matches_the_closed_form_point_by_point():
+    # The array table against one analytic_amplitudes call per time.  SIMD
+    # cos/sin may round differently from the scalar ones, hence 1e-15.
+    for p in (BASE, BraggParams(l0=4, r=3)):
+        times = period_grid(p, points=1001)
+        comp = oracle_compare(p, times)
+        series = ladder_population_series(p, times)
+        assert comp.table.shape == (times.size, len(POPULATION_COLUMNS))
+        reference = []
+        for t, lu, ld in zip(times.tolist(), series.undeflected.tolist(), series.deflected.tolist()):
+            c_plus, c_minus = analytic_amplitudes(p, t)
+            au, ad = abs(c_plus) ** 2, abs(c_minus) ** 2
+            reference.append((t, au, ad, lu, ld, max(abs(au - lu), abs(ad - ld))))
+        assert np.max(np.abs(comp.table - np.array(reference))) <= 1e-15
+        assert comp.max_error == pytest.approx(max(row[-1] for row in reference), abs=1e-15)
 
 
 def test_oracle_compare_error_grows_at_lower_detuning():

@@ -10,6 +10,7 @@ from cavityswap.quantum import (
     expm,
     fidelity,
     partial_trace,
+    propagate,
 )
 
 QUBIT = ((0,), (1,))
@@ -106,6 +107,48 @@ def test_evolve_matches_taylor_expm_on_random_hermitians():
         t = float(rng.uniform(0.1, 5.0))
         out = evolve(h, psi, t)
         assert np.max(np.abs(out.amps - expm(-1j * t * h) @ psi.amps)) <= 1e-12
+
+
+def test_propagate_rows_equal_the_selected_columns_exactly():
+    # Real-symmetric generators such as the momentum ladder, with the four
+    # rows the ladder tables read: selecting rows leaves every bit as the
+    # plain V diag(e^{-i w t}) V^dag product has it, so those tables do not
+    # depend on it.
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(25, 25))
+    h = (a + a.T).astype(complex)
+    w, v = np.linalg.eigh(h)
+    rows = [12, 10, 0, 24]
+    for amps in (random_state(rng, 25).amps, np.eye(25)[12]):
+        for times in ([1.7], [0.0, 2.5], rng.uniform(0.0, 50.0, 4096)):
+            full = propagate(h, amps, times)
+            plain = (np.exp(-1j * np.outer(times, w)) * (v.conj().T @ amps)) @ v.T
+            plain[np.asarray(times) == 0.0] = amps
+            assert np.array_equal(full, plain)
+            assert np.array_equal(propagate(h, amps, times, rows=rows), full[:, rows])
+
+
+def test_propagate_rows_match_the_selected_columns_on_complex_generators():
+    rng = np.random.default_rng(29)
+    h = random_hermitian(rng, 9)
+    amps = random_state(rng, 9).amps
+    for rows in ([4, 0, 8], [3]):
+        for times in ([1.7], [0.0, 2.5], rng.uniform(0.0, 50.0, 4096)):
+            full = propagate(h, amps, times)
+            assert np.max(np.abs(propagate(h, amps, times, rows=rows) - full[:, rows])) <= 1e-14
+
+
+def test_propagate_rows_on_a_diagonal_hamiltonian_skip_dark_modes():
+    # Only the modes the state occupies carry weight; the others are skipped.
+    energies = np.array([0.0, 1.0, 4.0, 9.0, 1.0, 0.5])
+    h = np.diag(energies)
+    amps = np.array([0, 0.6, 0, 0, 0.8j, 0], dtype=complex)
+    rows = [4, 1, 0]
+    for times in ([1.7], [0.0, 2.5], np.linspace(0.0, 40.0, 4096)):
+        full = propagate(h, amps, times)
+        assert np.array_equal(propagate(h, amps, times, rows=rows), full[:, rows])
+        exact = np.exp(-1j * np.outer(times, energies)) * amps
+        assert np.max(np.abs(full - exact)) <= 1e-15
 
 
 def test_evolution_composes_over_time():
