@@ -8,7 +8,7 @@ amplitudes with an independent ladder cross-check, heralded click
 statistics with seeded sampling, sweep tooling, and a CLI.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .quantum import (
     StateVector,

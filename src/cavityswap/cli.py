@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="comma-separated axis values; when the first is negative, "
                 "join with '=' (--values=-0.5,0.5)",
             )
-        else:
+        elif name in ("entangle", "oracle-compare"):
             sp.add_argument("--points", type=int)
     return parser
 
@@ -366,7 +366,7 @@ _COMMANDS = {
 
 
 # Config keys a command does not read (it has no flag for them either).
-_UNUSED_KEYS = {"sweep": ("points",)}
+_UNUSED_KEYS = {"protocol": ("points",), "sweep": ("points",)}
 
 
 def main(argv=None) -> int:

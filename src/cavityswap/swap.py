@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bragg import BraggParams, branch_amplitudes
-from .quantum import StateVector, concurrence
+from .quantum import StateVector
 
 __all__ = [
     "DETECTORS",
@@ -134,6 +134,12 @@ def mode_basis(total: int = 2) -> ModeBasis:
     if total < 0:
         raise ValueError("total occupation must be nonnegative")
     return ModeBasis(tuple(_occupations_with_total(total)))
+
+
+@lru_cache(maxsize=None)
+def _click_patterns() -> tuple:
+    """The click pattern of each two-atom occupation, in basis order."""
+    return tuple(ClickPattern.from_occupation(occ) for occ in mode_basis(2).occupations)
 
 
 def single_particle_mixer() -> np.ndarray:
@@ -303,8 +309,9 @@ class HeraldResult:
 
     ``conditional_state`` is the normalised two-cavity density matrix (None
     when the pattern has probability zero), ``classification`` the best
-    matching target with its fidelity, ``paper_label`` the published table
-    entry for comparison.
+    matching target with its fidelity, ``concurrence`` the closed form
+    2|ad - bc| of the pure heralded state a|00> + b|01> + c|10> + d|11>,
+    ``paper_label`` the published table entry for comparison.
     """
 
     pattern: ClickPattern
@@ -326,8 +333,7 @@ def click_distribution(s: StateVector) -> list:
     psi = _mode_amplitudes(s)
     results = []
     total = 0.0
-    for j, occ in enumerate(mode_basis(2).occupations):
-        pattern = ClickPattern.from_occupation(occ)
+    for j, pattern in enumerate(_click_patterns()):
         vec = psi[:, j]
         prob = float(np.vdot(vec, vec).real)
         total += prob
@@ -341,6 +347,9 @@ def click_distribution(s: StateVector) -> list:
         rho.setflags(write=False)
         fids = {name: float(abs(np.vdot(target, vec)) ** 2) for name, target in CLASS_TARGETS.items()}
         best = max(fids, key=fids.get)
+        # Every herald is pure, so Wootters' concurrence is 2|v00 v11 - v01 v10|;
+        # the clamp keeps a Bell herald at exactly 1 despite round-off.
+        v00, v01, v10, v11 = vec.tolist()
         results.append(
             HeraldResult(
                 pattern,
@@ -348,7 +357,7 @@ def click_distribution(s: StateVector) -> list:
                 rho,
                 best,
                 fids[best],
-                concurrence(rho),
+                min(1.0, 2.0 * abs(v00 * v11 - v01 * v10)),
                 PAPER_TABLE_LABELS[pattern.label],
             )
         )

@@ -323,6 +323,19 @@ def test_sweep_rejects_points(tmp_path, capsys):
         run_cli(*argv, "--points", "3")
 
 
+def test_protocol_rejects_points(tmp_path, capsys):
+    # protocol has no time grid either: the config key and the flag are refused.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 5}))
+    out = tmp_path / "run"
+    argv = ("protocol", "--shots", "10", "--out", str(out))
+    assert run_cli(*argv, "--config", str(cfg)) == 1
+    assert "points" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        run_cli(*argv, "--points", "5")
+
+
 def test_sweep_negative_values_need_the_equals_form(tmp_path, capsys):
     argv = ("sweep", "--axis", "interaction_time_scale", "--shots", "10", "--out", str(tmp_path))
     with pytest.raises(SystemExit):
@@ -356,7 +369,7 @@ def test_every_csv_opens_with_the_version_and_its_json_config(tmp_path):
     common = ("--shots", "200", "--seed", "2")
     commands = {
         "entangle": (("entangle", "--points", "5"), "entangle_populations.csv", "entangle_state.json"),
-        "protocol": (("protocol", "--points", "5"), "protocol_report.csv", "protocol_summary.json"),
+        "protocol": (("protocol",), "protocol_report.csv", "protocol_summary.json"),
         "oracle-compare": (("oracle-compare", "--points", "5"), "oracle_compare.csv", None),
         "sweep": (("sweep", "--axis", "l0", "--values", "2,4"), "sweep.csv", "sweep_manifest.json"),
     }

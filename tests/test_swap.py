@@ -6,7 +6,7 @@ import pytest
 from cavityswap.bragg import BraggParams, deflection_phase
 from cavityswap.cli import main
 from cavityswap.metrics import wilson_interval
-from cavityswap.quantum import partial_trace
+from cavityswap.quantum import concurrence, partial_trace
 from cavityswap.swap import (
     ClickPattern,
     apply_beam_splitter,
@@ -292,6 +292,36 @@ def test_sampled_frequencies_match_the_exact_distribution():
             assert abs(freq - 0.125) <= 4 * sigma
         else:
             assert count == 0
+
+
+@pytest.mark.parametrize("l0", (2, 4, 6))
+@pytest.mark.parametrize("r", (1, 3))
+def test_closed_form_concurrence_matches_wootters(l0, r):
+    # Each herald is pure, so 2|ad - bc| must agree with the mixed-state
+    # Wootters routine up to that routine's eigenvalue round-off.
+    for ts in (0.0, 0.3, 0.6, 0.7, 1.0, 1.3):
+        for h in herald_distribution(BraggParams(l0=l0, r=r), ts):
+            if h.probability > 0.0:
+                assert 0.0 <= h.concurrence <= 1.0
+                assert abs(h.concurrence - concurrence(h.conditional_state)) <= 1e-8
+
+
+def test_product_doubles_have_zero_concurrence_off_nominal_timing():
+    # The Wootters eigen-route reads 3.4e-9 here: the square root of round-off.
+    by_label = {h.pattern.label: h for h in herald_distribution(P2, 0.6)}
+    for label in DOUBLE_00:
+        assert by_label[label].probability > 0.0
+        assert by_label[label].concurrence <= 1e-15
+
+
+def test_herald_distribution_solves_no_eigenproblem(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("herald_distribution called numpy.linalg")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for ts in (0.6, 1.0):
+        assert len(herald_distribution(P2, ts)) == 10
 
 
 # ---------------------------------------------------------------- protocol runs
