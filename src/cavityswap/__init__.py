@@ -15,8 +15,6 @@ from .quantum import (
     basis_state,
     expm,
     evolve,
-    partial_trace,
-    fidelity,
     concurrence,
 )
 from .bragg import (
@@ -62,8 +60,6 @@ __all__ = [
     "basis_state",
     "expm",
     "evolve",
-    "partial_trace",
-    "fidelity",
     "concurrence",
     "BraggParams",
     "recoil_frequency",

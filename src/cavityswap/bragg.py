@@ -52,11 +52,6 @@ HBAR = 1.054571817e-34  # J s
 # Boundary population above this marks the ladder truncation as too tight.
 TRUNCATION_LIMIT = 1e-6
 
-# Time points propagated at once by ladder_population_series; bounds the
-# (times x sites) working array on long grids.
-SERIES_BLOCK = 4096
-
-
 @dataclass(frozen=True)
 class BraggParams:
     """Dimensionless parameters of one atom-cavity Bragg interaction.
@@ -379,9 +374,12 @@ class PopulationSeries:
 def ladder_population_series(p: BraggParams, times) -> PopulationSeries:
     """Ladder populations at each time of a nonnegative grid.
 
-    Each time is propagated directly from t = 0, with one eigendecomposition
-    of the ladder Hamiltonian per block of ``SERIES_BLOCK`` times.  Only the
-    incoming, deflected and two boundary sites are computed.
+    Each time is propagated directly from t = 0 by one
+    :func:`~cavityswap.quantum.propagate` call, so the ladder Hamiltonian
+    gets one eigendecomposition per call, however long the grid; propagate
+    evaluates it in blocks of ``SERIES_BLOCK`` (1024) times, which keeps
+    each block's product on one BLAS thread.  Only the incoming, deflected
+    and two boundary sites are computed.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0):
@@ -391,10 +389,7 @@ def ladder_population_series(p: BraggParams, times) -> PopulationSeries:
     sites = [offsets.index(0), offsets.index(-p.l0), 0, len(offsets) - 1]
     psi0 = np.zeros(len(offsets), dtype=np.complex128)
     psi0[sites[0]] = 1.0
-    pops = np.empty((len(sites), times.size))
-    for start in range(0, times.size, SERIES_BLOCK):
-        block = slice(start, start + SERIES_BLOCK)
-        pops[:, block] = (np.abs(propagate(h, psi0, times[block], rows=sites)) ** 2).T
+    pops = (np.abs(propagate(h, psi0, times, rows=sites)) ** 2).T
     boundary = float(np.max(pops[2] + pops[3], initial=0.0))
     return PopulationSeries(p, times, pops[0], pops[1], boundary)
 

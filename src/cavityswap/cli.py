@@ -12,6 +12,7 @@ return data, not text.  Exit codes: 0 success, 1 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .bragg import (
-    SERIES_BLOCK,
     BraggParams,
     entangled_pair_state,
     full_deflection_time,
@@ -139,19 +139,141 @@ def _fmt(x) -> str:
     return str(x).replace(",", ";").replace("\n", " ")
 
 
+# Exact vectorised '%.12g' for float tables.  A finite nonzero |x| prints
+# its 12 significant digits D (10^11 <= D < 10^12) and decimal exponent e.
+# With e = floor(log10|x|), m = |x| * 10^(11 - e) carries two roundings (the
+# power of ten, then the product), an error below 2.3e-4 at m < 10^12, so
+# rint(m) is the correctly rounded D wherever m lies in [10^11, 10^12) and
+# more than 1e-3 from a .5 tie (a D rounded up to 10^12 moves to exponent
+# e + 1).  Every other cell takes D and e from Python's '%.11e', and zero,
+# nan and inf take their '%.12g' text, so each cell reads exactly as
+# '%.12g' % x.  A cell is then rendered by a template: the positions, in a
+# per-cell source row, of its characters.
+_CSV_BLOCK = 1024  # rows of a float table formatted at once
+_CELL_WIDTH = 20  # "-1.23456789012e-308" plus the separator
+# Source row: D (bytes 0-11), |e| as four digits (12-15), then these bytes;
+# 28 bytes keep the row a whole number of uint32 words.
+_SOURCE_TAIL = b"\0-.0e+,\nnaif"
+_SOURCE_WIDTH = 16 + len(_SOURCE_TAIL)
+_PAD = 16  # the NUL byte: template padding, dropped from the output
+_TAIL = {chr(c): _PAD + i for i, c in enumerate(_SOURCE_TAIL)}
+_POW10_MIN, _POW10_MAX = -297, 308  # the scales m needs, all normal doubles
+_E_MIN, _E_MAX = -324, 308
+# Template classes: fixed notation by exponent, exponent notation by the
+# exponent's sign and width, then the cells printed as Python's text.
+_CLASSES = (
+    *(("fixed", e) for e in range(-4, 12)),
+    ("exp", "+", 2), ("exp", "+", 3), ("exp", "-", 2), ("exp", "-", 3),
+    ("text", 0.0), ("text", math.nan), ("text", math.inf),
+)
+
+
+def _class_of(e: int) -> int:
+    if -4 <= e < 12:
+        return e + 4
+    return 16 + 2 * (e < 0) + (abs(e) >= 100)
+
+
+def _template(kind: str, spec: tuple, negative: bool, kept: int) -> list:
+    """Source positions of one cell's characters, separator left out; the
+    first ``kept`` digits of D are significant, the rest trailing zeros."""
+    if kind == "text":
+        return [_TAIL[ch] for ch in "%.12g" % math.copysign(spec[0], -1.0 if negative else 1.0)]
+    out = [_TAIL["-"]] if negative else []
+    if kind == "exp":
+        out += [0, _TAIL["."], *range(1, kept)] if kept > 1 else [0]
+        out += [_TAIL["e"], _TAIL[spec[0]], *range(16 - spec[1], 16)]
+    elif spec[0] >= 0:
+        point = spec[0] + 1
+        out += [*range(point), _TAIL["."], *range(point, kept)] if kept > point else range(point)
+    else:
+        out += [_TAIL["0"], _TAIL["."], *[_TAIL["0"]] * (-spec[0] - 1), *range(kept)]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _float_tables():
+    """Lookup tables of :func:`_format_floats`, built on first use."""
+    i = np.arange(10000)
+    quads = (i[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    zeros = np.sum([i % 10**k == 0 for k in range(1, 5)], axis=0)
+    pow10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, _POW10_MAX + 1)])
+    # Template row of a cell: 48 * class + 24 * negative + 2 * (kept - 1) + last;
+    # class_row maps e - _E_MIN, then zero, nan and inf, to 48 * class.
+    class_row = [48 * _class_of(e) for e in range(_E_MIN, _E_MAX + 1)] + [48 * c for c in (20, 21, 22)]
+    templates = np.full((len(_CLASSES), 2, 12, 2, _CELL_WIDTH), _PAD, dtype=np.intp)
+    for c, (kind, *spec) in enumerate(_CLASSES):
+        for negative in (0, 1):
+            for kept in range(1, 13):
+                cell = _template(kind, spec, negative, kept)
+                rows = templates[c, negative, kept - 1]
+                rows[:, :len(cell)] = cell
+                rows[:, len(cell)] = _TAIL[","], _TAIL["\n"]
+    return quads, zeros, pow10, np.array(class_row), templates.reshape(-1, _CELL_WIDTH)
+
+
+def _format_floats(block: np.ndarray) -> str:
+    """CSV lines of a 2-D float array; each cell reads as '%.12g' % x."""
+    quads, zeros, pow10, class_row, templates = _float_tables()
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    x = block.ravel()
+    a = np.abs(x)
+    regular = np.isfinite(a) & (a != 0.0)
+    a = np.where(regular, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    scale = np.clip(11 - e, _POW10_MIN, _POW10_MAX)
+    m = a * pow10[scale - _POW10_MIN]
+    digits = np.rint(m)
+    exact = (scale == 11 - e) & (m >= 1e11) & (m < 1e12) & (np.abs(m - digits) < 0.499)
+    digits = digits.astype(np.int64)
+    for i in np.flatnonzero(regular & ~exact).tolist():
+        text = "%.11e" % a[i]
+        digits[i], e[i] = int(text[0] + text[2:13]), int(text[14:])
+    carry = np.flatnonzero(digits == 10**12)
+    digits[carry] //= 10
+    e[carry] += 1
+    high, low = np.divmod(digits, 10**8)
+    mid, low = np.divmod(low, 10**4)
+    trailing = zeros[low]
+    whole = np.flatnonzero(low == 0)
+    trailing[whole] += zeros[mid[whole]] + (mid[whole] == 0) * zeros[high[whole]]
+    slot = e - _E_MIN
+    special = np.flatnonzero(~regular)
+    slot[special] = _E_MAX - _E_MIN + 1 + np.isnan(x[special]) + 2 * np.isinf(x[special])
+    key = class_row[slot] + 24 * np.signbit(x) + 2 * (11 - trailing)
+    key.reshape(block.shape)[:, -1] += 1
+    source = np.empty((x.size, _SOURCE_WIDTH), dtype=np.uint8)
+    words = source.view(np.uint32)
+    words[:, 0] = quads[high]
+    words[:, 1] = quads[mid]
+    words[:, 2] = quads[low]
+    words[:, 3] = quads[np.abs(e)]
+    source[:, _PAD:] = np.frombuffer(_SOURCE_TAIL, dtype=np.uint8)
+    index = templates.take(key, axis=0)
+    index += np.arange(0, source.size, _SOURCE_WIDTH)[:, None]
+    chars = source.take(index)
+    return chars[chars != 0].tobytes().decode("ascii")
+
+
 def _write_csv(path: Path, config: dict, columns, rows) -> None:
     """Version line, config line, column names, then one line per row.
 
-    Every column keeps one type, so the first row fixes one line template:
+    ``rows`` is a 2-D float array, formatted ``_CSV_BLOCK`` rows at a time
+    by :func:`_format_floats`, or an iterable of records.  Every column of
+    a record keeps one type, so the first record fixes one line template:
     float cells print as ``%.12g`` (what :func:`_fmt` gives them), other
-    cells go through :func:`_fmt`.  Rows are written as they are drawn, so
-    a long table is never held as text in memory.
+    cells go through :func:`_fmt`.  Either way a long table is never held
+    as text in memory.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
         f.write(f"# cavityswap {__version__}\n")
         f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         f.write(",".join(columns) + "\n")
+        if isinstance(rows, np.ndarray):
+            for start in range(0, len(rows), _CSV_BLOCK):
+                f.write(_format_floats(rows[start:start + _CSV_BLOCK]))
+            return
         line = None
         for row in rows:
             if line is None:
@@ -162,13 +284,6 @@ def _write_csv(path: Path, config: dict, columns, rows) -> None:
                 for i in text:
                     row[i] = _fmt(row[i])
             f.write(line % tuple(row))
-
-
-def _table_rows(table: np.ndarray):
-    """Rows of a float table as lists of Python floats, converted one
-    block of ``SERIES_BLOCK`` rows at a time."""
-    for start in range(0, len(table), SERIES_BLOCK):
-        yield from table[start:start + SERIES_BLOCK].tolist()
 
 
 def _write_json(path: Path, config: dict, doc: dict) -> None:
@@ -201,7 +316,7 @@ def cmd_entangle(cfg: dict) -> int:
         out / "entangle_populations.csv",
         config,
         POPULATION_COLUMNS[:5] + ("ladder_deflected_n0",),
-        _table_rows(np.column_stack((comp.table[:, :5], series_zero.deflected))),
+        np.column_stack((comp.table[:, :5], series_zero.deflected)),
     )
 
     final = float(comp.table[-1, POPULATION_COLUMNS.index("ladder_deflected")])
@@ -264,8 +379,7 @@ def cmd_oracle_compare(cfg: dict) -> int:
     period = 2.0 * math.pi / pendellosung_frequency(params)
     comp = oracle_compare(params, np.linspace(0.0, period, points))
     out = Path(cfg["output_dir"])
-    _write_csv(out / "oracle_compare.csv", _config_echo(cfg, params), POPULATION_COLUMNS,
-               _table_rows(comp.table))
+    _write_csv(out / "oracle_compare.csv", _config_echo(cfg, params), POPULATION_COLUMNS, comp.table)
     print(f"max population error: {_fmt(comp.max_error)}")
     if comp.truncation_warning:
         print("warning: ladder truncation too tight (boundary population exceeded limit)")
@@ -336,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="JSON config file")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--shots", type=int)
         sp.add_argument("--out", dest="output_dir", metavar="DIR")
         sp.add_argument("--g", type=float, help="vacuum Rabi frequency (recoil units)")
         sp.add_argument("--delta", type=float, help="detuning (recoil units)")
@@ -344,7 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--r", type=int)
         sp.add_argument("--ladder-halfwidth", dest="ladder_halfwidth", type=int)
         sp.add_argument("--time-scale", dest="time_scale", type=float)
-        sp.add_argument("--detection-efficiency", dest="detection_efficiency", type=float)
+        if name in ("protocol", "sweep"):
+            sp.add_argument("--shots", type=int)
+            sp.add_argument("--detection-efficiency", dest="detection_efficiency", type=float)
         if name == "sweep":
             sp.add_argument("--axis")
             sp.add_argument(
@@ -366,7 +481,13 @@ _COMMANDS = {
 
 
 # Config keys a command does not read (it has no flag for them either).
-_UNUSED_KEYS = {"protocol": ("points",), "sweep": ("points",)}
+# The ladder commands still take --seed: the ladder benchmark passes it.
+_UNUSED_KEYS = {
+    "entangle": ("shots", "detection_efficiency"),
+    "protocol": ("points",),
+    "oracle-compare": ("shots", "detection_efficiency"),
+    "sweep": ("points",),
+}
 
 
 def main(argv=None) -> int:

@@ -16,21 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PAULI_X",
     "PAULI_Y",
     "StateVector",
     "basis_state",
     "expm",
     "propagate",
     "evolve",
-    "partial_trace",
-    "fidelity",
     "concurrence",
 ]
 
 HERMITICITY_ATOL = 1e-12
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+# Times evaluated at once by propagate.  A block's product, (times x modes)
+# by (modes x rows), is at most 2^18 multiply-adds for up to 64 modes and
+# 4 rows, which OpenBLAS runs on one thread; worker threads cost such small
+# products more than they save.  The block also bounds the (times x modes)
+# working array on long grids.
+SERIES_BLOCK = 1024
+
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 
 _SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
@@ -140,10 +143,13 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
     """Propagate ``amps`` under Hermitian ``h`` to every time in ``times``
     (hbar = 1); row k of the result is exp(-i h times[k]) @ amps.
 
-    ``h`` is diagonalised once, so exp(-i h t) = V diag(e^{-i lambda t}) V^dag
-    is exactly unitary up to eigenvector round-off at any t, and a whole
-    time grid costs one eigendecomposition.  :func:`expm` is kept as the
-    independent check of this path.  Rows at t = 0 are ``amps`` exactly.
+    One eigendecomposition per call: exp(-i h t) = V diag(e^{-i lambda t}) V^dag
+    is exactly unitary up to eigenvector round-off at any t.  The grid is
+    then evaluated in blocks of ``SERIES_BLOCK`` (1024) times, small enough
+    for BLAS to run each block's product on one thread; a lone last time
+    joins the block before it, so no time's result depends on where the
+    blocks fall.  :func:`expm` is kept as the independent check of this
+    path.  Rows at t = 0 are ``amps`` exactly.
 
     ``rows`` (indices into the state) limits the result to those
     components, in that order; the others are never formed.  Eigenmodes
@@ -162,10 +168,25 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     overlap = v.conj().T @ amps
     live = overlap != 0.0
+    w, overlap = w[live], overlap[live]
     # F order, as v.T itself: BLAS sums a one-time grid (a matrix-vector
     # product) in an order that follows the operand layout.
     modes = np.asfortranarray(v.T[live][:, rows])
-    out = (np.exp(-1j * np.outer(times, w[live])) * overlap[live]) @ modes
+    out = np.empty((0, modes.shape[1]), dtype=np.complex128)
+    start = 0
+    while start < times.size:
+        stop = start + SERIES_BLOCK
+        # A lone last time would be a matrix-vector product, which BLAS sums
+        # in another order than the matrix product of a longer block.
+        if stop == times.size - 1:
+            stop += 1
+        phases = np.exp(-1j * np.outer(times[start:stop], w)) * overlap
+        if start == 0:
+            # Allocated once the first phases exist, so that a one-block
+            # grid holds no more memory at once than its product alone.
+            out = np.empty((times.size, modes.shape[1]), dtype=np.complex128)
+        np.matmul(phases, modes, out=out[start:stop])
+        start = stop
     out[times == 0.0] = amps[rows]
     return out
 
@@ -173,51 +194,6 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
 def evolve(h, psi: StateVector, t: float) -> StateVector:
     """Propagate ``psi`` under Hermitian ``h`` for time ``t`` (hbar = 1)."""
     return StateVector(psi.labels, propagate(h, psi.amps, [t])[0])
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Reduced density matrix over the factors listed in ``keep``.
-
-    ``dims`` gives the dimension of each tensor factor (first factor
-    varies slowest); all factors not in ``keep`` are traced out.  The
-    kept factors retain their original relative order.
-    """
-    dims = tuple(int(d) for d in dims)
-    if any(d <= 0 for d in dims):
-        raise ValueError("factor dimensions must be positive")
-    rho = _square_matrix(rho, "density matrix")
-    total = math.prod(dims)
-    if rho.shape[0] != total:
-        raise ValueError(
-            f"cannot factor a {rho.shape[0]}-dimensional matrix into {dims}"
-        )
-    if isinstance(keep, int):
-        keep = (keep,)
-    keep = tuple(sorted(set(int(k) for k in keep)))
-    if not keep or any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
-    nfac = len(dims)
-    work = rho.reshape(dims + dims)
-    removed = 0
-    for ax in sorted((i for i in range(nfac) if i not in keep), reverse=True):
-        work = np.trace(work, axis1=ax, axis2=ax + nfac - removed)
-        removed += 1
-    kept_dim = math.prod(dims[k] for k in keep)
-    return work.reshape(kept_dim, kept_dim)
-
-
-def fidelity(rho, target: StateVector | np.ndarray) -> float:
-    """Overlap <target|rho|target> of a density matrix with a pure state."""
-    rho = _square_matrix(rho, "density matrix")
-    vec = target.amps if isinstance(target, StateVector) else np.asarray(target, dtype=np.complex128)
-    if vec.ndim != 1 or vec.size != rho.shape[0]:
-        raise ValueError(
-            f"target dimension {vec.size} does not match density matrix dimension {rho.shape[0]}"
-        )
-    value = complex(np.vdot(vec, rho @ vec))
-    if abs(value.imag) > 1e-12:
-        raise ValueError(f"fidelity came out non-real ({value.imag:.3e}); rho is malformed")
-    return float(min(1.0, max(0.0, value.real)))
 
 
 def concurrence(rho) -> float:

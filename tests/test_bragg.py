@@ -23,8 +23,10 @@ from cavityswap.bragg import (
     pendellosung_phase_rate,
     recoil_frequency,
 )
-from cavityswap.quantum import expm, partial_trace
+from cavityswap import quantum
+from cavityswap.quantum import expm
 from cavityswap.swap import joint_state
+from reference import partial_trace
 
 
 def params(**kw):
@@ -319,6 +321,24 @@ def test_population_series_matches_single_shot_evolution():
     direct = evolve_ladder(p, t)
     assert series.undeflected[-1] == pytest.approx(direct.undeflected_population, abs=1e-10)
     assert series.deflected[-1] == pytest.approx(direct.deflected_population, abs=1e-10)
+
+
+def test_population_series_does_not_depend_on_the_block_size(monkeypatch):
+    # 4097 and 7169 times leave a lone last time for blocks of 4096, 1024
+    # and 7; every time must still come out bit for bit the same.
+    for l0 in (2, 4, 6):
+        for r in (1, 3):
+            p = params(l0=l0, r=r)
+            for points in (4097, 7169):
+                times = np.linspace(0.0, 2.5 * full_deflection_time(p), points)
+                series = []
+                for block in (4096, 1024, 7):
+                    monkeypatch.setattr(quantum, "SERIES_BLOCK", block)
+                    series.append(ladder_population_series(p, times))
+                for other in series[1:]:
+                    assert np.array_equal(other.undeflected, series[0].undeflected)
+                    assert np.array_equal(other.deflected, series[0].deflected)
+                    assert other.boundary_max == series[0].boundary_max
 
 
 def test_ladder_integrator_paths_agree():

@@ -5,12 +5,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavityswap
 from cavityswap import __version__
 from cavityswap.bragg import recoil_frequency
-from cavityswap.cli import ConfigError, load_config, main, resolve_params
+from cavityswap.cli import (
+    _CSV_BLOCK,
+    ConfigError,
+    _format_floats,
+    _write_csv,
+    load_config,
+    main,
+    resolve_params,
+)
 
 
 def run_cli(*args):
@@ -123,9 +132,13 @@ def test_zero_shots_exits_one(tmp_path, capsys):
 
 
 def test_negative_time_scale_exits_one(tmp_path, capsys):
-    for command, *extra in (("entangle",), ("protocol",), ("sweep", "--axis", "l0", "--values", "2")):
+    for command, *extra in (
+        ("entangle",),
+        ("protocol", "--shots", "100"),
+        ("sweep", "--axis", "l0", "--values", "2", "--shots", "100"),
+    ):
         out = tmp_path / command
-        assert run_cli(command, *extra, "--time-scale", "-1", "--shots", "100", "--out", str(out)) == 1
+        assert run_cli(command, *extra, "--time-scale", "-1", "--out", str(out)) == 1
         assert "time_scale" in capsys.readouterr().err
         assert not out.exists()
 
@@ -336,6 +349,30 @@ def test_protocol_rejects_points(tmp_path, capsys):
         run_cli(*argv, "--points", "5")
 
 
+def test_ladder_commands_reject_shots_and_detection_efficiency(tmp_path, capsys):
+    # entangle and oracle-compare sample nothing: the flags are argparse
+    # errors and the config keys are refused; --seed stays accepted, and the
+    # config line still echoes the defaults.
+    for command, csv_name in (("entangle", "entangle_populations.csv"),
+                              ("oracle-compare", "oracle_compare.csv")):
+        out = tmp_path / command
+        argv = (command, "--points", "3", "--seed", "4", "--out", str(out))
+        for flag, value in (("--shots", "5"), ("--detection-efficiency", "0.5")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv, flag, value)
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+        for key, value in (("shots", 5), ("detection_efficiency", 0.5)):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: value}))
+            assert run_cli(*argv, "--config", str(cfg)) == 1
+            assert key in capsys.readouterr().err
+            assert not out.exists()
+        assert run_cli(*argv) == 0
+        config = json.loads(read(out / csv_name).splitlines()[1].removeprefix("# config: "))
+        assert (config["shots"], config["detection_efficiency"], config["seed"]) == (100_000, 1.0, 4)
+
+
 def test_sweep_negative_values_need_the_equals_form(tmp_path, capsys):
     argv = ("sweep", "--axis", "interaction_time_scale", "--shots", "10", "--out", str(tmp_path))
     with pytest.raises(SystemExit):
@@ -366,12 +403,13 @@ def test_module_entry_point_runs_the_command(tmp_path):
 
 
 def test_every_csv_opens_with_the_version_and_its_json_config(tmp_path):
-    common = ("--shots", "200", "--seed", "2")
+    common = ("--seed", "2")
     commands = {
         "entangle": (("entangle", "--points", "5"), "entangle_populations.csv", "entangle_state.json"),
-        "protocol": (("protocol",), "protocol_report.csv", "protocol_summary.json"),
+        "protocol": (("protocol", "--shots", "200"), "protocol_report.csv", "protocol_summary.json"),
         "oracle-compare": (("oracle-compare", "--points", "5"), "oracle_compare.csv", None),
-        "sweep": (("sweep", "--axis", "l0", "--values", "2,4"), "sweep.csv", "sweep_manifest.json"),
+        "sweep": (("sweep", "--axis", "l0", "--values", "2,4", "--shots", "200"), "sweep.csv",
+                  "sweep_manifest.json"),
     }
     configs = {}
     for name, (argv, csv_name, json_name) in commands.items():
@@ -389,3 +427,70 @@ def test_every_csv_opens_with_the_version_and_its_json_config(tmp_path):
         configs[name] = config
     # oracle-compare writes no JSON; the same flags give the entangle config.
     assert configs["oracle-compare"] == configs["entangle"]
+
+
+# ---------------------------------------------------------------- float writer
+
+
+def percent_lines(table):
+    # The reference: Python's own '%.12g', one cell at a time.
+    return "".join(",".join("%.12g" % x for x in row) + "\n" for row in np.asarray(table).tolist())
+
+
+def test_float_writer_matches_python_on_random_bit_patterns():
+    rng = np.random.default_rng(41)
+    bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64, endpoint=False)
+    table = bits.view(np.float64).reshape(-1, 8)
+    assert _format_floats(table) == percent_lines(table)
+
+
+def test_float_writer_matches_python_across_decades():
+    rng = np.random.default_rng(43)
+    decades = np.arange(-20, 21)
+    table = rng.uniform(1.0, 10.0, (2000, decades.size)) * 10.0**decades
+    table *= rng.choice([-1.0, 1.0], table.shape)
+    assert _format_floats(table) == percent_lines(table)
+    assert _format_floats(table.T) == percent_lines(table.T)
+
+
+def test_float_writer_matches_python_on_half_ties():
+    # (k + 0.5) / 10^j sits on or next to a .5 tie of the 12-digit rounding
+    # (13 significant digits for k of 12): float arithmetic alone cannot
+    # round these, so they must come out as Python rounds them.
+    rng = np.random.default_rng(47)
+    k = np.concatenate([rng.integers(10**11, 10**12, 60_000), rng.integers(0, 10**12, 20_000)])
+    j = rng.integers(0, 25, k.size)
+    table = ((k + 0.5) / 10.0**j).reshape(-1, 4)
+    assert _format_floats(table) == percent_lines(table)
+
+
+def test_float_writer_matches_python_on_integers():
+    rng = np.random.default_rng(53)
+    table = np.concatenate([
+        rng.integers(0, 10**13, 40_000), rng.integers(-10**6, 10**6, 40_000),
+        10 ** np.arange(14), 10 ** np.arange(14) - 1, 5 * 10 ** np.arange(14) + 5,
+    ]).astype(np.float64).reshape(-1, 2)
+    assert _format_floats(table) == percent_lines(table)
+
+
+def test_float_writer_edge_values_and_a_zero_column():
+    edge = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+            9.9999999999995, 999999999999.5, 1e12, 1e-5, 0.000099999999999995,
+            0.0001, 1e-4 * (1 - 2**-52), 1e16, 123456789012.5, 0.5, 1.0, -1.0]
+    column = np.array(edge)[:, None]
+    assert _format_floats(column) == percent_lines(column)
+    # entangle's ladder_deflected_n0 column is all zeros
+    table = np.column_stack((np.linspace(0.0, 1.0, 101), np.zeros(101)))
+    assert _format_floats(table) == percent_lines(table)
+    assert _format_floats(table).splitlines()[7] == "0.07,0"
+
+
+def test_write_csv_formats_a_float_table_block_by_block(tmp_path):
+    rng = np.random.default_rng(59)
+    table = rng.random((2 * _CSV_BLOCK + 1, 3)) * 10.0 ** rng.integers(-6, 6, (2 * _CSV_BLOCK + 1, 3))
+    path = tmp_path / "t.csv"
+    _write_csv(path, {"a": 1}, ("x", "y", "z"), table)
+    lines = read(path).splitlines(keepends=True)
+    assert lines[:3] == [f"# cavityswap {__version__}\n", '# config: {"a": 1}\n', "x,y,z\n"]
+    assert "".join(lines[3:]) == percent_lines(table)

