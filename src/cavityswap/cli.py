@@ -259,10 +259,8 @@ def _write_csv(path: Path, config: dict, columns, rows) -> None:
     """Version line, config line, column names, then one line per row.
 
     ``rows`` is a 2-D float array, formatted ``_CSV_BLOCK`` rows at a time
-    by :func:`_format_floats`, or an iterable of records.  Every column of
-    a record keeps one type, so the first record fixes one line template:
-    float cells print as ``%.12g`` (what :func:`_fmt` gives them), other
-    cells go through :func:`_fmt`.  Either way a long table is never held
+    by :func:`_format_floats`, or an iterable of records, whose cells go
+    through :func:`_fmt` one by one.  Either way a long table is never held
     as text in memory.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -274,16 +272,8 @@ def _write_csv(path: Path, config: dict, columns, rows) -> None:
             for start in range(0, len(rows), _CSV_BLOCK):
                 f.write(_format_floats(rows[start:start + _CSV_BLOCK]))
             return
-        line = None
         for row in rows:
-            if line is None:
-                text = [i for i, x in enumerate(row) if not isinstance(x, float)]
-                line = ",".join("%s" if i in text else "%.12g" for i in range(len(row))) + "\n"
-            if text:
-                row = list(row)
-                for i in text:
-                    row[i] = _fmt(row[i])
-            f.write(line % tuple(row))
+            f.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _write_json(path: Path, config: dict, doc: dict) -> None:

@@ -146,10 +146,11 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
     One eigendecomposition per call: exp(-i h t) = V diag(e^{-i lambda t}) V^dag
     is exactly unitary up to eigenvector round-off at any t.  The grid is
     then evaluated in blocks of ``SERIES_BLOCK`` (1024) times, small enough
-    for BLAS to run each block's product on one thread; a lone last time
-    joins the block before it, so no time's result depends on where the
-    blocks fall.  :func:`expm` is kept as the independent check of this
-    path.  Rows at t = 0 are ``amps`` exactly.
+    for BLAS to run each block's product on one thread; a block of one
+    time is evaluated as two equal times, so no time's result depends on
+    where the blocks fall or on the length of the grid.  :func:`expm` is
+    kept as the independent check of this path.  Rows at t = 0 are ``amps``
+    exactly.
 
     ``rows`` (indices into the state) limits the result to those
     components, in that order; the others are never formed.  Eigenmodes
@@ -169,24 +170,18 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
     overlap = v.conj().T @ amps
     live = overlap != 0.0
     w, overlap = w[live], overlap[live]
-    # F order, as v.T itself: BLAS sums a one-time grid (a matrix-vector
-    # product) in an order that follows the operand layout.
-    modes = np.asfortranarray(v.T[live][:, rows])
-    out = np.empty((0, modes.shape[1]), dtype=np.complex128)
-    start = 0
-    while start < times.size:
-        stop = start + SERIES_BLOCK
-        # A lone last time would be a matrix-vector product, which BLAS sums
-        # in another order than the matrix product of a longer block.
-        if stop == times.size - 1:
-            stop += 1
-        phases = np.exp(-1j * np.outer(times[start:stop], w)) * overlap
-        if start == 0:
-            # Allocated once the first phases exist, so that a one-block
-            # grid holds no more memory at once than its product alone.
-            out = np.empty((times.size, modes.shape[1]), dtype=np.complex128)
-        np.matmul(phases, modes, out=out[start:stop])
-        start = stop
+    modes = v.T[live][:, rows]
+    # One spare row: a one-time block is evaluated as two equal times, since
+    # BLAS would sum its matrix-vector product in another order than a
+    # matrix product.
+    out = np.empty((times.size + 1, modes.shape[1]), dtype=np.complex128)
+    for start in range(0, times.size, SERIES_BLOCK):
+        block = times[start:start + SERIES_BLOCK]
+        if block.size == 1:
+            block = np.repeat(block, 2)
+        phases = np.exp(-1j * np.outer(block, w)) * overlap
+        np.matmul(phases, modes, out=out[start:start + block.size])
+    out = out[:times.size]
     out[times == 0.0] = amps[rows]
     return out
 

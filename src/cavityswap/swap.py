@@ -14,6 +14,7 @@ does.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -155,39 +156,37 @@ def single_particle_mixer() -> np.ndarray:
     return u
 
 
+def _modes(occ) -> list:
+    """Mode index of each atom of an occupation, in mode order."""
+    return [mode for mode, count in enumerate(occ) for _ in range(count)]
+
+
+def _permanent(m: np.ndarray) -> complex:
+    """Permanent of a square matrix by its defining sum over permutations."""
+    k = len(m)
+    return sum(math.prod(m[i, s[i]] for i in range(k)) for s in itertools.permutations(range(k)))
+
+
 @lru_cache(maxsize=None)
 def beam_splitter_unitary(basis: ModeBasis | None = None) -> np.ndarray:
-    """Mode mixer lifted to the bosonic occupation basis.
+    """Mode mixer lifted to the bosonic occupation basis by the permanent
+    formula (Scheel, quant-ph/0406127; Aaronson & Arkhipov, arXiv:1011.3245),
 
-    Each input occupation is written as a product of creation operators,
-    every operator is substituted by its single-particle image and the
-    polynomial is expanded; sqrt(n!) factors convert between operator
-    monomials and normalised Fock states.  This keeps the two-atoms-in-
-    one-mode amplitudes honest.
+        <m|U|n> = perm(U1[m, n]) / sqrt(prod_i m_i! prod_j n_j!),
+
+    where U1[m, n] repeats output mode i m_i times and input mode j n_j
+    times.  This keeps the two-atoms-in-one-mode amplitudes honest.
     """
     if basis is None:
         basis = mode_basis(2)
     u1 = single_particle_mixer()
+    facts = [math.prod(map(math.factorial, occ)) for occ in basis.occupations]
     u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for col, occ in enumerate(basis.occupations):
-        poly = {(0,) * N_MODES: 1.0 + 0.0j}
-        for mode, count in enumerate(occ):
-            for _ in range(count):
-                grown: dict = {}
-                for mono, coeff in poly.items():
-                    for out_mode in range(N_MODES):
-                        w = u1[out_mode, mode]
-                        if w == 0.0:
-                            continue
-                        key = list(mono)
-                        key[out_mode] += 1
-                        key = tuple(key)
-                        grown[key] = grown.get(key, 0.0j) + coeff * w
-                poly = grown
-        norm_in = math.sqrt(math.prod(math.factorial(c) for c in occ))
-        for mono, coeff in poly.items():
-            norm_out = math.sqrt(math.prod(math.factorial(c) for c in mono))
-            u[basis.index(mono), col] = coeff * norm_out / norm_in
+    for col, n in enumerate(basis.occupations):
+        for row, m in enumerate(basis.occupations):
+            perm = _permanent(u1[np.ix_(_modes(m), _modes(n))])
+            # perm / m! is the coefficient of the output monomial.
+            u[row, col] = perm / facts[row] * math.sqrt(facts[row]) / math.sqrt(facts[col])
     u.setflags(write=False)
     return u
 

@@ -1,9 +1,11 @@
-"""Test-only reference helpers: brute-force partial trace and fidelity.
+"""Test-only reference helpers: brute-force partial trace, fidelity and
+bosonic beam-splitter lift.
 
 The simulator itself never forms these; the tests use them to check its
 closed forms against explicit density-matrix arithmetic.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -56,3 +58,27 @@ def fidelity(rho, target: StateVector | np.ndarray) -> float:
     if abs(value.imag) > 1e-12:
         raise ValueError(f"fidelity came out non-real ({value.imag:.3e}); rho is malformed")
     return float(min(1.0, max(0.0, value.real)))
+
+
+def first_quantised_lift(u1, occupations) -> np.ndarray:
+    """Bosonic lift of the one-particle unitary ``u1`` by brute force.
+
+    The N particles of the occupations are taken as distinguishable: the
+    mixer acts as u1 (x) ... (x) u1 on their product space, and the result
+    is restricted to the symmetrised state of each occupation, the
+    normalised sum of every mode sequence with that occupation.
+    """
+    modes = len(u1)
+    total = sum(occupations[0])
+    big = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(total):
+        big = np.kron(big, u1)
+    sym = np.zeros((modes,) * total + (len(occupations),), dtype=np.complex128)
+    for seq in itertools.product(range(modes), repeat=total):
+        occ = tuple(seq.count(mode) for mode in range(modes))
+        if occ in occupations:
+            sym[seq + (occupations.index(occ),)] = 1.0
+    # The first particle varies slowest, as in the Kronecker product.
+    sym = sym.reshape(modes**total, len(occupations))
+    sym /= np.linalg.norm(sym, axis=0)
+    return sym.conj().T @ big @ sym

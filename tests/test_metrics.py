@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from cavityswap import metrics
+from cavityswap import metrics, quantum
 from cavityswap.bragg import (
     BraggParams,
     analytic_amplitudes,
+    full_deflection_time,
     ladder_population_series,
     pendellosung_frequency,
 )
@@ -81,6 +82,20 @@ def test_oracle_compare_table_matches_the_closed_form_point_by_point():
             reference.append((t, au, ad, lu, ld, max(abs(au - lu), abs(ad - ld))))
         assert np.max(np.abs(comp.table - np.array(reference))) <= 1e-15
         assert comp.max_error == pytest.approx(max(row[-1] for row in reference), abs=1e-15)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_oracle_compare_one_time_equals_that_time_of_a_longer_grid(monkeypatch, block):
+    # A sweep row tabulates one time, entangle and oracle-compare a grid;
+    # at the same time both must give the same bits.
+    if block is not None:
+        monkeypatch.setattr(quantum, "SERIES_BLOCK", block)
+    for l0 in (2, 4):
+        one = BraggParams(l0=l0).with_photons(1)
+        times = np.linspace(0.0, 1.3 * full_deflection_time(one), 41)
+        table = oracle_compare(one, times).table
+        for k in (1, 6, 13, 20, 31, 40):
+            assert np.array_equal(oracle_compare(one, [times[k]]).table[0], table[k])
 
 
 def test_oracle_compare_error_grows_at_lower_detuning():

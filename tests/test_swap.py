@@ -18,8 +18,9 @@ from cavityswap.swap import (
     joint_state_from_amplitudes,
     mode_basis,
     run_protocol,
+    single_particle_mixer,
 )
-from reference import partial_trace
+from reference import first_quantised_lift, partial_trace
 
 P2 = BraggParams()
 P4 = BraggParams(l0=4)
@@ -140,6 +141,13 @@ def test_beam_splitter_conserves_atom_number():
     for n in range(4):
         u = beam_splitter_unitary(mode_basis(n))
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= 1e-12
+
+
+def test_beam_splitter_lift_matches_the_first_quantised_lift():
+    for total in range(4):
+        basis = mode_basis(total)
+        reference = first_quantised_lift(single_particle_mixer(), basis.occupations)
+        assert np.max(np.abs(beam_splitter_unitary(basis) - reference)) <= 1e-15
 
 
 def test_single_atom_splits_evenly_between_its_two_detectors():
