@@ -41,6 +41,7 @@ __all__ = [
     "LadderState",
     "evolve_ladder",
     "PopulationSeries",
+    "nonnegative_times",
     "ladder_population_series",
     "entangled_pair_state",
     "pair_state_from_ladder",
@@ -155,9 +156,9 @@ def build_effective_hamiltonian(p: BraggParams) -> np.ndarray:
     kinetic = mom**2 - (p.l0 / 2.0) ** 2
     coupling = -(p.g**2) * p.n / (4.0 * p.delta)
     h = np.diag((kinetic + _light_shift(p)).astype(np.complex128))
-    for i in range(len(mom) - 1):
-        h[i, i + 1] = coupling
-        h[i + 1, i] = coupling
+    i = np.arange(len(mom) - 1)
+    h[i, i + 1] = coupling
+    h[i + 1, i] = coupling
     return h
 
 
@@ -371,6 +372,14 @@ class PopulationSeries:
         return self.boundary_max > TRUNCATION_LIMIT
 
 
+def nonnegative_times(times) -> np.ndarray:
+    """``times`` as a float array; ValueError if any of them is negative."""
+    times = np.asarray(times, dtype=float)
+    if (times < 0).any():
+        raise ValueError("times must be nonnegative")
+    return times
+
+
 def ladder_population_series(p: BraggParams, times) -> PopulationSeries:
     """Ladder populations at each time of a nonnegative grid.
 
@@ -381,9 +390,7 @@ def ladder_population_series(p: BraggParams, times) -> PopulationSeries:
     each block's product on one BLAS thread.  Only the incoming, deflected
     and two boundary sites are computed.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
+    times = nonnegative_times(times)
     h = build_effective_hamiltonian(p)
     offsets = list(ladder_offsets(p))
     sites = [offsets.index(0), offsets.index(-p.l0), 0, len(offsets) - 1]

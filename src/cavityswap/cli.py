@@ -383,6 +383,26 @@ def cmd_oracle_compare(cfg: dict) -> int:
     return 0
 
 
+def _sweep_values(values) -> tuple:
+    """Axis values from comma-separated text (the flag, or a string in the
+    config) or from a JSON list of numbers."""
+    if not isinstance(values, str):
+        if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        ):
+            raise ConfigError(f"sweep values must be numbers, got {values!r}")
+        return tuple(values)
+    parsed = []
+    for text in values.split(","):
+        if not text.strip():
+            continue
+        try:
+            parsed.append(float(text))
+        except ValueError:
+            raise ConfigError(f"sweep value {text.strip()!r} is not a number") from None
+    return tuple(parsed)
+
+
 def cmd_sweep(cfg: dict) -> int:
     params = resolve_params(cfg)
     if float(cfg["detection_efficiency"]) != 1.0:
@@ -392,12 +412,10 @@ def cmd_sweep(cfg: dict) -> int:
     values = cfg.get("values") or sweep_cfg.get("values")
     if not axis or not values:
         raise ConfigError("sweep needs an axis and a list of values")
-    if isinstance(values, str):
-        values = [float(v) for v in values.split(",") if v.strip()]
     try:
         spec = SweepSpec(
             axis=axis,
-            values=tuple(values),
+            values=_sweep_values(values),
             base=params,
             shots=int(cfg["shots"]),
             seed=int(cfg["seed"]),

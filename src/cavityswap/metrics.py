@@ -13,6 +13,7 @@ from .bragg import (
     analytic_amplitudes,
     full_deflection_time,
     ladder_population_series,
+    nonnegative_times,
 )
 from .swap import run_protocol
 
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 SWEEP_AXES = ("delta_over_g", "interaction_time_scale", "l0", "ladder_halfwidth")
+_INTEGER_AXES = ("l0", "ladder_halfwidth")
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -96,7 +98,8 @@ class SweepSpec:
 
     ``axis`` picks what the values mean; the base parameters, shot count
     and seed are shared by every row.  Values must be strictly monotone so
-    rows have a well-defined order.  The shared ``time_scale`` must be
+    rows have a well-defined order, and whole numbers on the integer axes
+    (``l0``, ``ladder_halfwidth``).  The shared ``time_scale`` must be
     nonnegative; a negative value on the ``interaction_time_scale`` axis
     fails only its own row.
     """
@@ -114,6 +117,10 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise ValueError("sweep values must be nonempty")
+        if self.axis in _INTEGER_AXES:
+            fractional = [v for v in values if not float(v).is_integer()]
+            if fractional:
+                raise ValueError(f"{self.axis} values must be integers, got {fractional[0]!r}")
         diffs = [b - a for a, b in zip(values, values[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("sweep values must be strictly monotone")
@@ -175,47 +182,53 @@ def _row_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
 
 
+def _failed_row(value, exc: ValueError) -> ComparisonRow:
+    nan = math.nan
+    return ComparisonRow(float(value), nan, nan, nan, nan, nan, nan, nan, f"{type(exc).__name__}: {exc}")
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate one ComparisonRow per value, recording failures in place.
 
-    Rows are independent and seeded by index, so the result is
-    deterministic for a given spec and rows may be computed in parallel
-    and merged by position.
+    Each row is first resolved to its parameters and interaction time;
+    the ladder columns then come from one :func:`oracle_compare` per
+    distinct one-photon Hamiltonian, over the times of all its rows (a
+    time gives the same bits alone or inside a grid).  Rows are seeded by
+    index, so the result is deterministic for a given spec.  Domain errors
+    (``ValueError``) of a row become that row's ``error``; anything else
+    propagates.
     """
-    rows = []
+    rows: list = [None] * len(spec.values)
+    groups: dict = {}  # one-photon params -> [(index, params, time scale, time)]
     for i, value in enumerate(spec.values):
         try:
             params, ts = _row_params(spec, value)
             one = params.with_photons(1)
-            comp = oracle_compare(one, [ts * full_deflection_time(one)])
-            _, _, analytic, _, ladder, _ = comp.table[0].tolist()
-            report = run_protocol(params, spec.shots, _row_seed(spec.seed, i), time_scale=ts)
-            successes = round(report.success_rate * report.retained_shots)
-            low, high = wilson_interval(successes, report.retained_shots)
-            rows.append(
-                ComparisonRow(
-                    value=float(value),
-                    analytic_deflected=analytic,
-                    ladder_deflected=ladder,
-                    abs_error=abs(analytic - ladder),
-                    success_rate=report.success_rate,
-                    success_low=low,
-                    success_high=high,
-                    mean_psi_fidelity=report.mean_psi_fidelity,
-                )
-            )
+            t = ts * full_deflection_time(one)
+            nonnegative_times([t])
         except ValueError as exc:  # domain errors of a row are data, not crashes
-            rows.append(
-                ComparisonRow(
-                    value=float(value),
-                    analytic_deflected=math.nan,
-                    ladder_deflected=math.nan,
-                    abs_error=math.nan,
-                    success_rate=math.nan,
-                    success_low=math.nan,
-                    success_high=math.nan,
-                    mean_psi_fidelity=math.nan,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            rows[i] = _failed_row(value, exc)
+            continue
+        groups.setdefault(one, []).append((i, params, ts, t))
+    for one, members in groups.items():
+        table = oracle_compare(one, [t for *_, t in members]).table.tolist()
+        for (i, params, ts, _), (_, _, analytic, _, ladder, _) in zip(members, table):
+            value = spec.values[i]
+            try:
+                report = run_protocol(params, spec.shots, _row_seed(spec.seed, i), time_scale=ts)
+                successes = round(report.success_rate * report.retained_shots)
+                low, high = wilson_interval(successes, report.retained_shots)
+            except ValueError as exc:
+                rows[i] = _failed_row(value, exc)
+                continue
+            rows[i] = ComparisonRow(
+                value=float(value),
+                analytic_deflected=analytic,
+                ladder_deflected=ladder,
+                abs_error=abs(analytic - ladder),
+                success_rate=report.success_rate,
+                success_low=low,
+                success_high=high,
+                mean_psi_fidelity=report.mean_psi_fidelity,
             )
     return SweepResult(spec, tuple(rows))

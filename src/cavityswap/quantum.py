@@ -78,7 +78,7 @@ class StateVector:
             )
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be unique")
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         amps = amps.copy()
         amps.setflags(write=False)

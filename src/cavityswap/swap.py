@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,6 +57,9 @@ CLASS_TARGETS = {
     "product_00": np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128),
     "product_11": np.array([0.0, 0.0, 0.0, 1.0], dtype=np.complex128),
 }
+_CLASS_NAMES = tuple(CLASS_TARGETS)
+# Row k is the bra of target k, so _TARGET_BRAS @ v holds every <target|v>.
+_TARGET_BRAS = np.array(list(CLASS_TARGETS.values())).conj()
 
 # Herald table as published alongside the protocol, kept for side-by-side
 # reporting.  It disagrees with the bosonic calculation on every pattern:
@@ -95,7 +98,7 @@ class ClickPattern:
             clicks.extend([DETECTORS[mode]] * count)
         return cls(tuple(clicks))
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"{self.clicks[0]}&{self.clicks[1]}"
 
@@ -139,8 +142,10 @@ def mode_basis(total: int = 2) -> ModeBasis:
 
 @lru_cache(maxsize=None)
 def _click_patterns() -> tuple:
-    """The click pattern of each two-atom occupation, in basis order."""
-    return tuple(ClickPattern.from_occupation(occ) for occ in mode_basis(2).occupations)
+    """(click pattern, published table label) of each two-atom occupation,
+    in basis order."""
+    patterns = [ClickPattern.from_occupation(occ) for occ in mode_basis(2).occupations]
+    return tuple((pattern, PAPER_TABLE_LABELS[pattern.label]) for pattern in patterns)
 
 
 def single_particle_mixer() -> np.ndarray:
@@ -191,10 +196,18 @@ def beam_splitter_unitary(basis: ModeBasis | None = None) -> np.ndarray:
     return u
 
 
-def _joint_labels(basis: ModeBasis) -> tuple:
-    return tuple(
-        (c1, c2, occ) for c1 in (0, 1) for c2 in (0, 1) for occ in basis.occupations
-    )
+# Two-atom occupations of the branch pairs, atom 1's branch first:
+# PP = a1+ a2+, PM = a1+ b2+, MP = b1+ a2+, MM = b1+ b2+.
+_BRANCH_PAIRS = ((1, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
+
+
+@lru_cache(maxsize=None)
+def _joint_layout() -> tuple:
+    """Labels of the two-pair joint state and the basis indices of the
+    branch pairs, in :data:`_BRANCH_PAIRS` order."""
+    basis = mode_basis(2)
+    labels = tuple((c1, c2, occ) for c1 in (0, 1) for c2 in (0, 1) for occ in basis.occupations)
+    return labels, tuple(basis.index(occ) for occ in _BRANCH_PAIRS)
 
 
 def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> StateVector:
@@ -214,25 +227,18 @@ def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> StateVecto
     c_minus = complex(c_minus)
     if abs(abs(c_plus) ** 2 + abs(c_minus) ** 2 - 1.0) > 1e-12:
         raise ValueError("branch amplitudes must satisfy |c+|^2 + |c-|^2 = 1")
-    basis = mode_basis(2)
-    atom1 = {"a": ((1, 0, 0, 0), c_plus), "b": ((0, 0, 1, 0), c_minus)}
-    atom2 = {"a": ((0, 1, 0, 0), c_plus), "b": ((0, 0, 0, 1), c_minus)}
-    amps = np.zeros(4 * basis.dim, dtype=np.complex128)
-
-    def add(c1, c2, occ1, w1, occ2, w2):
-        occ = tuple(x + y for x, y in zip(occ1, occ2))
-        idx = (2 * c1 + c2) * basis.dim + basis.index(occ)
-        amps[idx] += 0.5 * w1 * w2
-
-    add(0, 0, atom1["a"][0], 1.0, atom2["a"][0], 1.0)
-    for occ2, w2 in atom2.values():
-        add(0, 1, atom1["a"][0], 1.0, occ2, w2)
-    for occ1, w1 in atom1.values():
-        add(1, 0, occ1, w1, atom2["a"][0], 1.0)
-    for occ1, w1 in atom1.values():
-        for occ2, w2 in atom2.values():
-            add(1, 1, occ1, w1, occ2, w2)
-    return StateVector(_joint_labels(basis), amps)
+    labels, pairs = _joint_layout()
+    half_plus, half_minus = 0.5 * c_plus, 0.5 * c_minus
+    # Rows: cavity pairs 00, 01, 10, 11; columns: PP, PM, MP, MM.
+    coeffs = [
+        [0.5, 0.0, 0.0, 0.0],
+        [half_plus, half_minus, 0.0, 0.0],
+        [half_plus, 0.0, half_minus, 0.0],
+        [half_plus * c_plus, half_plus * c_minus, half_minus * c_plus, half_minus * c_minus],
+    ]
+    amps = np.zeros((4, len(labels) // 4), dtype=np.complex128)
+    amps[:, pairs] = coeffs
+    return StateVector(labels, amps.reshape(-1))
 
 
 def joint_state(p: BraggParams, time_scale: float = 1.0) -> StateVector:
@@ -327,41 +333,32 @@ def click_distribution(s: StateVector) -> list:
 
     One entry per possible two-click pattern (zero-probability patterns
     included); probabilities must sum to one within 1e-12 or the state was
-    not a valid post-mixer joint state.
+    not a valid post-mixer joint state.  Every statistic is computed for
+    all patterns at once, on the (cavity pair x pattern) amplitude array.
     """
     psi = _mode_amplitudes(s)
-    results = []
-    total = 0.0
-    for j, pattern in enumerate(_click_patterns()):
-        vec = psi[:, j]
-        prob = float(np.vdot(vec, vec).real)
-        total += prob
-        if prob == 0.0:
-            results.append(
-                HeraldResult(pattern, 0.0, None, "none", 0.0, 0.0, PAPER_TABLE_LABELS[pattern.label])
-            )
-            continue
-        vec = vec / math.sqrt(prob)
-        rho = np.outer(vec, vec.conj())
-        rho.setflags(write=False)
-        fids = {name: float(abs(np.vdot(target, vec)) ** 2) for name, target in CLASS_TARGETS.items()}
-        best = max(fids, key=fids.get)
-        # Every herald is pure, so Wootters' concurrence is 2|v00 v11 - v01 v10|;
-        # the clamp keeps a Bell herald at exactly 1 despite round-off.
-        v00, v01, v10, v11 = vec.tolist()
-        results.append(
-            HeraldResult(
-                pattern,
-                prob,
-                rho,
-                best,
-                fids[best],
-                min(1.0, 2.0 * abs(v00 * v11 - v01 * v10)),
-                PAPER_TABLE_LABELS[pattern.label],
-            )
-        )
+    probs = (psi.real**2 + psi.imag**2).sum(axis=0)
+    prob_list = probs.tolist()
+    total = sum(prob_list)
     if abs(total - 1.0) > 1e-12:
         raise RuntimeError(f"click probabilities sum to {total!r}, not 1; joint state is corrupt")
+    # Column j is the normalised conditional cavity state of pattern j.
+    vecs = psi / np.sqrt(np.where(probs > 0.0, probs, 1.0))
+    fids = np.abs(_TARGET_BRAS @ vecs) ** 2
+    # Every herald is pure, so Wootters' concurrence is 2|v00 v11 - v01 v10|;
+    # the clamp keeps a Bell herald at exactly 1 despite round-off.
+    conc = np.minimum(1.0, 2.0 * np.abs(vecs[0] * vecs[3] - vecs[1] * vecs[2]))
+    rhos = vecs.T[:, :, None] * vecs.T[:, None, :].conj()
+    rhos.setflags(write=False)
+    results = []
+    for j, ((pattern, paper), prob, best, fid, c) in enumerate(zip(
+        _click_patterns(), prob_list, fids.argmax(axis=0).tolist(),
+        fids.max(axis=0).tolist(), conc.tolist(),
+    )):
+        if prob == 0.0:
+            results.append(HeraldResult(pattern, 0.0, None, "none", 0.0, 0.0, paper))
+        else:
+            results.append(HeraldResult(pattern, prob, rhos[j], _CLASS_NAMES[best], fid, c, paper))
     return results
 
 
@@ -447,32 +444,32 @@ def run_protocol(
     counts, discarded = _sample_counts(dist, shots, seed, detection_efficiency)
     retained = shots - discarded
 
+    counts = counts.tolist()
+    # (probability, count, fidelity, concurrence, label) of each pattern, by class.
+    by_class: dict = {}
+    for h, count in zip(dist, counts):
+        row = (h.probability, count, h.fidelity_to_class, h.concurrence, h.pattern.label)
+        by_class.setdefault(h.classification, []).append(row)
     class_stats: dict = {}
     for name in (*CLASS_TARGETS, "none"):
-        members = [(h, c) for h, c in zip(dist, counts) if h.classification == name]
-        if not members:
+        if name not in by_class:
             continue
-        prob = sum(h.probability for h, _ in members)
-        ct = int(sum(c for _, c in members))
-        stats = {
-            "probability": prob,
-            "count": ct,
-            "patterns": [h.pattern.label for h, _ in members],
-        }
+        probs, cts, fids, concs, labels = zip(*by_class[name])
+        prob, ct = sum(probs), sum(cts)
+        stats = {"probability": prob, "count": ct, "patterns": list(labels)}
         if prob > 0.0:
-            stats["fidelity_exact"] = sum(h.probability * h.fidelity_to_class for h, _ in members) / prob
-            stats["concurrence_exact"] = sum(h.probability * h.concurrence for h, _ in members) / prob
+            stats["fidelity_exact"] = sum(p * f for p, f in zip(probs, fids)) / prob
+            stats["concurrence_exact"] = sum(p * c for p, c in zip(probs, concs)) / prob
         if ct > 0:
-            stats["fidelity_empirical"] = sum(c * h.fidelity_to_class for h, c in members) / ct
+            stats["fidelity_empirical"] = sum(c * f for c, f in zip(cts, fids)) / ct
         class_stats[name] = stats
 
-    psi = [h for h in dist if h.classification in ("psi_plus", "psi_minus")]
-    psi_prob = sum(h.probability for h in psi)
-    mean_fid = sum(h.probability * h.fidelity_to_class for h in psi) / psi_prob if psi_prob else 0.0
-    mean_conc = sum(h.probability * h.concurrence for h in psi) / psi_prob if psi_prob else 0.0
-    success_count = int(
-        sum(c for h, c in zip(dist, counts) if h.classification in ("psi_plus", "psi_minus"))
-    )
+    psi = [(h.probability, h.fidelity_to_class, h.concurrence, count)
+           for h, count in zip(dist, counts) if h.classification in ("psi_plus", "psi_minus")]
+    psi_prob = sum(p for p, _, _, _ in psi)
+    mean_fid = sum(p * f for p, f, _, _ in psi) / psi_prob if psi_prob else 0.0
+    mean_conc = sum(p * c for p, _, c, _ in psi) / psi_prob if psi_prob else 0.0
+    success_count = sum(count for *_, count in psi)
     divergences = tuple(
         h.pattern.label for h in dist if h.probability > 0.0 and h.classification != h.paper_label
     )
@@ -490,7 +487,7 @@ def run_protocol(
         time_scale=time_scale,
         detection_efficiency=detection_efficiency,
         results=tuple(dist),
-        counts=tuple(int(c) for c in counts),
+        counts=tuple(counts),
         retained_shots=retained,
         discarded_shots=discarded,
         success_rate=success_count / retained if retained else 0.0,

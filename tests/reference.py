@@ -1,5 +1,5 @@
-"""Test-only reference helpers: brute-force partial trace, fidelity and
-bosonic beam-splitter lift.
+"""Test-only reference helpers: brute-force partial trace, fidelity,
+bosonic beam-splitter lift and two-pair joint state.
 
 The simulator itself never forms these; the tests use them to check its
 closed forms against explicit density-matrix arithmetic.
@@ -82,3 +82,24 @@ def first_quantised_lift(u1, occupations) -> np.ndarray:
     sym = sym.reshape(modes**total, len(occupations))
     sym /= np.linalg.norm(sym, axis=0)
     return sym.conj().T @ big @ sym
+
+
+def two_pair_joint_amplitudes(c_plus, c_minus, occupations) -> np.ndarray:
+    """Two-pair joint state expanded term by term.
+
+    For each cavity pair (c1, c2) the term is (1/2) times the product of
+    each atom's creation operator: with cavity bit 0 atom k stays in its
+    undeflected mode, with bit 1 it is c+ (undeflected) + c- (deflected).
+    Modes are (a1, a2, b1, b2); amplitudes are ordered (c1, c2, occupation).
+    """
+    dim = len(occupations)
+    amps = np.zeros(4 * dim, dtype=np.complex128)
+    for c1, c2 in itertools.product((0, 1), repeat=2):
+        atom1 = [(0, 1.0)] if c1 == 0 else [(0, c_plus), (2, c_minus)]
+        atom2 = [(1, 1.0)] if c2 == 0 else [(1, c_plus), (3, c_minus)]
+        for (m1, w1), (m2, w2) in itertools.product(atom1, atom2):
+            occ = [0, 0, 0, 0]
+            occ[m1] += 1
+            occ[m2] += 1
+            amps[(2 * c1 + c2) * dim + occupations.index(tuple(occ))] += 0.5 * w1 * w2
+    return amps

@@ -373,6 +373,29 @@ def test_ladder_commands_reject_shots_and_detection_efficiency(tmp_path, capsys)
         assert (config["shots"], config["detection_efficiency"], config["seed"]) == (100_000, 1.0, 4)
 
 
+def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ("sweep", "--shots", "10", "--out", str(out))
+    assert run_cli(*argv, "--axis", "l0", "--values", "2,x") == 1
+    assert capsys.readouterr().err == "error: sweep value 'x' is not a number\n"
+    cfg = tmp_path / "cfg.json"
+    for values in ("2,x", [2, "x"], [2, None], 4):
+        cfg.write_text(json.dumps({"sweep": {"axis": "l0", "values": values}}))
+        assert run_cli(*argv, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.startswith("error: sweep value")
+    assert not out.exists()
+
+
+def test_sweep_rejects_fractional_values_on_integer_axes(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ("sweep", "--shots", "10", "--out", str(out))
+    assert run_cli(*argv, "--axis", "l0", "--values", "2,3.7,4.5") == 1
+    assert capsys.readouterr().err == "error: l0 values must be integers, got 3.7\n"
+    assert run_cli(*argv, "--axis", "ladder_halfwidth", "--values", "5,6.5") == 1
+    assert "integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_negative_values_need_the_equals_form(tmp_path, capsys):
     argv = ("sweep", "--axis", "interaction_time_scale", "--shots", "10", "--out", str(tmp_path))
     with pytest.raises(SystemExit):

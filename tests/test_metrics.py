@@ -203,6 +203,66 @@ def test_sweep_records_row_failures_and_continues(tmp_path, monkeypatch):
         run_sweep(spec)
 
 
+def count_eigh_calls(monkeypatch) -> list:
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_time_scale_sweep_diagonalises_the_ladder_once(monkeypatch):
+    # Every row shares one Hamiltonian: 401 rows, one eigendecomposition.
+    calls = count_eigh_calls(monkeypatch)
+    values = tuple(round(0.5 + i / 400, 6) for i in range(401))
+    spec = SweepSpec(axis="interaction_time_scale", values=values, base=BASE, shots=100, seed=5)
+    rows = run_sweep(spec).rows
+    assert len(rows) == 401 and not any(row.error for row in rows)
+    assert len(calls) == 1
+
+
+def test_delta_sweep_diagonalises_each_row_once(monkeypatch):
+    calls = count_eigh_calls(monkeypatch)
+    spec = SweepSpec(
+        axis="delta_over_g", values=(60.0, 100.0, 150.0), base=BraggParams(l0=4), shots=100, seed=5
+    )
+    assert not any(row.error for row in run_sweep(spec).rows)
+    assert len(calls) == 3
+
+
+def test_time_scale_sweep_rows_equal_one_time_comparisons():
+    # The rows share one oracle_compare over all their times; each row must
+    # read exactly as a comparison at its own time alone, and the failed
+    # negative row must leave its neighbours as direct runs give them.
+    values = (-0.5, 0.0, 0.7, 1.0)
+    spec = SweepSpec(axis="interaction_time_scale", values=values, base=BASE, shots=1_000, seed=8)
+    rows = run_sweep(spec).rows
+    assert rows[0].error == "ValueError: times must be nonnegative"
+    assert math.isnan(rows[0].ladder_deflected)
+    one = BASE.with_photons(1)
+    columns = [POPULATION_COLUMNS.index("analytic_deflected"), POPULATION_COLUMNS.index("ladder_deflected")]
+    for i in (1, 2, 3):
+        row, ts = rows[i], values[i]
+        table = oracle_compare(one, [ts * full_deflection_time(one)]).table[0]
+        assert row.error == ""
+        assert np.array([row.analytic_deflected, row.ladder_deflected]).tobytes() == table[columns].tobytes()
+        direct = run_protocol(BASE, shots=1_000, seed=metrics._row_seed(8, i), time_scale=ts)
+        assert (row.success_rate, row.mean_psi_fidelity) == (direct.success_rate, direct.mean_psi_fidelity)
+
+
+def test_integer_axes_reject_fractional_values():
+    for axis, values in (("l0", (2, 3.7, 4.5)), ("ladder_halfwidth", (5, 6.5))):
+        with pytest.raises(ValueError, match=f"{axis} values must be integers"):
+            SweepSpec(axis=axis, values=values, base=BASE, shots=10, seed=1)
+    spec = SweepSpec(axis="l0", values=(2.0, 4.0), base=BASE, shots=100, seed=1)
+    rows = run_sweep(spec).rows
+    assert [row.value for row in rows] == [2.0, 4.0] and not any(row.error for row in rows)
+
+
 def test_sweep_rows_keep_axis_order():
     spec = SweepSpec(
         axis="ladder_halfwidth", values=(5, 6, 7), base=BASE, shots=200, seed=6

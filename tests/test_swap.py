@@ -6,8 +6,9 @@ import pytest
 from cavityswap.bragg import BraggParams, deflection_phase
 from cavityswap.cli import main
 from cavityswap.metrics import wilson_interval
-from cavityswap.quantum import concurrence
+from cavityswap.quantum import StateVector, concurrence
 from cavityswap.swap import (
+    CLASS_TARGETS,
     ClickPattern,
     apply_beam_splitter,
     beam_splitter_unitary,
@@ -20,7 +21,7 @@ from cavityswap.swap import (
     run_protocol,
     single_particle_mixer,
 )
-from reference import first_quantised_lift, partial_trace
+from reference import fidelity, first_quantised_lift, partial_trace, two_pair_joint_amplitudes
 
 P2 = BraggParams()
 P4 = BraggParams(l0=4)
@@ -92,6 +93,18 @@ def test_joint_state_respects_atom_number_superselection():
     js = joint_state(P2, time_scale=0.87)
     for label, amp in zip(js.labels, js.amps):
         assert sum(label[2]) == 2 or amp == 0.0
+
+
+def test_joint_state_from_amplitudes_matches_the_term_by_term_expansion():
+    rng = np.random.default_rng(12)
+    pairs = [(0.0, 1.0), (1.0, 0.0), (0.0, 1j)]
+    for _ in range(20):
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        pairs.append(tuple(c / np.linalg.norm(c)))
+    occupations = mode_basis(2).occupations
+    for c_plus, c_minus in pairs:
+        want = two_pair_joint_amplitudes(complex(c_plus), complex(c_minus), occupations)
+        assert np.array_equal(joint_state_from_amplitudes(c_plus, c_minus).amps, want)
 
 
 def test_joint_state_from_amplitudes_rejects_unnormalised_branches():
@@ -289,6 +302,37 @@ def test_conditional_state_via_projection_and_partial_trace():
                 assert np.max(np.abs(rho - h.conditional_state)) <= 1e-12
 
 
+def test_click_distribution_matches_the_brute_force_reference():
+    # Every herald statistic, computed for all patterns at once, against
+    # projection and partial trace of the whole state: post-mixer states of
+    # random branch pairs, whose heralds are symmetric under exchanging the
+    # cavities, then random states of the same space, whose heralds are not.
+    # On those Wootters' eigen-route reads up to ~1.1e-8 off (the square
+    # root of eigenvalue round-off), hence its looser concurrence bound.
+    rng = np.random.default_rng(2024)
+    labels = joint_state_from_amplitudes(0.0, 1.0).labels
+    states = []
+    for _ in range(20):
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        c_plus, c_minus = c / np.linalg.norm(c)
+        states.append((apply_beam_splitter(joint_state_from_amplitudes(c_plus, c_minus)), 1e-8))
+    for _ in range(20):
+        amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+        states.append((StateVector(labels, amps / np.linalg.norm(amps)), 1e-7))
+    for post, concurrence_bound in states:
+        for h in click_distribution(post):
+            if h.probability == 0.0:
+                assert h.conditional_state is None and h.pattern.label in ZERO_PATTERNS
+                continue
+            rho, prob = conditional_cavity_state(post, h.pattern)
+            assert abs(prob - h.probability) <= 1e-12
+            assert np.max(np.abs(rho - h.conditional_state)) <= 1e-12
+            fids = {name: fidelity(rho, target) for name, target in CLASS_TARGETS.items()}
+            assert h.classification == max(fids, key=fids.get)
+            assert abs(h.fidelity_to_class - fids[h.classification]) <= 1e-12
+            assert abs(h.concurrence - concurrence(rho)) <= concurrence_bound
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -329,6 +373,7 @@ def test_herald_distribution_solves_no_eigenproblem(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     for ts in (0.6, 1.0):
         assert len(herald_distribution(P2, ts)) == 10
 
