@@ -117,7 +117,8 @@ class BraggParams:
             )
 
     def with_photons(self, n: int) -> "BraggParams":
-        return replace(self, n=n)
+        # Frozen, so a set that already sees n photons can stand for itself.
+        return self if self.n == n else replace(self, n=n)
 
 
 def recoil_frequency(mass_kg: float, wavelength_m: float) -> float:
@@ -380,7 +381,7 @@ def nonnegative_times(times) -> np.ndarray:
     return times
 
 
-def ladder_population_series(p: BraggParams, times) -> PopulationSeries:
+def ladder_population_series(p, times):
     """Ladder populations at each time of a nonnegative grid.
 
     Each time is propagated directly from t = 0 by one
@@ -389,16 +390,31 @@ def ladder_population_series(p: BraggParams, times) -> PopulationSeries:
     evaluates it in blocks of ``SERIES_BLOCK`` (1024) times, which keeps
     each block's product on one BLAS thread.  Only the incoming, deflected
     and two boundary sites are computed.
+
+    ``p`` may also be a sequence of G parameter sets on one ladder layout
+    (equal ``l0`` and ``ladder_halfwidth``), with ``times`` a (G, T) grid of
+    one row per set.  Their Hamiltonians are then diagonalised in one
+    stacked call, and a tuple of G series is returned, each bitwise equal
+    to the series of its own call.
     """
+    stacked = not isinstance(p, BraggParams)
+    ps = tuple(p) if stacked else (p,)
     times = nonnegative_times(times)
-    h = build_effective_hamiltonian(p)
-    offsets = list(ladder_offsets(p))
-    sites = [offsets.index(0), offsets.index(-p.l0), 0, len(offsets) - 1]
-    psi0 = np.zeros(len(offsets), dtype=np.complex128)
-    psi0[sites[0]] = 1.0
-    pops = (np.abs(propagate(h, psi0, times, rows=sites)) ** 2).T
-    boundary = float(np.max(pops[2] + pops[3], initial=0.0))
-    return PopulationSeries(p, times, pops[0], pops[1], boundary)
+    if not stacked:
+        times = times[None]
+    if len({(q.l0, q.ladder_halfwidth) for q in ps}) != 1 or times.ndim != 2 or len(times) != len(ps):
+        raise ValueError("a stack of ladders needs one l0 and ladder_halfwidth and one row of times per set")
+    h = np.stack([build_effective_hamiltonian(q) for q in ps])
+    offsets = list(ladder_offsets(ps[0]))
+    sites = [offsets.index(0), offsets.index(-ps[0].l0), 0, len(offsets) - 1]
+    psi0 = np.zeros((len(ps), len(offsets)), dtype=np.complex128)
+    psi0[:, sites[0]] = 1.0
+    pops = np.abs(propagate(h, psi0, times, rows=sites)) ** 2
+    series = tuple(
+        PopulationSeries(q, t, pop[:, 0], pop[:, 1], float(np.max(pop[:, 2] + pop[:, 3], initial=0.0)))
+        for q, t, pop in zip(ps, times, pops)
+    )
+    return series if stacked else series[0]
 
 
 def _pair_labels(p: BraggParams) -> tuple:

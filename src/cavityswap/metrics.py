@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict, replace
 from typing import NamedTuple
 
@@ -15,7 +16,7 @@ from .bragg import (
     ladder_population_series,
     nonnegative_times,
 )
-from .swap import run_protocol
+from .swap import branch_pair, herald_batch, sample_protocol
 
 __all__ = [
     "wilson_interval",
@@ -81,15 +82,28 @@ def _population(z: np.ndarray) -> np.ndarray:
     return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def oracle_compare(p: BraggParams, times) -> PopulationComparison:
-    """Closed-form populations against the exact ladder along ``times``."""
-    series = ladder_population_series(p, times)
-    c_plus, c_minus = analytic_amplitudes(p, series.times)
+def _comparison(series) -> PopulationComparison:
+    c_plus, c_minus = analytic_amplitudes(series.params, series.times)
     au, ad = _population(c_plus), _population(c_minus)
     error = np.maximum(np.abs(au - series.undeflected), np.abs(ad - series.deflected))
     table = np.column_stack((series.times, au, ad, series.undeflected, series.deflected, error))
     max_error = float(np.max(error, initial=0.0))
-    return PopulationComparison(p, table, max_error, series.truncation_warning)
+    return PopulationComparison(series.params, table, max_error, series.truncation_warning)
+
+
+def oracle_compare(p, times):
+    """Closed-form populations against the exact ladder along ``times``.
+
+    ``p`` and ``times`` may also be a stack of G parameter sets on one
+    ladder layout and a (G, T) grid, as for
+    :func:`~cavityswap.bragg.ladder_population_series`; the ladder is then
+    propagated for all of them at once, and a tuple of G comparisons is
+    returned, each bitwise equal to the comparison of its own call.
+    """
+    series = ladder_population_series(p, times)
+    if isinstance(p, BraggParams):
+        return _comparison(series)
+    return tuple(map(_comparison, series))
 
 
 @dataclass(frozen=True)
@@ -97,9 +111,10 @@ class SweepSpec:
     """One-axis sweep over protocol parameters.
 
     ``axis`` picks what the values mean; the base parameters, shot count
-    and seed are shared by every row.  Values must be strictly monotone so
-    rows have a well-defined order, and whole numbers on the integer axes
-    (``l0``, ``ladder_halfwidth``).  The shared ``time_scale`` must be
+    and seed are shared by every row.  Values must be real numbers (not
+    bools, strings or None), strictly monotone so rows have a well-defined
+    order, and whole numbers on the integer axes (``l0``,
+    ``ladder_halfwidth``).  The shared ``time_scale`` must be
     nonnegative; a negative value on the ``interaction_time_scale`` axis
     fails only its own row.
     """
@@ -117,6 +132,9 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise ValueError("sweep values must be nonempty")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"sweep value {v!r} is not a number")
         if self.axis in _INTEGER_AXES:
             fractional = [v for v in values if not float(v).is_integer()]
             if fractional:
@@ -190,16 +208,22 @@ def _failed_row(value, exc: ValueError) -> ComparisonRow:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate one ComparisonRow per value, recording failures in place.
 
-    Each row is first resolved to its parameters and interaction time;
-    the ladder columns then come from one :func:`oracle_compare` per
-    distinct one-photon Hamiltonian, over the times of all its rows (a
-    time gives the same bits alone or inside a grid).  Rows are seeded by
-    index, so the result is deterministic for a given spec.  Domain errors
-    (``ValueError``) of a row become that row's ``error``; anything else
-    propagates.
+    The whole sweep is one array pass.  Each row is first resolved to its
+    parameters and interaction time.  The ladder columns then come from one
+    :func:`oracle_compare` per ladder layout: rows that share a Hamiltonian
+    share its times, and distinct Hamiltonians of one layout with as many
+    times each are propagated as one stack (a time gives the same bits
+    alone, inside a grid or inside a stack).  The herald statistics of all
+    rows come from one :func:`~cavityswap.swap.herald_batch`; each row then
+    draws its own counts, seeded by its index, so the result is
+    deterministic for a given spec and every row equals a direct
+    :func:`~cavityswap.swap.run_protocol` run with that seed.  Domain
+    errors (``ValueError``) of a row become that row's ``error``; anything
+    else propagates.
     """
     rows: list = [None] * len(spec.values)
-    groups: dict = {}  # one-photon params -> [(index, params, time scale, time)]
+    resolved: dict = {}  # index -> (params, time scale), in index order
+    groups: dict = {}  # one-photon params -> [(index, time)]
     for i, value in enumerate(spec.values):
         try:
             params, ts = _row_params(spec, value)
@@ -209,26 +233,40 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except ValueError as exc:  # domain errors of a row are data, not crashes
             rows[i] = _failed_row(value, exc)
             continue
-        groups.setdefault(one, []).append((i, params, ts, t))
+        resolved[i] = (params, ts)
+        groups.setdefault(one, []).append((i, t))
+    stacks: dict = {}  # (l0, ladder halfwidth, times per Hamiltonian) -> one-photon params
     for one, members in groups.items():
-        table = oracle_compare(one, [t for *_, t in members]).table.tolist()
-        for (i, params, ts, _), (_, _, analytic, _, ladder, _) in zip(members, table):
-            value = spec.values[i]
-            try:
-                report = run_protocol(params, spec.shots, _row_seed(spec.seed, i), time_scale=ts)
-                successes = round(report.success_rate * report.retained_shots)
-                low, high = wilson_interval(successes, report.retained_shots)
-            except ValueError as exc:
-                rows[i] = _failed_row(value, exc)
-                continue
-            rows[i] = ComparisonRow(
-                value=float(value),
-                analytic_deflected=analytic,
-                ladder_deflected=ladder,
-                abs_error=abs(analytic - ladder),
-                success_rate=report.success_rate,
-                success_low=low,
-                success_high=high,
-                mean_psi_fidelity=report.mean_psi_fidelity,
-            )
+        stacks.setdefault((one.l0, one.ladder_halfwidth, len(members)), []).append(one)
+    columns: dict = {}  # index -> (analytic, ladder) deflected population
+    for ones in stacks.values():
+        comparisons = oracle_compare(ones, [[t for _, t in groups[one]] for one in ones])
+        for one, comparison in zip(ones, comparisons):
+            for (i, _), (_, _, analytic, _, ladder, _) in zip(groups[one], comparison.table.tolist()):
+                columns[i] = (analytic, ladder)
+    # A non-finite time fails its row here, after its ladder ran.
+    good, pairs = [], []
+    for i, (params, ts) in resolved.items():
+        try:
+            pairs.append(branch_pair(params, ts))
+        except ValueError as exc:
+            rows[i] = _failed_row(spec.values[i], exc)
+            continue
+        good.append(i)
+    heralds = herald_batch(pairs)
+    for r, i in enumerate(good):
+        analytic, ladder = columns[i]
+        sample = sample_protocol(heralds, r, spec.shots, _row_seed(spec.seed, i))
+        successes = round(sample.success_rate * sample.retained_shots)
+        low, high = wilson_interval(successes, sample.retained_shots)
+        rows[i] = ComparisonRow(
+            value=float(spec.values[i]),
+            analytic_deflected=analytic,
+            ladder_deflected=ladder,
+            abs_error=abs(analytic - ladder),
+            success_rate=sample.success_rate,
+            success_low=low,
+            success_high=high,
+            mean_psi_fidelity=sample.mean_psi_fidelity,
+        )
     return SweepResult(spec, tuple(rows))

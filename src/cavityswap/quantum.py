@@ -47,7 +47,7 @@ def _square_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def _require_hermitian(h: np.ndarray, name: str = "operator") -> None:
-    deviation = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
+    deviation = float(np.max(np.abs(h - h.conj().swapaxes(-1, -2)))) if h.size else 0.0
     if deviation > HERMITICITY_ATOL:
         raise ValueError(
             f"{name} is not Hermitian (max |H - H^dag| = {deviation:.3e})"
@@ -155,35 +155,50 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
     ``rows`` (indices into the state) limits the result to those
     components, in that order; the others are never formed.  Eigenmodes
     with no overlap with ``amps`` contribute exact zeros and are skipped.
+
+    A stack of G systems propagates in the same way: ``h`` of shape
+    (G, M, M), ``amps`` (G, M) and ``times`` (G, T) give a (G, T, rows)
+    result from one stacked eigendecomposition, each system's slice
+    bitwise equal to its own call.  A mode is skipped only where no
+    system of the stack overlaps it, so a system that leaves modes dark
+    which others occupy gains exact zero terms; a component that is
+    exactly zero may then carry the other sign.
     """
-    h = _square_matrix(h, "Hamiltonian")
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"Hamiltonian must be a square matrix or a stack of them, got shape {h.shape}")
     # eigh reads one triangle only; a non-Hermitian h would pass silently.
     _require_hermitian(h, "Hamiltonian")
+    single = h.ndim == 2
     amps = np.asarray(amps, dtype=np.complex128)
-    if amps.shape != (h.shape[0],):
-        raise ValueError(
-            f"Hamiltonian dimension {h.shape[0]} does not match state dimension {amps.size}"
-        )
+    if amps.shape != h.shape[:-1]:
+        raise ValueError(f"Hamiltonian dimension {h.shape[-1]} does not match state shape {amps.shape}")
     times = np.asarray(times, dtype=float)
     rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
     w, v = np.linalg.eigh(h)
-    overlap = v.conj().T @ amps
-    live = overlap != 0.0
-    w, overlap = w[live], overlap[live]
-    modes = v.T[live][:, rows]
-    # One spare row: a one-time block is evaluated as two equal times, since
-    # BLAS would sum its matrix-vector product in another order than a
-    # matrix product.
-    out = np.empty((times.size + 1, modes.shape[1]), dtype=np.complex128)
-    for start in range(0, times.size, SERIES_BLOCK):
-        block = times[start:start + SERIES_BLOCK]
-        if block.size == 1:
-            block = np.repeat(block, 2)
-        phases = np.exp(-1j * np.outer(block, w)) * overlap
-        np.matmul(phases, modes, out=out[start:start + block.size])
-    out = out[:times.size]
-    out[times == 0.0] = amps[rows]
-    return out
+    if single:
+        w, v, amps, times = w[None], v[None], amps[None], times[None]
+    elif times.ndim != 2 or times.shape[0] != h.shape[0]:
+        raise ValueError(f"a stack of {h.shape[0]} Hamiltonians needs ({h.shape[0]}, T) times, got {times.shape}")
+    overlap = (v.conj().swapaxes(1, 2) @ amps[:, :, None])[:, :, 0]
+    live = (overlap != 0.0).any(axis=0)
+    w, overlap = w[:, live], overlap[:, live]
+    modes = v.swapaxes(1, 2)[:, live][:, :, rows]
+    # One spare time: a one-time block is evaluated as two equal times,
+    # since BLAS would sum its matrix-vector product in another order than
+    # a matrix product.
+    count = times.shape[1]
+    out = np.empty((len(w), count + 1, modes.shape[2]), dtype=np.complex128)
+    for start in range(0, count, SERIES_BLOCK):
+        block = times[:, start:start + SERIES_BLOCK]
+        if block.shape[1] == 1:
+            block = np.repeat(block, 2, axis=1)
+        phases = np.exp(-1j * (block[:, :, None] * w[:, None, :])) * overlap[:, None, :]
+        np.matmul(phases, modes, out=out[:, start:start + block.shape[1]])
+    out = out[:, :count]
+    stack, at = np.nonzero(times == 0.0)
+    out[stack, at] = amps[stack][:, rows]
+    return out[0] if single else out
 
 
 def evolve(h, psi: StateVector, t: float) -> StateVector:

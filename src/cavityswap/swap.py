@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +37,14 @@ __all__ = [
     "joint_state_from_amplitudes",
     "apply_beam_splitter",
     "epr_decomposition_check",
+    "branch_pair",
+    "Heralds",
+    "herald_batch",
     "HeraldResult",
     "click_distribution",
     "herald_distribution",
+    "ProtocolSample",
+    "sample_protocol",
     "run_protocol",
     "ProtocolReport",
     "CLASS_TARGETS",
@@ -57,7 +63,11 @@ CLASS_TARGETS = {
     "product_00": np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128),
     "product_11": np.array([0.0, 0.0, 0.0, 1.0], dtype=np.complex128),
 }
-_CLASS_NAMES = tuple(CLASS_TARGETS)
+# Herald classes by index: the targets, then "none" for a pattern that
+# never clicks.
+_CLASS_NAMES = (*CLASS_TARGETS, "none")
+_NONE = len(CLASS_TARGETS)
+_PSI = (_CLASS_NAMES.index("psi_plus"), _CLASS_NAMES.index("psi_minus"))
 # Row k is the bra of target k, so _TARGET_BRAS @ v holds every <target|v>.
 _TARGET_BRAS = np.array(list(CLASS_TARGETS.values())).conj()
 
@@ -210,6 +220,38 @@ def _joint_layout() -> tuple:
     return labels, tuple(basis.index(occ) for occ in _BRANCH_PAIRS)
 
 
+def _checked_pair(c_plus, c_minus) -> tuple[complex, complex]:
+    c_plus = complex(c_plus)
+    c_minus = complex(c_minus)
+    if abs(abs(c_plus) ** 2 + abs(c_minus) ** 2 - 1.0) > 1e-12:
+        raise ValueError("branch amplitudes must satisfy |c+|^2 + |c-|^2 = 1")
+    if not all(map(math.isfinite, (c_plus.real, c_plus.imag, c_minus.real, c_minus.imag))):
+        raise ValueError("amplitudes must be finite")
+    return c_plus, c_minus
+
+
+def _joint_amplitudes(pairs) -> np.ndarray:
+    """(pair, cavity pair, two-atom mode) amplitudes of the joint states of
+    checked (c+, c-) pairs, as in :func:`joint_state_from_amplitudes`."""
+    # The products are taken in Python: numpy may fuse a complex product's
+    # multiply and add, which would round them differently from the
+    # term-by-term expansion.
+    coeffs = []
+    for c_plus, c_minus in pairs:
+        half_plus, half_minus = 0.5 * c_plus, 0.5 * c_minus
+        # Rows: cavity pairs 00, 01, 10, 11; columns: PP, PM, MP, MM.
+        coeffs.append([
+            [0.5, 0.0, 0.0, 0.0],
+            [half_plus, half_minus, 0.0, 0.0],
+            [half_plus, 0.0, half_minus, 0.0],
+            [half_plus * c_plus, half_plus * c_minus, half_minus * c_plus, half_minus * c_minus],
+        ])
+    labels, columns = _joint_layout()
+    amps = np.zeros((len(coeffs), 4, len(labels) // 4), dtype=np.complex128)
+    amps[:, :, columns] = np.array(coeffs, dtype=np.complex128).reshape(-1, 4, 4)
+    return amps
+
+
 def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> StateVector:
     """Two-pair joint state before the mode mixer, from one-photon branch
     amplitudes (undeflected, deflected) shared by both atoms.
@@ -223,22 +265,8 @@ def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> StateVecto
 
     Requires |c+|^2 + |c-|^2 = 1; every term holds exactly two atoms.
     """
-    c_plus = complex(c_plus)
-    c_minus = complex(c_minus)
-    if abs(abs(c_plus) ** 2 + abs(c_minus) ** 2 - 1.0) > 1e-12:
-        raise ValueError("branch amplitudes must satisfy |c+|^2 + |c-|^2 = 1")
-    labels, pairs = _joint_layout()
-    half_plus, half_minus = 0.5 * c_plus, 0.5 * c_minus
-    # Rows: cavity pairs 00, 01, 10, 11; columns: PP, PM, MP, MM.
-    coeffs = [
-        [0.5, 0.0, 0.0, 0.0],
-        [half_plus, half_minus, 0.0, 0.0],
-        [half_plus, 0.0, half_minus, 0.0],
-        [half_plus * c_plus, half_plus * c_minus, half_minus * c_plus, half_minus * c_minus],
-    ]
-    amps = np.zeros((4, len(labels) // 4), dtype=np.complex128)
-    amps[:, pairs] = coeffs
-    return StateVector(labels, amps.reshape(-1))
+    amps = _joint_amplitudes([_checked_pair(c_plus, c_minus)])
+    return StateVector(_joint_layout()[0], amps.reshape(-1))
 
 
 def joint_state(p: BraggParams, time_scale: float = 1.0) -> StateVector:
@@ -328,6 +356,82 @@ class HeraldResult:
     paper_label: str
 
 
+def branch_pair(p: BraggParams, time_scale: float = 1.0) -> tuple[complex, complex]:
+    """The branch amplitudes of :func:`~cavityswap.bragg.branch_amplitudes`
+    as a checked pair of complex numbers: ValueError unless
+    |c+|^2 + |c-|^2 = 1 within 1e-12 and both are finite."""
+    return _checked_pair(*branch_amplitudes(p, time_scale))
+
+
+class Heralds(NamedTuple):
+    """Herald statistics of R joint states, one row per state and one
+    column per click pattern (in :func:`mode_basis` order).
+
+    ``states[r, :, j]`` is the normalised conditional cavity vector of
+    pattern j, ``classes`` indexes the best matching target of
+    :data:`CLASS_TARGETS`, or "none" after them for a pattern of
+    probability zero (whose fidelity and concurrence read 0), and
+    ``concurrences`` holds the closed form 2|ad - bc| of each pure herald.
+    """
+
+    probabilities: np.ndarray
+    states: np.ndarray
+    classes: np.ndarray
+    fidelities: np.ndarray
+    concurrences: np.ndarray
+
+
+def _heralds(psi: np.ndarray) -> Heralds:
+    """Herald statistics of post-mixer amplitudes of shape
+    (state, cavity pair, pattern), for every state and pattern at once."""
+    probs = (psi.real**2 + psi.imag**2).sum(axis=1)
+    totals = probs.sum(axis=1)
+    corrupt = ~(np.abs(totals - 1.0) <= 1e-12)
+    if corrupt.any():
+        total = float(totals[corrupt][0])
+        raise RuntimeError(f"click probabilities sum to {total!r}, not 1; joint state is corrupt")
+    dark = probs == 0.0
+    vecs = psi / np.sqrt(np.where(dark, 1.0, probs))[:, None, :]
+    fids = np.abs(_TARGET_BRAS @ vecs) ** 2
+    # Every herald is pure, so Wootters' concurrence is 2|v00 v11 - v01 v10|;
+    # the clamp keeps a Bell herald at exactly 1 despite round-off.
+    conc = np.minimum(1.0, 2.0 * np.abs(vecs[:, 0] * vecs[:, 3] - vecs[:, 1] * vecs[:, 2]))
+    return Heralds(
+        probabilities=probs,
+        states=vecs,
+        classes=np.where(dark, _NONE, fids.argmax(axis=1)),
+        fidelities=np.where(dark, 0.0, fids.max(axis=1)),
+        concurrences=np.where(dark, 0.0, conc),
+    )
+
+
+def herald_batch(pairs) -> Heralds:
+    """Herald statistics of the protocol for R branch-amplitude pairs at
+    once, each a (c+, c-) pair as :func:`branch_pair` returns it.
+
+    The joint-state coefficients of all pairs are placed on the branch-pair
+    columns and sent through the lifted mixer in one stacked product; every
+    statistic is then computed on the (R x cavity pair x pattern) result.
+    Probabilities must sum to one within 1e-12 on every row (RuntimeError
+    otherwise).
+    """
+    return _heralds(_joint_amplitudes(pairs) @ beam_splitter_unitary(mode_basis(2)).T)
+
+
+def _herald_results(heralds: Heralds, row: int) -> list:
+    """The :class:`HeraldResult` of every pattern of one row of a batch."""
+    vecs = heralds.states[row]
+    rhos = vecs.T[:, :, None] * vecs.T[:, None, :].conj()
+    rhos.setflags(write=False)
+    return [
+        HeraldResult(pattern, prob, None if prob == 0.0 else rhos[j], _CLASS_NAMES[k], fid, c, paper)
+        for j, ((pattern, paper), prob, k, fid, c) in enumerate(zip(
+            _click_patterns(), heralds.probabilities[row].tolist(), heralds.classes[row].tolist(),
+            heralds.fidelities[row].tolist(), heralds.concurrences[row].tolist(),
+        ))
+    ]
+
+
 def click_distribution(s: StateVector) -> list:
     """Exact outcome distribution of a mode-mixed joint state.
 
@@ -336,46 +440,68 @@ def click_distribution(s: StateVector) -> list:
     not a valid post-mixer joint state.  Every statistic is computed for
     all patterns at once, on the (cavity pair x pattern) amplitude array.
     """
-    psi = _mode_amplitudes(s)
-    probs = (psi.real**2 + psi.imag**2).sum(axis=0)
-    prob_list = probs.tolist()
-    total = sum(prob_list)
-    if abs(total - 1.0) > 1e-12:
-        raise RuntimeError(f"click probabilities sum to {total!r}, not 1; joint state is corrupt")
-    # Column j is the normalised conditional cavity state of pattern j.
-    vecs = psi / np.sqrt(np.where(probs > 0.0, probs, 1.0))
-    fids = np.abs(_TARGET_BRAS @ vecs) ** 2
-    # Every herald is pure, so Wootters' concurrence is 2|v00 v11 - v01 v10|;
-    # the clamp keeps a Bell herald at exactly 1 despite round-off.
-    conc = np.minimum(1.0, 2.0 * np.abs(vecs[0] * vecs[3] - vecs[1] * vecs[2]))
-    rhos = vecs.T[:, :, None] * vecs.T[:, None, :].conj()
-    rhos.setflags(write=False)
-    results = []
-    for j, ((pattern, paper), prob, best, fid, c) in enumerate(zip(
-        _click_patterns(), prob_list, fids.argmax(axis=0).tolist(),
-        fids.max(axis=0).tolist(), conc.tolist(),
-    )):
-        if prob == 0.0:
-            results.append(HeraldResult(pattern, 0.0, None, "none", 0.0, 0.0, paper))
-        else:
-            results.append(HeraldResult(pattern, prob, rhos[j], _CLASS_NAMES[best], fid, c, paper))
-    return results
+    return _herald_results(_heralds(_mode_amplitudes(s)[None]), 0)
 
 
 def herald_distribution(p: BraggParams, time_scale: float = 1.0) -> list:
     """Click distribution for the full protocol at the given timing."""
-    return click_distribution(apply_beam_splitter(joint_state(p, time_scale)))
+    return _herald_results(herald_batch([branch_pair(p, time_scale)]), 0)
 
 
-def _sample_counts(dist, shots: int, seed: int, efficiency: float) -> tuple[np.ndarray, int]:
+def _sample_counts(probs, shots: int, seed: int, efficiency: float) -> tuple[list, int]:
     # Each atom is missed independently of the pattern, so a discarded shot
     # is one more outcome, of probability 1 - efficiency^2.  It goes first,
     # because multinomial gives the rounding remainder to the last outcome:
     # at efficiency 1 nothing is discarded.
     kept = efficiency**2
-    pvals = [1.0 - kept, *(h.probability * kept for h in dist)]
+    pvals = [1.0 - kept, *(p * kept for p in probs)]
     drawn = np.random.default_rng(seed).multinomial(shots, pvals)
-    return drawn[1:], int(drawn[0])
+    return drawn[1:].tolist(), int(drawn[0])
+
+
+class ProtocolSample(NamedTuple):
+    """Sampled pattern counts of one protocol run, with its psi-herald
+    totals: success means heralding one of the psi Bell states."""
+
+    counts: list
+    retained_shots: int
+    discarded_shots: int
+    success_rate: float
+    success_probability: float
+    mean_psi_fidelity: float
+    mean_psi_concurrence: float
+
+
+def sample_protocol(
+    heralds: Heralds, row: int, shots: int, seed: int, detection_efficiency: float = 1.0
+) -> ProtocolSample:
+    """Draw the counts of ``shots`` click patterns from one row of a herald
+    batch, in one multinomial draw seeded by ``seed``, and sum the psi
+    heralds in pattern order.  With ``detection_efficiency`` below one each
+    atom is detected independently with that probability and shots with a
+    missed click are discarded."""
+    probs = heralds.probabilities[row].tolist()
+    counts, discarded = _sample_counts(probs, shots, seed, detection_efficiency)
+    retained = shots - discarded
+    psi = [
+        (prob, fid, c, count)
+        for prob, k, fid, c, count in zip(
+            probs, heralds.classes[row].tolist(), heralds.fidelities[row].tolist(),
+            heralds.concurrences[row].tolist(), counts,
+        )
+        if k in _PSI
+    ]
+    psi_prob = sum(prob for prob, _, _, _ in psi)
+    success_count = sum(count for *_, count in psi)
+    return ProtocolSample(
+        counts=counts,
+        retained_shots=retained,
+        discarded_shots=discarded,
+        success_rate=success_count / retained if retained else 0.0,
+        success_probability=psi_prob,
+        mean_psi_fidelity=sum(prob * fid for prob, fid, _, _ in psi) / psi_prob if psi_prob else 0.0,
+        mean_psi_concurrence=sum(prob * c for prob, _, c, _ in psi) / psi_prob if psi_prob else 0.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -440,18 +566,17 @@ def run_protocol(
         raise ValueError(f"time_scale must be nonnegative, got {time_scale!r}")
     if not 0.0 < detection_efficiency <= 1.0:
         raise ValueError("detection efficiency must be in (0, 1]")
-    dist = herald_distribution(p, time_scale)
-    counts, discarded = _sample_counts(dist, shots, seed, detection_efficiency)
-    retained = shots - discarded
+    heralds = herald_batch([branch_pair(p, time_scale)])
+    dist = _herald_results(heralds, 0)
+    sample = sample_protocol(heralds, 0, shots, seed, detection_efficiency)
 
-    counts = counts.tolist()
     # (probability, count, fidelity, concurrence, label) of each pattern, by class.
     by_class: dict = {}
-    for h, count in zip(dist, counts):
+    for h, count in zip(dist, sample.counts):
         row = (h.probability, count, h.fidelity_to_class, h.concurrence, h.pattern.label)
         by_class.setdefault(h.classification, []).append(row)
     class_stats: dict = {}
-    for name in (*CLASS_TARGETS, "none"):
+    for name in _CLASS_NAMES:
         if name not in by_class:
             continue
         probs, cts, fids, concs, labels = zip(*by_class[name])
@@ -464,12 +589,6 @@ def run_protocol(
             stats["fidelity_empirical"] = sum(c * f for c, f in zip(cts, fids)) / ct
         class_stats[name] = stats
 
-    psi = [(h.probability, h.fidelity_to_class, h.concurrence, count)
-           for h, count in zip(dist, counts) if h.classification in ("psi_plus", "psi_minus")]
-    psi_prob = sum(p for p, _, _, _ in psi)
-    mean_fid = sum(p * f for p, f, _, _ in psi) / psi_prob if psi_prob else 0.0
-    mean_conc = sum(p * c for p, _, c, _ in psi) / psi_prob if psi_prob else 0.0
-    success_count = sum(count for *_, count in psi)
     divergences = tuple(
         h.pattern.label for h in dist if h.probability > 0.0 and h.classification != h.paper_label
     )
@@ -487,14 +606,14 @@ def run_protocol(
         time_scale=time_scale,
         detection_efficiency=detection_efficiency,
         results=tuple(dist),
-        counts=tuple(counts),
-        retained_shots=retained,
-        discarded_shots=discarded,
-        success_rate=success_count / retained if retained else 0.0,
-        success_probability=psi_prob,
+        counts=tuple(sample.counts),
+        retained_shots=sample.retained_shots,
+        discarded_shots=sample.discarded_shots,
+        success_rate=sample.success_rate,
+        success_probability=sample.success_probability,
         class_stats=class_stats,
-        mean_psi_fidelity=mean_fid,
-        mean_psi_concurrence=mean_conc,
+        mean_psi_fidelity=sample.mean_psi_fidelity,
+        mean_psi_concurrence=sample.mean_psi_concurrence,
         paper_label_divergences=divergences,
         note=note,
     )

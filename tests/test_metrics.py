@@ -198,18 +198,21 @@ def test_sweep_records_row_failures_and_continues(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(metrics, "run_protocol", broken)
+    monkeypatch.setattr(metrics, "herald_batch", broken)
     with pytest.raises(RuntimeError, match="bug"):
         run_sweep(spec)
 
 
 def count_eigh_calls(monkeypatch) -> list:
+    """Matrices diagonalised, one entry per matrix: a stacked call adds
+    one entry per matrix of its stack."""
     calls = []
     eigh = np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return eigh(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        calls.extend([a.shape[-2:]] * (a.shape[0] if a.ndim == 3 else 1))
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
@@ -252,6 +255,48 @@ def test_time_scale_sweep_rows_equal_one_time_comparisons():
         assert np.array([row.analytic_deflected, row.ladder_deflected]).tobytes() == table[columns].tobytes()
         direct = run_protocol(BASE, shots=1_000, seed=metrics._row_seed(8, i), time_scale=ts)
         assert (row.success_rate, row.mean_psi_fidelity) == (direct.success_rate, direct.mean_psi_fidelity)
+
+
+@pytest.mark.parametrize(
+    "axis, values, failed",
+    [
+        ("delta_over_g", (5.0, 60.0, 100.0, 150.0), 0),  # delta/g < 10 fails only at an end
+        ("l0", (2, 3, 4, 6), 1),  # three ladder dimensions around an odd l0
+        ("ladder_halfwidth", (3, 4, 5, 6), 0),  # l0 = 4 needs a halfwidth of at least 4
+        ("interaction_time_scale", (-0.5, 0.0, 0.7, 1.0, 1.3), 0),
+    ],
+)
+def test_sweep_rows_equal_one_row_runs_bit_for_bit(axis, values, failed):
+    # The sweep stacks ladders and heralds across rows; every good row must
+    # give the bits of a one-time comparison and of a direct protocol run
+    # with the row's seed.
+    base = BraggParams(l0=4) if axis == "ladder_halfwidth" else BASE
+    spec = SweepSpec(axis=axis, values=values, base=base, shots=1_000, seed=13)
+    rows = run_sweep(spec).rows
+    assert rows[failed].error.startswith("ValueError: ")
+    columns = [POPULATION_COLUMNS.index("analytic_deflected"), POPULATION_COLUMNS.index("ladder_deflected")]
+    for i, (row, value) in enumerate(zip(rows, values)):
+        if i == failed:
+            continue
+        params, ts = metrics._row_params(spec, value)
+        one = params.with_photons(1)
+        table = oracle_compare(one, [ts * full_deflection_time(one)]).table[0]
+        assert row.error == ""
+        assert np.array([row.analytic_deflected, row.ladder_deflected]).tobytes() == table[columns].tobytes()
+        direct = run_protocol(params, shots=1_000, seed=metrics._row_seed(13, i), time_scale=ts)
+        got = np.array([row.success_rate, row.mean_psi_fidelity])
+        assert got.tobytes() == np.array([direct.success_rate, direct.mean_psi_fidelity]).tobytes()
+        successes = round(direct.success_rate * direct.retained_shots)
+        assert (row.success_low, row.success_high) == wilson_interval(successes, direct.retained_shots)
+
+
+def test_sweep_spec_rejects_non_numeric_values():
+    for axis in ("delta_over_g", "l0"):
+        for bad in ("50", True, None):
+            with pytest.raises(ValueError, match=f"sweep value {bad!r} is not a number"):
+                SweepSpec(axis=axis, values=(bad, 100), base=BASE, shots=10, seed=1)
+    with pytest.raises(ValueError, match="sweep value '50' is not a number"):
+        SweepSpec(axis="delta_over_g", values=("50", "100"), base=BASE, shots=10, seed=1)
 
 
 def test_integer_axes_reject_fractional_values():

@@ -162,6 +162,32 @@ def test_propagate_diagonalises_once_per_call(monkeypatch):
     assert out.shape == (100_000, 4)
 
 
+def test_stacked_propagate_equals_single_calls():
+    # A stack of G systems, one of them diagonal (so it leaves modes dark
+    # that the others occupy) and one time of 0, against G single calls.
+    rng = np.random.default_rng(37)
+    hs = [random_hermitian(rng, 11) for _ in range(3)]
+    hs.insert(1, np.diag(rng.uniform(-3.0, 3.0, 11)).astype(complex))
+    amps = [random_state(rng, 11).amps for _ in hs]
+    amps[1] = np.zeros(11, dtype=complex)
+    amps[1][[2, 7]] = (0.6, 0.8j)
+    times = rng.uniform(0.0, 20.0, (len(hs), 5))
+    times[2, 3] = 0.0
+    for rows in (None, [7, 2, 0, 10]):
+        for grid in (times, times[:, :1]):
+            stacked = propagate(np.array(hs), np.array(amps), grid, rows=rows)
+            assert stacked.shape == (len(hs), grid.shape[1], 11 if rows is None else 4)
+            for g, (h, a, t) in enumerate(zip(hs, amps, grid)):
+                single = propagate(h, a, t, rows=rows)
+                if g == 1:
+                    # Modes the other members occupy add exact zero terms
+                    # to the diagonal member's sums, which may flip the sign
+                    # of a zero component; + 0.0 folds -0.0 into 0.0.
+                    stacked[g] += 0.0
+                    single += 0.0
+                assert stacked[g].tobytes() == single.tobytes()
+
+
 def test_evolution_composes_over_time():
     rng = np.random.default_rng(17)
     h = random_hermitian(rng, 5)

@@ -378,6 +378,22 @@ def test_herald_distribution_solves_no_eigenproblem(monkeypatch):
         assert len(herald_distribution(P2, ts)) == 10
 
 
+def test_sweep_and_protocol_build_no_state_vector(monkeypatch, tmp_path):
+    # Heralds travel as (rows x cavity pair x pattern) arrays; labelled
+    # states are built only where labels are written or asserted.
+    def refuse(self):
+        raise AssertionError("a StateVector was built")
+
+    monkeypatch.setattr(StateVector, "__post_init__", refuse)
+    assert len(herald_distribution(P4, 0.7)) == 10
+    for argv in (
+        ["protocol", "--time-scale", "0.7", "--shots", "1000"],
+        ["sweep", "--axis", "delta_over_g", "--l0", "4", "--values", "5,60,100", "--shots", "100"],
+        ["sweep", "--axis", "interaction_time_scale", "--values", "0.5,1", "--shots", "100"],
+    ):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+
+
 # ---------------------------------------------------------------- protocol runs
 
 
