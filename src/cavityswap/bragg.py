@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quantum import StateVector, basis_state, evolve, propagate
+from . import quantum
+from .quantum import StateVector, basis_state, evolve, propagate, propagator
 
 __all__ = [
     "HBAR",
@@ -42,7 +43,9 @@ __all__ = [
     "evolve_ladder",
     "PopulationSeries",
     "nonnegative_times",
+    "nonnegative_time_scale",
     "ladder_population_series",
+    "ladder_population_chunks",
     "entangled_pair_state",
     "pair_state_from_ladder",
     "pair_oracle_fidelity",
@@ -52,6 +55,12 @@ HBAR = 1.054571817e-34  # J s
 
 # Boundary population above this marks the ladder truncation as too tight.
 TRUNCATION_LIMIT = 1e-6
+
+# Blocks of quantum.SERIES_BLOCK times per chunk of ladder_population_chunks.
+# A chunk's temporaries (~1.5 MB) stay below the free heap glibc keeps, so
+# chunks reuse it; at 16 blocks a 1e6-point entangle refaulted it chunk
+# after chunk (12-15k minor faults against ~1.3k).
+SERIES_CHUNK_BLOCKS = 4
 
 @dataclass(frozen=True)
 class BraggParams:
@@ -374,22 +383,34 @@ class PopulationSeries:
 
 
 def nonnegative_times(times) -> np.ndarray:
-    """``times`` as a float array; ValueError if any of them is negative."""
+    """``times`` as a float array; ValueError unless every one of them is
+    finite and nonnegative."""
     times = np.asarray(times, dtype=float)
     if (times < 0).any():
         raise ValueError("times must be nonnegative")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite and nonnegative")
     return times
 
 
+def nonnegative_time_scale(time_scale: float) -> float:
+    """``time_scale`` as a float; ValueError unless it is finite and
+    nonnegative."""
+    if time_scale < 0.0:
+        raise ValueError(f"time_scale must be nonnegative, got {time_scale!r}")
+    if not math.isfinite(time_scale):
+        raise ValueError(f"time_scale must be finite, got {time_scale!r}")
+    return float(time_scale)
+
+
 def ladder_population_series(p, times):
-    """Ladder populations at each time of a nonnegative grid.
+    """Ladder populations at each time of a finite, nonnegative grid.
 
     Each time is propagated directly from t = 0 by one
     :func:`~cavityswap.quantum.propagate` call, so the ladder Hamiltonian
     gets one eigendecomposition per call, however long the grid; propagate
-    evaluates it in blocks of ``SERIES_BLOCK`` (1024) times, which keeps
-    each block's product on one BLAS thread.  Only the incoming, deflected
-    and two boundary sites are computed.
+    evaluates it in blocks of ``SERIES_BLOCK`` (1024) times.  Only the
+    incoming, deflected and two boundary sites are computed.
 
     ``p`` may also be a sequence of G parameter sets on one ladder layout
     (equal ``l0`` and ``ladder_halfwidth``), with ``times`` a (G, T) grid of
@@ -397,6 +418,19 @@ def ladder_population_series(p, times):
     stacked call, and a tuple of G series is returned, each bitwise equal
     to the series of its own call.
     """
+    return next(_series_chunks(p, times, None))
+
+
+def ladder_population_chunks(p, times):
+    """:func:`ladder_population_series` as an iterator of series over
+    consecutive chunks of ``SERIES_CHUNK_BLOCKS`` blocks (4 x 1024 times),
+    from one eigendecomposition made in this call.  Each is bitwise equal to
+    its part of the whole series; ``boundary_max`` is the chunk's own."""
+    return _series_chunks(p, times, SERIES_CHUNK_BLOCKS * quantum.SERIES_BLOCK)
+
+
+def _series_chunks(p, times, chunk):
+    # Series over chunks of ``chunk`` times; None takes the grid as one chunk.
     stacked = not isinstance(p, BraggParams)
     ps = tuple(p) if stacked else (p,)
     times = nonnegative_times(times)
@@ -409,12 +443,20 @@ def ladder_population_series(p, times):
     sites = [offsets.index(0), offsets.index(-ps[0].l0), 0, len(offsets) - 1]
     psi0 = np.zeros((len(ps), len(offsets)), dtype=np.complex128)
     psi0[:, sites[0]] = 1.0
-    pops = np.abs(propagate(h, psi0, times, rows=sites)) ** 2
-    series = tuple(
-        PopulationSeries(q, t, pop[:, 0], pop[:, 1], float(np.max(pop[:, 2] + pop[:, 3], initial=0.0)))
-        for q, t, pop in zip(ps, times, pops)
-    )
-    return series if stacked else series[0]
+    evaluate = propagator(h, psi0, rows=sites)
+    count = times.shape[1]
+    chunk = chunk or max(count, 1)
+
+    def series(start):
+        grid = times[:, start:start + chunk]
+        pops = np.abs(evaluate(grid)) ** 2
+        out = tuple(
+            PopulationSeries(q, t, pop[:, 0], pop[:, 1], float(np.max(pop[:, 2] + pop[:, 3], initial=0.0)))
+            for q, t, pop in zip(ps, grid, pops)
+        )
+        return out if stacked else out[0]
+
+    return map(series, range(0, max(count, 1), chunk))
 
 
 def _pair_labels(p: BraggParams) -> tuple:

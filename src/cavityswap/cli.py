@@ -26,12 +26,13 @@ from .bragg import (
     BraggParams,
     entangled_pair_state,
     full_deflection_time,
-    ladder_population_series,
+    ladder_population_chunks,
+    nonnegative_time_scale,
     pair_oracle_fidelity,
     pendellosung_frequency,
     recoil_frequency,
 )
-from .metrics import POPULATION_COLUMNS, ComparisonRow, SweepSpec, oracle_compare, run_sweep
+from .metrics import POPULATION_COLUMNS, ComparisonRow, SweepSpec, oracle_compare_chunks, run_sweep
 from .swap import run_protocol
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
@@ -258,22 +259,23 @@ def _format_floats(block: np.ndarray) -> str:
 def _write_csv(path: Path, config: dict, columns, rows) -> None:
     """Version line, config line, column names, then one line per row.
 
-    ``rows`` is a 2-D float array, formatted ``_CSV_BLOCK`` rows at a time
-    by :func:`_format_floats`, or an iterable of records, whose cells go
-    through :func:`_fmt` one by one.  Either way a long table is never held
-    as text in memory.
+    ``rows`` is an iterable of 2-D float arrays, blocks of rows formatted
+    ``_CSV_BLOCK`` rows at a time by :func:`_format_floats`, or of records,
+    whose cells go through :func:`_fmt` one by one; a 2-D float array is
+    one block.  Either way a long table is never held as text in memory,
+    and a table streamed in blocks is never held at all.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
         f.write(f"# cavityswap {__version__}\n")
         f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         f.write(",".join(columns) + "\n")
-        if isinstance(rows, np.ndarray):
-            for start in range(0, len(rows), _CSV_BLOCK):
-                f.write(_format_floats(rows[start:start + _CSV_BLOCK]))
-            return
-        for row in rows:
-            f.write(",".join(map(_fmt, row)) + "\n")
+        for row in (rows,) if isinstance(rows, np.ndarray) else rows:
+            if isinstance(row, np.ndarray):
+                for start in range(0, len(row), _CSV_BLOCK):
+                    f.write(_format_floats(row[start:start + _CSV_BLOCK]))
+            else:
+                f.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _write_json(path: Path, config: dict, doc: dict) -> None:
@@ -289,27 +291,39 @@ def _points(cfg: dict) -> int:
     return points
 
 
+_DEFLECTED = POPULATION_COLUMNS.index("ladder_deflected")
+
+
+def _tables(comparisons, seen: list):
+    """The table of each streamed comparison, while ``seen`` collects its
+    max error, truncation flag and last ladder-deflected population."""
+    for comp in comparisons:
+        seen.append((comp.max_error, comp.truncation_warning, float(comp.table[-1, _DEFLECTED])))
+        yield comp.table
+
+
 def cmd_entangle(cfg: dict) -> int:
     params = resolve_params(cfg)
-    ts = float(cfg["time_scale"])
-    if ts < 0.0:
-        raise ConfigError(f"time_scale must be nonnegative, got {ts!r}")
+    try:
+        ts = nonnegative_time_scale(float(cfg["time_scale"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     points = _points(cfg)
     one = params.with_photons(1)
-    t_final = ts * full_deflection_time(one)
-    times = np.linspace(0.0, t_final, points)
-    comp = oracle_compare(one, times)
-    series_zero = ladder_population_series(params.with_photons(0), times)
+    times = np.linspace(0.0, ts * full_deflection_time(one), points)
     config = _config_echo(cfg, params)
     out = Path(cfg["output_dir"])
+    seen: list = []
+    tables = _tables(oracle_compare_chunks(one, times), seen)
+    zero = ladder_population_chunks(params.with_photons(0), times)
     _write_csv(
         out / "entangle_populations.csv",
         config,
         POPULATION_COLUMNS[:5] + ("ladder_deflected_n0",),
-        np.column_stack((comp.table[:, :5], series_zero.deflected)),
+        (np.column_stack((table[:, :5], series.deflected)) for table, series in zip(tables, zero)),
     )
 
-    final = float(comp.table[-1, POPULATION_COLUMNS.index("ladder_deflected")])
+    final = seen[-1][2]
     pair = entangled_pair_state(params, ts)
     fid, warn = pair_oracle_fidelity(params, ts)
     _write_json(out / "entangle_state.json", config, {
@@ -317,7 +331,7 @@ def cmd_entangle(cfg: dict) -> int:
         "amplitudes": [[a.real, a.imag] for a in pair.amps],
         "final_deflected_population": final,
         "oracle_fidelity": fid,
-        "truncation_warning": bool(warn or comp.truncation_warning),
+        "truncation_warning": bool(warn or any(flag for _, flag, _ in seen)),
     })
     print(f"final deflected population (ladder): {_fmt(final)}")
     print(f"pair-state fidelity vs ladder: {_fmt(fid)}")
@@ -367,16 +381,19 @@ def cmd_oracle_compare(cfg: dict) -> int:
     params = resolve_params(cfg).with_photons(1)
     points = _points(cfg)
     period = 2.0 * math.pi / pendellosung_frequency(params)
-    comp = oracle_compare(params, np.linspace(0.0, period, points))
+    comparisons = oracle_compare_chunks(params, np.linspace(0.0, period, points))
     out = Path(cfg["output_dir"])
-    _write_csv(out / "oracle_compare.csv", _config_echo(cfg, params), POPULATION_COLUMNS, comp.table)
-    print(f"max population error: {_fmt(comp.max_error)}")
-    if comp.truncation_warning:
+    seen: list = []
+    _write_csv(out / "oracle_compare.csv", _config_echo(cfg, params), POPULATION_COLUMNS,
+               _tables(comparisons, seen))
+    max_error = float(np.max([error for error, _, _ in seen]))
+    print(f"max population error: {_fmt(max_error)}")
+    if any(flag for _, flag, _ in seen):
         print("warning: ladder truncation too tight (boundary population exceeded limit)")
     limit = cfg.get("assert", {}).get("max_error")
-    if limit is not None and comp.max_error > float(limit):
+    if limit is not None and max_error > float(limit):
         print(
-            f"assertion failed: max_error {_fmt(comp.max_error)} exceeds {_fmt(float(limit))}",
+            f"assertion failed: max_error {_fmt(max_error)} exceeds {_fmt(float(limit))}",
             file=sys.stderr,
         )
         return 2
@@ -464,7 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--l0", type=int)
         sp.add_argument("--r", type=int)
         sp.add_argument("--ladder-halfwidth", dest="ladder_halfwidth", type=int)
-        sp.add_argument("--time-scale", dest="time_scale", type=float)
+        if name != "oracle-compare":
+            sp.add_argument("--time-scale", dest="time_scale", type=float)
         if name in ("protocol", "sweep"):
             sp.add_argument("--shots", type=int)
             sp.add_argument("--detection-efficiency", dest="detection_efficiency", type=float)
@@ -490,10 +508,11 @@ _COMMANDS = {
 
 # Config keys a command does not read (it has no flag for them either).
 # The ladder commands still take --seed: the ladder benchmark passes it.
+# oracle-compare spans one Pendelloesung period, whatever the time scale.
 _UNUSED_KEYS = {
     "entangle": ("shots", "detection_efficiency"),
     "protocol": ("points",),
-    "oracle-compare": ("shots", "detection_efficiency"),
+    "oracle-compare": ("shots", "detection_efficiency", "time_scale"),
     "sweep": ("points",),
 }
 

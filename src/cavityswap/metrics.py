@@ -13,7 +13,9 @@ from .bragg import (
     BraggParams,
     analytic_amplitudes,
     full_deflection_time,
+    ladder_population_chunks,
     ladder_population_series,
+    nonnegative_time_scale,
     nonnegative_times,
 )
 from .swap import branch_pair, herald_batch, sample_protocol
@@ -23,6 +25,7 @@ __all__ = [
     "POPULATION_COLUMNS",
     "PopulationComparison",
     "oracle_compare",
+    "oracle_compare_chunks",
     "SWEEP_AXES",
     "SweepSpec",
     "ComparisonRow",
@@ -100,7 +103,19 @@ def oracle_compare(p, times):
     propagated for all of them at once, and a tuple of G comparisons is
     returned, each bitwise equal to the comparison of its own call.
     """
-    series = ladder_population_series(p, times)
+    return _compare(p, ladder_population_series(p, times))
+
+
+def oracle_compare_chunks(p, times):
+    """:func:`oracle_compare` over the chunks of
+    :func:`~cavityswap.bragg.ladder_population_chunks`: an iterator of
+    comparisons, each bitwise equal to its rows of the whole comparison.
+    ``max_error`` and ``truncation_warning`` are then the chunk's own; the
+    whole grid's are their maximum and their ``any``."""
+    return (_compare(p, series) for series in ladder_population_chunks(p, times))
+
+
+def _compare(p, series):
     if isinstance(p, BraggParams):
         return _comparison(series)
     return tuple(map(_comparison, series))
@@ -114,9 +129,10 @@ class SweepSpec:
     and seed are shared by every row.  Values must be real numbers (not
     bools, strings or None), strictly monotone so rows have a well-defined
     order, and whole numbers on the integer axes (``l0``,
-    ``ladder_halfwidth``).  The shared ``time_scale`` must be
-    nonnegative; a negative value on the ``interaction_time_scale`` axis
-    fails only its own row.
+    ``ladder_halfwidth``).  The shared ``time_scale`` must be finite and
+    nonnegative; a negative or non-finite value on the
+    ``interaction_time_scale`` axis fails only its own row, before its
+    ladder runs.
     """
 
     axis: str
@@ -144,8 +160,7 @@ class SweepSpec:
             raise ValueError("sweep values must be strictly monotone")
         if self.shots <= 0:
             raise ValueError("shots must be positive")
-        if self.time_scale < 0.0:
-            raise ValueError(f"time_scale must be nonnegative, got {self.time_scale!r}")
+        nonnegative_time_scale(self.time_scale)
         object.__setattr__(self, "values", values)
 
 
@@ -244,17 +259,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for one, comparison in zip(ones, comparisons):
             for (i, _), (_, _, analytic, _, ladder, _) in zip(groups[one], comparison.table.tolist()):
                 columns[i] = (analytic, ladder)
-    # A non-finite time fails its row here, after its ladder ran.
-    good, pairs = [], []
-    for i, (params, ts) in resolved.items():
-        try:
-            pairs.append(branch_pair(params, ts))
-        except ValueError as exc:
-            rows[i] = _failed_row(spec.values[i], exc)
-            continue
-        good.append(i)
-    heralds = herald_batch(pairs)
-    for r, i in enumerate(good):
+    heralds = herald_batch([branch_pair(params, ts) for params, ts in resolved.values()])
+    for r, i in enumerate(resolved):
         analytic, ladder = columns[i]
         sample = sample_protocol(heralds, r, spec.shots, _row_seed(spec.seed, i))
         successes = round(sample.success_rate * sample.retained_shots)

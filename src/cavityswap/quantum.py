@@ -21,17 +21,18 @@ __all__ = [
     "basis_state",
     "expm",
     "propagate",
+    "propagator",
     "evolve",
     "concurrence",
 ]
 
 HERMITICITY_ATOL = 1e-12
 
-# Times evaluated at once by propagate.  A block's product, (times x modes)
-# by (modes x rows), is at most 2^18 multiply-adds for up to 64 modes and
-# 4 rows, which OpenBLAS runs on one thread; worker threads cost such small
-# products more than they save.  The block also bounds the (times x modes)
-# working array on long grids.
+# Times evaluated at once by propagate; the block bounds the (times x modes)
+# phase array on long grids.  It does not keep the block's product on one
+# BLAS thread: with numpy 2.4.6 and OPENBLAS_NUM_THREADS=2 on 2 vCPUs, CPU
+# over wall time was ~2 at 16-64 modes (1 at 15; the default ladder has
+# l0 + 13), so the thread cap sets the product's parallelism.
 SERIES_BLOCK = 1024
 
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -145,12 +146,11 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
 
     One eigendecomposition per call: exp(-i h t) = V diag(e^{-i lambda t}) V^dag
     is exactly unitary up to eigenvector round-off at any t.  The grid is
-    then evaluated in blocks of ``SERIES_BLOCK`` (1024) times, small enough
-    for BLAS to run each block's product on one thread; a block of one
-    time is evaluated as two equal times, so no time's result depends on
-    where the blocks fall or on the length of the grid.  :func:`expm` is
-    kept as the independent check of this path.  Rows at t = 0 are ``amps``
-    exactly.
+    then evaluated in blocks of ``SERIES_BLOCK`` (1024) times; a block of
+    one time is evaluated as two equal times, so no time's result depends
+    on where the blocks fall or on the length of the grid.  :func:`expm`
+    is kept as the independent check of this path.  Rows at t = 0 are
+    ``amps`` exactly.
 
     ``rows`` (indices into the state) limits the result to those
     components, in that order; the others are never formed.  Eigenmodes
@@ -164,6 +164,14 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
     which others occupy gains exact zero terms; a component that is
     exactly zero may then carry the other sign.
     """
+    return propagator(h, amps, rows)(times)
+
+
+def propagator(h, amps, rows=None):
+    """``times -> propagate(h, amps, times, rows)`` from one
+    eigendecomposition, made here.  No time's result depends on where the
+    blocks fall, so a long grid evaluated piece by piece gives the bits of
+    the whole without its result being held at once."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"Hamiltonian must be a square matrix or a stack of them, got shape {h.shape}")
@@ -173,32 +181,38 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape != h.shape[:-1]:
         raise ValueError(f"Hamiltonian dimension {h.shape[-1]} does not match state shape {amps.shape}")
-    times = np.asarray(times, dtype=float)
     rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
     w, v = np.linalg.eigh(h)
     if single:
-        w, v, amps, times = w[None], v[None], amps[None], times[None]
-    elif times.ndim != 2 or times.shape[0] != h.shape[0]:
-        raise ValueError(f"a stack of {h.shape[0]} Hamiltonians needs ({h.shape[0]}, T) times, got {times.shape}")
+        w, v, amps = w[None], v[None], amps[None]
     overlap = (v.conj().swapaxes(1, 2) @ amps[:, :, None])[:, :, 0]
     live = (overlap != 0.0).any(axis=0)
     w, overlap = w[:, live], overlap[:, live]
     modes = v.swapaxes(1, 2)[:, live][:, :, rows]
-    # One spare time: a one-time block is evaluated as two equal times,
-    # since BLAS would sum its matrix-vector product in another order than
-    # a matrix product.
-    count = times.shape[1]
-    out = np.empty((len(w), count + 1, modes.shape[2]), dtype=np.complex128)
-    for start in range(0, count, SERIES_BLOCK):
-        block = times[:, start:start + SERIES_BLOCK]
-        if block.shape[1] == 1:
-            block = np.repeat(block, 2, axis=1)
-        phases = np.exp(-1j * (block[:, :, None] * w[:, None, :])) * overlap[:, None, :]
-        np.matmul(phases, modes, out=out[:, start:start + block.shape[1]])
-    out = out[:, :count]
-    stack, at = np.nonzero(times == 0.0)
-    out[stack, at] = amps[stack][:, rows]
-    return out[0] if single else out
+
+    def evaluate(times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        if single:
+            times = times[None]
+        elif times.ndim != 2 or times.shape[0] != len(w):
+            raise ValueError(f"a stack of {len(w)} Hamiltonians needs ({len(w)}, T) times, got {times.shape}")
+        # One spare time: a one-time block is evaluated as two equal times,
+        # since BLAS would sum its matrix-vector product in another order
+        # than a matrix product.
+        count = times.shape[1]
+        out = np.empty((len(w), count + 1, modes.shape[2]), dtype=np.complex128)
+        for start in range(0, count, SERIES_BLOCK):
+            block = times[:, start:start + SERIES_BLOCK]
+            if block.shape[1] == 1:
+                block = np.repeat(block, 2, axis=1)
+            phases = np.exp(-1j * (block[:, :, None] * w[:, None, :])) * overlap[:, None, :]
+            np.matmul(phases, modes, out=out[:, start:start + block.shape[1]])
+        out = out[:, :count]
+        stack, at = np.nonzero(times == 0.0)
+        out[stack, at] = amps[stack][:, rows]
+        return out[0] if single else out
+
+    return evaluate
 
 
 def evolve(h, psi: StateVector, t: float) -> StateVector:

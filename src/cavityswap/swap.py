@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bragg import BraggParams, branch_amplitudes
+from .bragg import BraggParams, branch_amplitudes, nonnegative_time_scale
 from .quantum import StateVector
 
 __all__ = [
@@ -562,8 +562,7 @@ def run_protocol(
     """
     if shots <= 0:
         raise ValueError("shots must be a positive integer")
-    if time_scale < 0.0:
-        raise ValueError(f"time_scale must be nonnegative, got {time_scale!r}")
+    nonnegative_time_scale(time_scale)
     if not 0.0 < detection_efficiency <= 1.0:
         raise ValueError("detection efficiency must be in (0, 1]")
     heralds = herald_batch([branch_pair(p, time_scale)])

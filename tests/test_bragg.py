@@ -15,15 +15,17 @@ from cavityswap.bragg import (
     evolve_ladder,
     full_deflection_time,
     ladder_offsets,
+    ladder_population_chunks,
     ladder_population_series,
     max_excited_population,
+    nonnegative_times,
     pair_oracle_fidelity,
     pair_state_from_ladder,
     pendellosung_frequency,
     pendellosung_phase_rate,
     recoil_frequency,
 )
-from cavityswap import quantum
+from cavityswap import bragg, quantum
 from cavityswap.quantum import expm
 from cavityswap.swap import joint_state
 from reference import partial_trace
@@ -339,6 +341,37 @@ def test_population_series_does_not_depend_on_the_block_size(monkeypatch):
                     assert np.array_equal(other.undeflected, series[0].undeflected)
                     assert np.array_equal(other.deflected, series[0].deflected)
                     assert other.boundary_max == series[0].boundary_max
+
+
+def test_population_chunks_equal_the_whole_series():
+    # Two full chunks and a one-time tail, both photon numbers: the chunks
+    # hold the bits of the whole series, t = 0 included, and the largest
+    # chunk boundary population is the whole grid's.
+    chunk = bragg.SERIES_CHUNK_BLOCKS * quantum.SERIES_BLOCK
+    for l0 in (2, 4):
+        one = params(l0=l0).with_photons(1)
+        times = np.linspace(0.0, 1.5 * full_deflection_time(one), 2 * chunk + 1)
+        for p in (one, one.with_photons(0)):
+            whole = ladder_population_series(p, times)
+            chunks = list(ladder_population_chunks(p, times))
+            assert [len(c.times) for c in chunks] == [chunk, chunk, 1]
+            for name in ("times", "undeflected", "deflected"):
+                joined = np.concatenate([getattr(c, name) for c in chunks])
+                assert joined.tobytes() == getattr(whole, name).tobytes()
+            assert max(c.boundary_max for c in chunks) == whole.boundary_max
+            assert (chunks[0].undeflected[0], chunks[0].deflected[0]) == (1.0, 0.0)
+
+
+def test_times_must_be_finite_and_nonnegative():
+    assert nonnegative_times([0.0, 2.5]).tolist() == [0.0, 2.5]
+    for bad in ([1.0, -0.5], [-math.inf]):
+        with pytest.raises(ValueError, match="^times must be nonnegative$"):
+            nonnegative_times(bad)
+    for bad in ([1.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="^times must be finite and nonnegative$"):
+            nonnegative_times(bad)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ladder_population_chunks(params(), [0.0, math.inf])
 
 
 def test_ladder_integrator_paths_agree():

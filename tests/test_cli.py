@@ -3,14 +3,21 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cavityswap
-from cavityswap import __version__
-from cavityswap.bragg import recoil_frequency
+from cavityswap import __version__, bragg, quantum
+from cavityswap.bragg import (
+    BraggParams,
+    full_deflection_time,
+    ladder_population_series,
+    pendellosung_frequency,
+    recoil_frequency,
+)
 from cavityswap.cli import (
     _CSV_BLOCK,
     ConfigError,
@@ -20,6 +27,7 @@ from cavityswap.cli import (
     main,
     resolve_params,
 )
+from cavityswap.metrics import oracle_compare
 
 
 def run_cli(*args):
@@ -350,19 +358,23 @@ def test_protocol_rejects_points(tmp_path, capsys):
 
 
 def test_ladder_commands_reject_shots_and_detection_efficiency(tmp_path, capsys):
-    # entangle and oracle-compare sample nothing: the flags are argparse
-    # errors and the config keys are refused; --seed stays accepted, and the
-    # config line still echoes the defaults.
-    for command, csv_name in (("entangle", "entangle_populations.csv"),
-                              ("oracle-compare", "oracle_compare.csv")):
+    # entangle and oracle-compare sample nothing, and oracle-compare spans
+    # one Pendelloesung period whatever the time scale: the flags are
+    # argparse errors and the config keys are refused; --seed stays
+    # accepted, and the config line still echoes the defaults.
+    sampling = (("--shots", "shots", 5), ("--detection-efficiency", "detection_efficiency", 0.5))
+    for command, csv_name, refused in (
+        ("entangle", "entangle_populations.csv", sampling),
+        ("oracle-compare", "oracle_compare.csv", sampling + (("--time-scale", "time_scale", 0.5),)),
+    ):
         out = tmp_path / command
         argv = (command, "--points", "3", "--seed", "4", "--out", str(out))
-        for flag, value in (("--shots", "5"), ("--detection-efficiency", "0.5")):
+        for flag, _, value in refused:
             with pytest.raises(SystemExit) as exc:
-                run_cli(*argv, flag, value)
+                run_cli(*argv, flag, str(value))
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
-        for key, value in (("shots", 5), ("detection_efficiency", 0.5)):
+        for _, key, value in refused:
             cfg = tmp_path / f"{key}.json"
             cfg.write_text(json.dumps({key: value}))
             assert run_cli(*argv, "--config", str(cfg)) == 1
@@ -371,6 +383,29 @@ def test_ladder_commands_reject_shots_and_detection_efficiency(tmp_path, capsys)
         assert run_cli(*argv) == 0
         config = json.loads(read(out / csv_name).splitlines()[1].removeprefix("# config: "))
         assert (config["shots"], config["detection_efficiency"], config["seed"]) == (100_000, 1.0, 4)
+        assert config["time_scale"] == 1.0
+
+
+def test_non_finite_time_scales_exit_1_up_front(tmp_path, capsys):
+    # No RuntimeWarning (an error under this suite's filter) and no
+    # traceback: the commands refuse the value before any numerics.
+    for command, extra in (("entangle", ()), ("protocol", ("--shots", "10"))):
+        out = tmp_path / command
+        for value in ("inf", "nan", "-inf"):
+            assert run_cli(command, f"--time-scale={value}", *extra, "--out", str(out)) == 1
+            reason = "nonnegative" if value == "-inf" else "finite"
+            assert capsys.readouterr().err == f"error: time_scale must be {reason}, got {float(value)!r}\n"
+            assert not out.exists()
+    out = tmp_path / "sweep"
+    argv = ("sweep", "--shots", "10", "--out", str(out))
+    assert run_cli(*argv, "--axis", "delta_over_g", "--values", "50,100", "--time-scale", "inf") == 1
+    assert capsys.readouterr().err == "error: time_scale must be finite, got inf\n"
+    assert not out.exists()
+    # On the time-scale axis only the non-finite row fails.
+    assert run_cli(*argv, "--axis", "interaction_time_scale", "--values", "0.5,inf") == 0
+    assert capsys.readouterr().out == "row inf failed: ValueError: times must be finite and nonnegative\n"
+    rows = [line.split(",") for line in read(out / "sweep.csv").splitlines()[3:]]
+    assert rows[0][-1] == "" and rows[1][-1] == "ValueError: times must be finite and nonnegative"
 
 
 def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
@@ -517,3 +552,64 @@ def test_write_csv_formats_a_float_table_block_by_block(tmp_path):
     lines = read(path).splitlines(keepends=True)
     assert lines[:3] == [f"# cavityswap {__version__}\n", '# config: {"a": 1}\n', "x,y,z\n"]
     assert "".join(lines[3:]) == percent_lines(table)
+
+
+def test_write_csv_joins_uneven_float_blocks_into_the_whole_table(tmp_path):
+    rng = np.random.default_rng(61)
+    table = rng.random((2 * _CSV_BLOCK + 7, 4)) * 10.0 ** rng.integers(-6, 6, (2 * _CSV_BLOCK + 7, 4))
+    whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
+    _write_csv(whole, {"a": 1}, ("w", "x", "y", "z"), table)
+    cuts = [0, 5, _CSV_BLOCK + 5, 2 * _CSV_BLOCK + 6, len(table)]  # the last block is one row
+    _write_csv(blocks, {"a": 1}, ("w", "x", "y", "z"), (table[a:b] for a, b in zip(cuts, cuts[1:])))
+    assert blocks.read_bytes() == whole.read_bytes()
+    assert "".join(read(whole).splitlines(keepends=True)[3:]) == percent_lines(table)
+
+
+def _chunk() -> int:
+    return bragg.SERIES_CHUNK_BLOCKS * quantum.SERIES_BLOCK
+
+
+def test_ladder_commands_stream_the_whole_array_tables(tmp_path, capsys, monkeypatch):
+    # Two full chunks and a one-time tail: the streamed tables, the printed
+    # max error and the final population equal those of the whole-array
+    # oracle_compare and ladder_population_series on the same grid.
+    points = 2 * _chunk() + 1
+    one = BraggParams(ladder_halfwidth=3).with_photons(1)
+    argv = ("--points", str(points), "--ladder-halfwidth", "3", "--out", str(tmp_path))
+    whole = oracle_compare(one, np.linspace(0.0, 2.0 * math.pi / pendellosung_frequency(one), points))
+    assert run_cli("oracle-compare", *argv) == 0
+    assert "".join(read(tmp_path / "oracle_compare.csv").splitlines(keepends=True)[3:]) == _format_floats(whole.table)
+    assert capsys.readouterr().out == f"max population error: {whole.max_error:.12g}\n"
+    # Only the last chunk reads clean below this limit: the flag must be
+    # the whole grid's, not the last chunk's.
+    monkeypatch.setattr(bragg, "TRUNCATION_LIMIT", 1e-18)
+    assert run_cli("oracle-compare", *argv) == 0
+    assert "warning: ladder truncation too tight" in capsys.readouterr().out
+    monkeypatch.undo()
+
+    times = np.linspace(0.0, 1.3 * full_deflection_time(one), points)
+    whole = oracle_compare(one, times)
+    zero = ladder_population_series(one.with_photons(0), times)
+    assert run_cli("entangle", *argv, "--time-scale", "1.3") == 0
+    rows = "".join(read(tmp_path / "entangle_populations.csv").splitlines(keepends=True)[3:])
+    assert rows == _format_floats(np.column_stack((whole.table[:, :5], zero.deflected)))
+    assert rows.startswith("0,1,0,1,0,0\n")
+    state = json.loads(read(tmp_path / "entangle_state.json"))
+    assert state["final_deflected_population"] == whole.table[-1, 4]
+    assert state["truncation_warning"] is False
+
+
+def test_oracle_compare_runs_in_bounded_memory(tmp_path, capsys):
+    # The traced peak of a grid five times longer stays within 1.5x: only
+    # the time grid grows with it, the tables are streamed chunk by chunk.
+    def peak(points):
+        tracemalloc.start()
+        try:
+            assert run_cli("oracle-compare", "--points", str(points), "--out", str(tmp_path)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2 * _chunk())  # builds the float writer's lookup tables first
+    small, large = peak(2 * _chunk()), peak(10 * _chunk())
+    assert large <= 1.5 * small, (small, large)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavityswap import metrics, quantum
+from cavityswap import bragg, metrics, quantum
 from cavityswap.bragg import (
     BraggParams,
     analytic_amplitudes,
@@ -18,6 +18,7 @@ from cavityswap.metrics import (
     ComparisonRow,
     SweepSpec,
     oracle_compare,
+    oracle_compare_chunks,
     run_sweep,
     wilson_interval,
 )
@@ -235,6 +236,44 @@ def test_delta_sweep_diagonalises_each_row_once(monkeypatch):
     )
     assert not any(row.error for row in run_sweep(spec).rows)
     assert len(calls) == 3
+
+
+def test_oracle_compare_chunks_equal_the_whole_comparison(monkeypatch):
+    # Two full chunks and a one-time tail on a tight ladder: the tables join
+    # to the whole table bit for bit, the largest chunk error is the whole
+    # max_error, and the truncation flag of the whole grid is any chunk's
+    # (with the limit set between the chunks' boundary populations, only
+    # the last chunk reads clean).
+    chunk = bragg.SERIES_CHUNK_BLOCKS * quantum.SERIES_BLOCK
+    p = BraggParams(ladder_halfwidth=3).with_photons(1)
+    times = period_grid(p, 2 * chunk + 1)
+    whole = oracle_compare(p, times)
+    chunks = list(oracle_compare_chunks(p, times))
+    assert [len(c.table) for c in chunks] == [chunk, chunk, 1]
+    assert np.concatenate([c.table for c in chunks]).tobytes() == whole.table.tobytes()
+    assert max(c.max_error for c in chunks) == whole.max_error
+    assert not whole.truncation_warning
+    monkeypatch.setattr(bragg, "TRUNCATION_LIMIT", 1e-18)
+    assert [c.truncation_warning for c in oracle_compare_chunks(p, times)] == [True, True, False]
+    assert oracle_compare(p, times).truncation_warning
+
+
+def test_non_finite_time_scales_fail_before_the_ladder_runs():
+    # A non-finite shared time scale is refused; a non-finite axis value
+    # fails its own row at resolution, so no RuntimeWarning (an error
+    # under this suite's filter) comes from propagating it.
+    for ts in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="time_scale must be finite"):
+            SweepSpec(axis="delta_over_g", values=(100.0,), base=BASE, shots=10, seed=1, time_scale=ts)
+        with pytest.raises(ValueError, match="time_scale must be finite"):
+            run_protocol(BASE, shots=10, seed=1, time_scale=ts)
+    rows = run_sweep(SweepSpec(axis="interaction_time_scale", values=(0.5, math.inf),
+                               base=BASE, shots=100, seed=3)).rows
+    assert rows[0].error == ""
+    assert rows[1].error == "ValueError: times must be finite and nonnegative"
+    (row,) = run_sweep(SweepSpec(axis="interaction_time_scale", values=(math.nan,),
+                                 base=BASE, shots=100, seed=3)).rows
+    assert row.error == "ValueError: times must be finite and nonnegative"
 
 
 def test_time_scale_sweep_rows_equal_one_time_comparisons():

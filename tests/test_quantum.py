@@ -6,8 +6,10 @@ from cavityswap.quantum import (
     basis_state,
     concurrence,
     evolve,
+    SERIES_BLOCK,
     expm,
     propagate,
+    propagator,
 )
 from reference import PAULI_X, fidelity, partial_trace
 
@@ -186,6 +188,26 @@ def test_stacked_propagate_equals_single_calls():
                     stacked[g] += 0.0
                     single += 0.0
                 assert stacked[g].tobytes() == single.tobytes()
+
+
+def test_propagator_gives_the_bits_of_the_whole_grid_piece_by_piece():
+    # Pieces of two blocks, the last of them a lone time, and a t = 0 row
+    # inside a later piece: each piece reads exactly as its rows of one
+    # propagate call, for a single system and for a stack.
+    rng = np.random.default_rng(41)
+    hs = np.array([random_hermitian(rng, 13) for _ in range(2)])
+    amps = np.array([random_state(rng, 13).amps for _ in hs])
+    times = rng.uniform(0.0, 30.0, (2, 4 * SERIES_BLOCK + 1))
+    times[:, 2 * SERIES_BLOCK + 5] = 0.0
+    rows = [6, 2, 0, 12]
+    starts = range(0, times.shape[1], 2 * SERIES_BLOCK)
+    for h, a, t in ((hs[0], amps[0], times[0]), (hs, amps, times)):
+        whole = propagate(h, a, t, rows=rows)
+        evaluate = propagator(h, a, rows=rows)
+        pieces = [evaluate(t[..., s:s + 2 * SERIES_BLOCK]) for s in starts]
+        assert [piece.shape[-2] for piece in pieces] == [2 * SERIES_BLOCK, 2 * SERIES_BLOCK, 1]
+        assert np.concatenate(pieces, axis=-2).tobytes() == whole.tobytes()
+        assert pieces[1][..., 5, :].tobytes() == a[..., rows].tobytes()
 
 
 def test_evolution_composes_over_time():
