@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quantum
-from .quantum import StateVector, basis_state, evolve, propagate, propagator
+from .quantum import propagate, propagator
 
 __all__ = [
     "HBAR",
@@ -30,7 +30,6 @@ __all__ = [
     "recoil_frequency",
     "ladder_offsets",
     "build_effective_hamiltonian",
-    "FullModel",
     "build_full_hamiltonian",
     "max_excited_population",
     "pendellosung_frequency",
@@ -46,6 +45,7 @@ __all__ = [
     "nonnegative_time_scale",
     "ladder_population_series",
     "ladder_population_chunks",
+    "pair_labels",
     "entangled_pair_state",
     "pair_state_from_ladder",
     "pair_oracle_fidelity",
@@ -172,20 +172,7 @@ def build_effective_hamiltonian(p: BraggParams) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class FullModel:
-    """Two-manifold atom-field Hamiltonian and its basis bookkeeping.
-
-    Labels are ("g", offset) for the ground manifold on even offsets and
-    ("e", offset) for the excited manifold on odd offsets.
-    """
-
-    hamiltonian: np.ndarray
-    labels: tuple
-    excited_indices: tuple
-
-
-def build_full_hamiltonian(p: BraggParams) -> FullModel:
+def build_full_hamiltonian(p: BraggParams) -> np.ndarray:
     """Ground/excited two-manifold Hamiltonian before adiabatic elimination.
 
     The ground manifold (atom in its ground state, n photons) lives on the
@@ -194,30 +181,26 @@ def build_full_hamiltonian(p: BraggParams) -> FullModel:
     standing wave shifts momentum by +-1 on each absorption or emission,
     with matrix element (g/2) sqrt(n).  With n = 0 there is no excited
     manifold at all.
+
+    The G ground sites come first, on the offsets of :func:`ladder_offsets`
+    (the incoming momentum is index ``p.ladder_halfwidth``); the G + 1
+    excited sites follow, on the odd offsets from one below the first
+    ground offset to one above the last, so ground site i couples to
+    excited sites G + i and G + i + 1.
     """
     even = ladder_offsets(p)
     kin_even = (p.l0 / 2.0 + even) ** 2 - (p.l0 / 2.0) ** 2
-    labels = [("g", int(l)) for l in even]
-    diag = list(kin_even)
-    if p.n >= 1:
-        odd = np.arange(even[0] - 1, even[-1] + 2, 2)
-        kin_odd = (p.l0 / 2.0 + odd) ** 2 - (p.l0 / 2.0) ** 2
-        labels += [("e", int(l)) for l in odd]
-        diag += list(kin_odd + p.delta)
-    dim = len(labels)
-    h = np.diag(np.asarray(diag, dtype=np.complex128))
-    if p.n >= 1:
-        index = {lab: i for i, lab in enumerate(labels)}
-        coupling = 0.5 * p.g * math.sqrt(p.n)
-        for l in even:
-            for dl in (-1, 1):
-                target = ("e", int(l + dl))
-                if target in index:
-                    i, j = index[("g", int(l))], index[target]
-                    h[i, j] = coupling
-                    h[j, i] = coupling
-    excited = tuple(i for i, lab in enumerate(labels) if lab[0] == "e")
-    return FullModel(h, tuple(labels), excited)
+    if p.n < 1:
+        return np.diag(kin_even.astype(np.complex128))
+    odd = np.arange(even[0] - 1, even[-1] + 2, 2)
+    kin_odd = (p.l0 / 2.0 + odd) ** 2 - (p.l0 / 2.0) ** 2
+    h = np.diag(np.concatenate((kin_even, kin_odd + p.delta)).astype(np.complex128))
+    ground = np.arange(len(even))
+    coupling = 0.5 * p.g * math.sqrt(p.n)
+    for excited in (ground + len(even), ground + len(even) + 1):
+        h[ground, excited] = coupling
+        h[excited, ground] = coupling
+    return h
 
 
 def max_excited_population(p: BraggParams) -> float:
@@ -230,12 +213,13 @@ def max_excited_population(p: BraggParams) -> float:
     """
     if p.n < 1:
         return 0.0
-    model = build_full_hamiltonian(p)
-    psi0 = np.zeros(len(model.labels), dtype=np.complex128)
-    psi0[model.labels.index(("g", 0))] = 1.0
+    h = build_full_hamiltonian(p)
+    psi0 = np.zeros(len(h), dtype=np.complex128)
+    psi0[p.ladder_halfwidth] = 1.0
     times = full_deflection_time(p) * np.arange(1, 401) / 400
-    psi = propagate(model.hamiltonian, psi0, times)
-    return float(np.max(np.sum(np.abs(psi[:, list(model.excited_indices)]) ** 2, axis=1)))
+    psi = propagate(h, psi0, times)
+    excited = range(len(ladder_offsets(p)), len(h))
+    return float(np.max(np.sum(np.abs(psi[:, excited]) ** 2, axis=1)))
 
 
 def pendellosung_frequency(p: BraggParams) -> float:
@@ -359,9 +343,9 @@ def evolve_ladder(p: BraggParams, t: float) -> LadderState:
     approximation.
     """
     offsets = ladder_offsets(p)
-    labels = tuple((p.n, int(o)) for o in offsets)
-    psi0 = basis_state(labels, (p.n, 0))
-    amps = evolve(build_effective_hamiltonian(p), psi0, t).amps
+    psi0 = np.zeros(len(offsets), dtype=np.complex128)
+    psi0[p.ladder_halfwidth] = 1.0
+    amps = propagate(build_effective_hamiltonian(p), psi0, [t])[0]
     boundary = float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2)
     return LadderState(p, t, tuple(int(o) for o in offsets), amps, boundary)
 
@@ -459,12 +443,14 @@ def _series_chunks(p, times, chunk):
     return map(series, range(0, max(count, 1), chunk))
 
 
-def _pair_labels(p: BraggParams) -> tuple:
+def pair_labels(p: BraggParams) -> tuple:
+    """(photon number, momentum in hbar k units) of each amplitude of
+    :func:`entangled_pair_state`, in its order."""
     m = p.l0 // 2
     return ((0, m), (0, -m), (1, m), (1, -m))
 
 
-def entangled_pair_state(p: BraggParams, time_scale: float = 1.0) -> StateVector:
+def entangled_pair_state(p: BraggParams, time_scale: float = 1.0) -> np.ndarray:
     """Atom-cavity entangled state after ``time_scale`` full deflection times.
 
     The cavity starts in (|0> + |1>)/sqrt(2); the zero-photon branch leaves
@@ -472,33 +458,29 @@ def entangled_pair_state(p: BraggParams, time_scale: float = 1.0) -> StateVector
     :func:`branch_amplitudes`.  At the nominal scale 1 the state is
     (|0, +p> + i (-1)^((r-1)/2) e^{-i phi} |1, -p>)/sqrt(2).
 
-    Labels are (photon number, momentum in hbar k units).
+    Returns the four amplitudes in the order of :func:`pair_labels`.
     """
     c_plus, c_minus = branch_amplitudes(p, time_scale)
-    amps = np.array([1.0, 0.0, c_plus, c_minus], dtype=np.complex128) / math.sqrt(2.0)
-    return StateVector(_pair_labels(p), amps)
+    return np.array([1.0, 0.0, c_plus, c_minus], dtype=np.complex128) / math.sqrt(2.0)
 
 
-def pair_state_from_ladder(p: BraggParams, time_scale: float = 1.0) -> tuple[StateVector, bool]:
+def pair_state_from_ladder(p: BraggParams, time_scale: float = 1.0) -> tuple[np.ndarray, bool]:
     """Pair state assembled from exact ladder runs of both photon branches,
     run for ``time_scale`` full deflection times.
 
     Phases are reported in the frame co-rotating with the photon-number
     light shift, which is where the closed-form amplitudes live; without
     that rotation the one-photon branch would carry an extra, protocol-
-    irrelevant phase exp(i g^2 t / 2 delta).  Returns the state over
-    labels (photon number, momentum in hbar k units) together with a
-    truncation warning flag.
+    irrelevant phase exp(i g^2 t / 2 delta).  Returns the amplitudes, the
+    zero-photon ladder then the one-photon ladder, each in the order of
+    :func:`ladder_offsets`, together with a truncation warning flag.
     """
     t = time_scale * full_deflection_time(p.with_photons(1))
     zero = evolve_ladder(p.with_photons(0), t)
     one = evolve_ladder(p.with_photons(1), t)
     frame = np.exp(-1j * (p.g**2 / (2.0 * p.delta)) * t)
-    momenta = [p.l0 // 2 + o for o in zero.offsets]
-    labels = tuple((nph, m) for nph in (0, 1) for m in momenta)
     amps = np.concatenate([zero.amps, frame * one.amps]) / math.sqrt(2.0)
-    state = StateVector(labels, amps)
-    return state, (zero.truncation_warning or one.truncation_warning)
+    return amps, (zero.truncation_warning or one.truncation_warning)
 
 
 def pair_oracle_fidelity(p: BraggParams, time_scale: float = 1.0) -> tuple[float, bool]:
@@ -508,8 +490,9 @@ def pair_oracle_fidelity(p: BraggParams, time_scale: float = 1.0) -> tuple[float
     returns |<closed form|ladder>|^2 plus the truncation flag.
     """
     ladder, warn = pair_state_from_ladder(p, time_scale)
-    analytic = entangled_pair_state(p, time_scale)
-    embedded = np.zeros(ladder.dim, dtype=np.complex128)
-    for label, amp in zip(analytic.labels, analytic.amps):
-        embedded[ladder.index(label)] = amp
-    return float(abs(np.vdot(embedded, ladder.amps)) ** 2), warn
+    sites = len(ladder) // 2
+    incoming = p.ladder_halfwidth
+    deflected = incoming - p.l0 // 2
+    embedded = np.zeros(len(ladder), dtype=np.complex128)
+    embedded[[incoming, deflected, sites + incoming, sites + deflected]] = entangled_pair_state(p, time_scale)
+    return float(abs(np.vdot(embedded, ladder)) ** 2), warn

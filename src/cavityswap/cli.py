@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -28,6 +29,7 @@ from .bragg import (
     full_deflection_time,
     ladder_population_chunks,
     nonnegative_time_scale,
+    pair_labels,
     pair_oracle_fidelity,
     pendellosung_frequency,
     recoil_frequency,
@@ -53,6 +55,24 @@ class ConfigError(ValueError):
     """Invalid configuration; reported on stderr with exit code 1."""
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _max_error(cfg: dict):
+    """The ``max_error`` of the config's ``assert`` block, or None."""
+    return (cfg.get("assert") or {}).get("max_error")
+
+
+def _whole(cfg: dict, key: str) -> int:
+    """``cfg[key]`` as an int: whole numbers pass; fractions, bools and
+    non-numbers are a ConfigError."""
+    value = cfg[key]
+    if not (_is_number(value) and float(value).is_integer()):
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_config(path: str | None, overrides: dict, unused=()) -> dict:
     """Resolve defaults, config file, and flag overrides into one dict.
 
@@ -60,7 +80,9 @@ def load_config(path: str | None, overrides: dict, unused=()) -> dict:
     and the ``physical`` block (mass_kg, wavelength_m, g_rad_per_s,
     delta_rad_per_s) must end up present; the physical block is converted
     here and nowhere else.  A config file that sets one of the ``unused``
-    keys (keys the command does not read) is rejected.
+    keys (keys the command does not read) is rejected, and so is a block
+    that is not a JSON object, a physical value or an assert ``max_error``
+    that is not a number.
     """
     cfg = dict(DEFAULTS)
     file_cfg: dict = {}
@@ -80,6 +102,12 @@ def load_config(path: str | None, overrides: dict, unused=()) -> dict:
     ignored = set(file_cfg) & set(unused)
     if ignored:
         raise ConfigError(f"config keys this command does not read: {sorted(ignored)}")
+    for block in ("dimensionless", "physical", "assert", "sweep"):
+        if file_cfg.get(block) is not None and not isinstance(file_cfg[block], dict):
+            raise ConfigError(f"config block {block!r} must be a JSON object")
+    limit = _max_error(file_cfg)
+    if limit is not None and not _is_number(limit):
+        raise ConfigError(f"assert max_error must be a number, got {limit!r}")
     cfg.update({k: v for k, v in file_cfg.items() if k not in ("dimensionless", "physical")})
 
     dimless = file_cfg.get("dimensionless")
@@ -87,10 +115,17 @@ def load_config(path: str | None, overrides: dict, unused=()) -> dict:
     if dimless is not None and physical is not None:
         raise ConfigError("config must carry exactly one of 'dimensionless' and 'physical'")
     if physical is not None:
-        missing = {"mass_kg", "wavelength_m", "g_rad_per_s", "delta_rad_per_s"} - set(physical)
+        keys = ("mass_kg", "wavelength_m", "g_rad_per_s", "delta_rad_per_s")
+        missing = set(keys) - set(physical)
         if missing:
             raise ConfigError(f"physical block is missing {sorted(missing)}")
-        w_rec = recoil_frequency(physical["mass_kg"], physical["wavelength_m"])
+        wrong = [k for k in keys if not _is_number(physical[k])]
+        if wrong:
+            raise ConfigError(f"physical block values must be numbers: {wrong}")
+        try:
+            w_rec = recoil_frequency(physical["mass_kg"], physical["wavelength_m"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         cfg["g"] = physical["g_rad_per_s"] / w_rec
         cfg["delta"] = physical["delta_rad_per_s"] / w_rec
         cfg["recoil_rad_per_s"] = w_rec
@@ -115,9 +150,9 @@ def resolve_params(cfg: dict) -> BraggParams:
         return BraggParams(
             g=float(cfg["g"]),
             delta=float(cfg["delta"]),
-            l0=int(cfg["l0"]),
-            r=int(cfg["r"]),
-            ladder_halfwidth=None if cfg["ladder_halfwidth"] is None else int(cfg["ladder_halfwidth"]),
+            l0=_whole(cfg, "l0"),
+            r=_whole(cfg, "r"),
+            ladder_halfwidth=None if cfg["ladder_halfwidth"] is None else _whole(cfg, "ladder_halfwidth"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -285,7 +320,7 @@ def _write_json(path: Path, config: dict, doc: dict) -> None:
 
 
 def _points(cfg: dict) -> int:
-    points = int(cfg["points"])
+    points = _whole(cfg, "points")
     if points < 2:
         raise ConfigError(f"points must be at least 2 (the first and last time), got {points}")
     return points
@@ -327,8 +362,8 @@ def cmd_entangle(cfg: dict) -> int:
     pair = entangled_pair_state(params, ts)
     fid, warn = pair_oracle_fidelity(params, ts)
     _write_json(out / "entangle_state.json", config, {
-        "basis": [list(lab) for lab in pair.labels],
-        "amplitudes": [[a.real, a.imag] for a in pair.amps],
+        "basis": [list(lab) for lab in pair_labels(params)],
+        "amplitudes": [[a.real, a.imag] for a in pair],
         "final_deflected_population": final,
         "oracle_fidelity": fid,
         "truncation_warning": bool(warn or any(flag for _, flag, _ in seen)),
@@ -343,8 +378,8 @@ def cmd_protocol(cfg: dict) -> int:
     try:
         report = run_protocol(
             params,
-            shots=int(cfg["shots"]),
-            seed=int(cfg["seed"]),
+            shots=_whole(cfg, "shots"),
+            seed=_whole(cfg, "seed"),
             time_scale=float(cfg["time_scale"]),
             detection_efficiency=float(cfg["detection_efficiency"]),
         )
@@ -390,7 +425,7 @@ def cmd_oracle_compare(cfg: dict) -> int:
     print(f"max population error: {_fmt(max_error)}")
     if any(flag for _, flag, _ in seen):
         print("warning: ladder truncation too tight (boundary population exceeded limit)")
-    limit = cfg.get("assert", {}).get("max_error")
+    limit = _max_error(cfg)
     if limit is not None and max_error > float(limit):
         print(
             f"assertion failed: max_error {_fmt(max_error)} exceeds {_fmt(float(limit))}",
@@ -404,9 +439,7 @@ def _sweep_values(values) -> tuple:
     """Axis values from comma-separated text (the flag, or a string in the
     config) or from a JSON list of numbers."""
     if not isinstance(values, str):
-        if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        ):
+        if not isinstance(values, list) or not all(map(_is_number, values)):
             raise ConfigError(f"sweep values must be numbers, got {values!r}")
         return tuple(values)
     parsed = []
@@ -434,8 +467,8 @@ def cmd_sweep(cfg: dict) -> int:
             axis=axis,
             values=_sweep_values(values),
             base=params,
-            shots=int(cfg["shots"]),
-            seed=int(cfg["seed"]),
+            shots=_whole(cfg, "shots"),
+            seed=_whole(cfg, "seed"),
             time_scale=float(cfg["time_scale"]),
         )
     except ValueError as exc:
@@ -449,7 +482,7 @@ def cmd_sweep(cfg: dict) -> int:
     for row in result.rows:
         if row.error:
             print(f"row {_fmt(row.value)} failed: {row.error}")
-    limit = cfg.get("assert", {}).get("max_error")
+    limit = _max_error(cfg)
     if limit is not None and not (result.max_abs_error <= float(limit)):
         print(
             f"assertion failed: max abs_error {_fmt(result.max_abs_error)} exceeds {_fmt(float(limit))}",

@@ -23,13 +23,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .bragg import BraggParams, branch_amplitudes, nonnegative_time_scale
-from .quantum import StateVector
 
 __all__ = [
     "DETECTORS",
     "N_MODES",
     "ClickPattern",
-    "ModeBasis",
     "mode_basis",
     "single_particle_mixer",
     "beam_splitter_unitary",
@@ -113,26 +111,6 @@ class ClickPattern:
         return f"{self.clicks[0]}&{self.clicks[1]}"
 
 
-@dataclass(frozen=True)
-class ModeBasis:
-    """Fixed-order occupation basis of the four atomic momentum modes.
-
-    Occupations are sorted lexicographically descending, so for two atoms
-    the basis runs (2,0,0,0), (1,1,0,0), ... , (0,0,0,2).  The same index
-    order is reused before and after the mode mixer; after it, mode i
-    feeds detector DETECTORS[i].
-    """
-
-    occupations: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.occupations)
-
-    def index(self, occ) -> int:
-        return self.occupations.index(tuple(occ))
-
-
 def _occupations_with_total(total: int) -> list:
     occs = []
     for n0 in range(total, -1, -1):
@@ -143,18 +121,22 @@ def _occupations_with_total(total: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def mode_basis(total: int = 2) -> ModeBasis:
-    """Occupation basis holding exactly ``total`` atoms across the 4 modes."""
+def mode_basis(total: int = 2) -> tuple:
+    """Occupations of the four atomic momentum modes holding exactly
+    ``total`` atoms, sorted lexicographically descending: for two atoms
+    (2,0,0,0), (1,1,0,0), ... , (0,0,0,2).  The same index order is used
+    before and after the mode mixer; after it, mode i feeds detector
+    DETECTORS[i]."""
     if total < 0:
         raise ValueError("total occupation must be nonnegative")
-    return ModeBasis(tuple(_occupations_with_total(total)))
+    return tuple(_occupations_with_total(total))
 
 
 @lru_cache(maxsize=None)
 def _click_patterns() -> tuple:
     """(click pattern, published table label) of each two-atom occupation,
     in basis order."""
-    patterns = [ClickPattern.from_occupation(occ) for occ in mode_basis(2).occupations]
+    patterns = [ClickPattern.from_occupation(occ) for occ in mode_basis(2)]
     return tuple((pattern, PAPER_TABLE_LABELS[pattern.label]) for pattern in patterns)
 
 
@@ -183,7 +165,7 @@ def _permanent(m: np.ndarray) -> complex:
 
 
 @lru_cache(maxsize=None)
-def beam_splitter_unitary(basis: ModeBasis | None = None) -> np.ndarray:
+def beam_splitter_unitary(basis: tuple | None = None) -> np.ndarray:
     """Mode mixer lifted to the bosonic occupation basis by the permanent
     formula (Scheel, quant-ph/0406127; Aaronson & Arkhipov, arXiv:1011.3245),
 
@@ -191,14 +173,15 @@ def beam_splitter_unitary(basis: ModeBasis | None = None) -> np.ndarray:
 
     where U1[m, n] repeats output mode i m_i times and input mode j n_j
     times.  This keeps the two-atoms-in-one-mode amplitudes honest.
+    ``basis`` is a :func:`mode_basis`, two atoms by default.
     """
     if basis is None:
         basis = mode_basis(2)
     u1 = single_particle_mixer()
-    facts = [math.prod(map(math.factorial, occ)) for occ in basis.occupations]
-    u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for col, n in enumerate(basis.occupations):
-        for row, m in enumerate(basis.occupations):
+    facts = [math.prod(map(math.factorial, occ)) for occ in basis]
+    u = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    for col, n in enumerate(basis):
+        for row, m in enumerate(basis):
             perm = _permanent(u1[np.ix_(_modes(m), _modes(n))])
             # perm / m! is the coefficient of the output monomial.
             u[row, col] = perm / facts[row] * math.sqrt(facts[row]) / math.sqrt(facts[col])
@@ -209,15 +192,10 @@ def beam_splitter_unitary(basis: ModeBasis | None = None) -> np.ndarray:
 # Two-atom occupations of the branch pairs, atom 1's branch first:
 # PP = a1+ a2+, PM = a1+ b2+, MP = b1+ a2+, MM = b1+ b2+.
 _BRANCH_PAIRS = ((1, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
-
-
-@lru_cache(maxsize=None)
-def _joint_layout() -> tuple:
-    """Labels of the two-pair joint state and the basis indices of the
-    branch pairs, in :data:`_BRANCH_PAIRS` order."""
-    basis = mode_basis(2)
-    labels = tuple((c1, c2, occ) for c1 in (0, 1) for c2 in (0, 1) for occ in basis.occupations)
-    return labels, tuple(basis.index(occ) for occ in _BRANCH_PAIRS)
+# A joint state is a (cavity pair 00, 01, 10, 11) x two-atom mode array;
+# the branch pairs sit on these mode columns.
+_JOINT_SHAPE = (4, len(mode_basis(2)))
+_BRANCH_COLUMNS = [mode_basis(2).index(occ) for occ in _BRANCH_PAIRS]
 
 
 def _checked_pair(c_plus, c_minus) -> tuple[complex, complex]:
@@ -246,13 +224,12 @@ def _joint_amplitudes(pairs) -> np.ndarray:
             [half_plus, 0.0, half_minus, 0.0],
             [half_plus * c_plus, half_plus * c_minus, half_minus * c_plus, half_minus * c_minus],
         ])
-    labels, columns = _joint_layout()
-    amps = np.zeros((len(coeffs), 4, len(labels) // 4), dtype=np.complex128)
-    amps[:, :, columns] = np.array(coeffs, dtype=np.complex128).reshape(-1, 4, 4)
+    amps = np.zeros((len(coeffs), *_JOINT_SHAPE), dtype=np.complex128)
+    amps[:, :, _BRANCH_COLUMNS] = np.array(coeffs, dtype=np.complex128).reshape(-1, 4, 4)
     return amps
 
 
-def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> StateVector:
+def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> np.ndarray:
     """Two-pair joint state before the mode mixer, from one-photon branch
     amplitudes (undeflected, deflected) shared by both atoms.
 
@@ -263,38 +240,40 @@ def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> StateVecto
               + |10> (c+ a1+ + c- b1+) a2+
               + |11> (c+ a1+ + c- b1+)(c+ a2+ + c- b2+) ] |vac>.
 
-    Requires |c+|^2 + |c-|^2 = 1; every term holds exactly two atoms.
+    Requires |c+|^2 + |c-|^2 = 1; every term holds exactly two atoms.  The
+    result is a (cavity pair, two-atom mode) array of shape (4, 10), cavity
+    pairs in the order 00, 01, 10, 11 and modes in :func:`mode_basis` order.
     """
-    amps = _joint_amplitudes([_checked_pair(c_plus, c_minus)])
-    return StateVector(_joint_layout()[0], amps.reshape(-1))
+    return _joint_amplitudes([_checked_pair(c_plus, c_minus)])[0]
 
 
-def joint_state(p: BraggParams, time_scale: float = 1.0) -> StateVector:
+def joint_state(p: BraggParams, time_scale: float = 1.0) -> np.ndarray:
     """Joint state of both cavities and both atoms before the mode mixer,
     with the one-photon branch amplitudes of :func:`branch_amplitudes`."""
     return joint_state_from_amplitudes(*branch_amplitudes(p, time_scale))
 
 
-def _mode_amplitudes(s: StateVector) -> np.ndarray:
-    """Amplitudes of a joint state as a (cavity pair, two-atom mode) array."""
-    dim = mode_basis(2).dim
-    if s.dim != 4 * dim:
-        raise ValueError("expected a (cavity pair x two-atom mode) joint state")
-    return s.amps.reshape(4, dim)
+def _mode_amplitudes(s) -> np.ndarray:
+    """A joint state as a complex (cavity pair, two-atom mode) array;
+    ValueError for any other shape."""
+    amps = np.asarray(s, dtype=np.complex128)
+    if amps.shape != _JOINT_SHAPE:
+        raise ValueError(
+            f"expected a (cavity pair x two-atom mode) joint state of shape {_JOINT_SHAPE}, got {amps.shape}"
+        )
+    return amps
 
 
-def apply_beam_splitter(s: StateVector) -> StateVector:
+def apply_beam_splitter(s) -> np.ndarray:
     """Send both atoms through the momentum-mode mixers.
 
-    The labels keep their positions; after this call the occupation slots
-    refer to the primed (detector-facing) modes.
+    The (4, 10) joint state keeps its layout; after this call the mode
+    columns refer to the primed (detector-facing) modes.
     """
-    u = beam_splitter_unitary(mode_basis(2))
-    out = (_mode_amplitudes(s) @ u.T).reshape(-1)
-    return StateVector(s.labels, out)
+    return _mode_amplitudes(s) @ beam_splitter_unitary(mode_basis(2)).T
 
 
-def epr_decomposition_check(s: StateVector, phase: float) -> tuple[bool, float]:
+def epr_decomposition_check(s, phase: float) -> tuple[bool, float]:
     """Verify the four-branch Bell decomposition of the joint state.
 
     Rebuilds the state as a sum of cavity Bell states paired with two-atom
@@ -305,14 +284,15 @@ def epr_decomposition_check(s: StateVector, phase: float) -> tuple[bool, float]:
       + (i e^{-i phi}/4) (PM + MP)(|01> + |10>)
       + (i e^{-i phi}/4) (PM - MP)(|01> - |10>),
 
-    and returns (residual <= 1e-12, residual) against ``s``.  P and M are
-    the undeflected/deflected single-atom modes, so PP = a1+a2+|vac> etc.
+    and returns (residual <= 1e-12, residual) against the (4, 10) joint
+    state ``s``.  P and M are the undeflected/deflected single-atom modes,
+    so PP = a1+a2+|vac> etc.
     """
     amps = _mode_amplitudes(s)
     basis = mode_basis(2)
 
     def occ_vec(occ):
-        v = np.zeros(basis.dim, dtype=np.complex128)
+        v = np.zeros(len(basis), dtype=np.complex128)
         v[basis.index(occ)] = 1.0
         return v
 
@@ -432,8 +412,8 @@ def _herald_results(heralds: Heralds, row: int) -> list:
     ]
 
 
-def click_distribution(s: StateVector) -> list:
-    """Exact outcome distribution of a mode-mixed joint state.
+def click_distribution(s) -> list:
+    """Exact outcome distribution of a mode-mixed (4, 10) joint state.
 
     One entry per possible two-click pattern (zero-probability patterns
     included); probabilities must sum to one within 1e-12 or the state was

@@ -1,8 +1,11 @@
-"""Test-only reference helpers: brute-force partial trace, fidelity,
-bosonic beam-splitter lift and two-pair joint state.
+"""Test-only reference helpers: Taylor-series matrix exponential, Wootters
+concurrence, brute-force partial trace, fidelity, bosonic beam-splitter
+lift, two-pair joint state and the two-manifold Hamiltonian built term by
+term over labelled sites.
 
 The simulator itself never forms these; the tests use them to check its
-closed forms against explicit density-matrix arithmetic.
+propagator, closed forms and index arithmetic against independent,
+explicit constructions.
 """
 
 import itertools
@@ -10,9 +13,87 @@ import math
 
 import numpy as np
 
-from cavityswap.quantum import StateVector, _square_matrix
+from cavityswap.bragg import ladder_offsets
+from cavityswap.quantum import _require_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
+
+_SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
+
+
+def _square_matrix(m, name: str = "matrix") -> np.ndarray:
+    arr = np.asarray(m, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring.
+
+    The argument is scaled by a power of two until its 1-norm is at most
+    one half, the exponential of the scaled matrix is summed as a Taylor
+    series to machine precision, and the result is squared back up.
+    """
+    a = _square_matrix(a, "exponent")
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a, 1)) if a.size else 0.0
+    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
+    b = a / (2.0**squarings)
+    out = np.eye(n, dtype=np.complex128)
+    term = np.eye(n, dtype=np.complex128)
+    for k in range(1, 40):
+        term = term @ b / k
+        out = out + term
+        if np.max(np.abs(term)) <= 1e-18 * max(1.0, float(np.max(np.abs(out)))):
+            break
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def concurrence(rho) -> float:
+    """Wootters concurrence of a two-qubit density matrix.
+
+    Square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy) are
+    sorted in decreasing order; the concurrence is the largest minus the
+    rest, floored at zero.
+    """
+    rho = _square_matrix(rho, "density matrix")
+    if rho.shape[0] != 4:
+        raise ValueError("concurrence is defined for 4-dimensional (two-qubit) states")
+    _require_hermitian(rho, "density matrix")
+    eigmin = float(np.min(np.linalg.eigvalsh(rho)))
+    if eigmin < -1e-7:
+        raise ValueError(f"density matrix has negative eigenvalue {eigmin:.3e}")
+    flipped = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
+    lam = np.sqrt(np.clip(np.linalg.eigvals(rho @ flipped).real, 0.0, None))
+    lam = np.sort(lam)[::-1]
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def full_hamiltonian_by_labels(p) -> tuple:
+    """Two-manifold Hamiltonian of ``p`` built term by term over labelled
+    sites, with its labels: ("g", offset) on the even ladder offsets, then
+    ("e", offset) on the odd offsets between and around them.  Each site
+    gets its kinetic energy (plus delta when excited), and each ground site
+    couples with (g/2) sqrt(n) to every excited site one momentum unit
+    away."""
+    even = [int(o) for o in ladder_offsets(p)]
+    labels = [("g", o) for o in even]
+    if p.n >= 1:
+        labels += [("e", o) for o in range(even[0] - 1, even[-1] + 2, 2)]
+    index = {label: i for i, label in enumerate(labels)}
+    h = np.zeros((len(labels), len(labels)), dtype=np.complex128)
+    for (manifold, offset), i in index.items():
+        h[i, i] = (p.l0 / 2.0 + offset) ** 2 - (p.l0 / 2.0) ** 2 + (p.delta if manifold == "e" else 0.0)
+    for offset in even:
+        for target in (("e", offset - 1), ("e", offset + 1)):
+            if target in index:
+                i, j = index[("g", offset)], index[target]
+                h[i, j] = h[j, i] = 0.5 * p.g * math.sqrt(p.n)
+    return h, tuple(labels)
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
@@ -46,10 +127,10 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return work.reshape(kept_dim, kept_dim)
 
 
-def fidelity(rho, target: StateVector | np.ndarray) -> float:
+def fidelity(rho, target) -> float:
     """Overlap <target|rho|target> of a density matrix with a pure state."""
     rho = _square_matrix(rho, "density matrix")
-    vec = target.amps if isinstance(target, StateVector) else np.asarray(target, dtype=np.complex128)
+    vec = np.asarray(target, dtype=np.complex128)
     if vec.ndim != 1 or vec.size != rho.shape[0]:
         raise ValueError(
             f"target dimension {vec.size} does not match density matrix dimension {rho.shape[0]}"

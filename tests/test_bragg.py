@@ -19,6 +19,7 @@ from cavityswap.bragg import (
     ladder_population_series,
     max_excited_population,
     nonnegative_times,
+    pair_labels,
     pair_oracle_fidelity,
     pair_state_from_ladder,
     pendellosung_frequency,
@@ -26,9 +27,8 @@ from cavityswap.bragg import (
     recoil_frequency,
 )
 from cavityswap import bragg, quantum
-from cavityswap.quantum import expm
-from cavityswap.swap import joint_state
-from reference import partial_trace
+from cavityswap.swap import joint_state, mode_basis
+from reference import expm, full_hamiltonian_by_labels, partial_trace
 
 
 def params(**kw):
@@ -41,6 +41,11 @@ def low_ratio_params(**kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return params(**kw)
+
+
+def amplitude(p, pair, label):
+    """Amplitude of a pair state on a (photon number, momentum) label."""
+    return pair[pair_labels(p).index(label)]
 
 
 # ---------------------------------------------------------------- units
@@ -125,15 +130,30 @@ def test_effective_hamiltonian_is_exactly_hermitian():
     assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
+def test_full_hamiltonian_matches_the_labelled_construction():
+    # Index arithmetic against the term-by-term build over labelled sites:
+    # ground sites first, the incoming one at index ladder_halfwidth, then
+    # the excited block.
+    for l0 in (2, 4, 6):
+        for n in (0, 1):
+            for halfwidth in (l0 // 2 + 2, None, l0 // 2 + 9):
+                p = params(l0=l0, n=n, ladder_halfwidth=halfwidth)
+                reference, labels = full_hamiltonian_by_labels(p)
+                assert build_full_hamiltonian(p).tobytes() == reference.tobytes(), (l0, n, halfwidth)
+                assert labels.index(("g", 0)) == p.ladder_halfwidth
+                ground = len(ladder_offsets(p))
+                assert [lab[0] for lab in labels] == ["g"] * ground + ["e"] * (len(labels) - ground)
+
+
 def test_full_hamiltonian_block_structure():
     p = params()
-    model = build_full_hamiltonian(p)
-    h = model.hamiltonian
+    h = build_full_hamiltonian(p)
+    labels = full_hamiltonian_by_labels(p)[1]
     assert np.max(np.abs(h - h.conj().T)) == 0.0
     # Detuning splits the manifolds: compare sites with equal kinetic terms.
-    g0 = model.labels.index(("g", 0))
+    g0 = labels.index(("g", 0))
     # offset -1 has kinetic (l0/2 - 1)^2 - (l0/2)^2; reconstruct directly.
-    e0 = model.labels.index(("e", -1))
+    e0 = labels.index(("e", -1))
     kin = (p.l0 / 2 - 1) ** 2 - (p.l0 / 2) ** 2
     assert h[e0, e0].real - kin == pytest.approx(p.delta)
     assert h[g0, g0] == 0.0
@@ -142,9 +162,9 @@ def test_full_hamiltonian_block_structure():
 
 
 def test_full_hamiltonian_without_photons_has_no_excited_manifold():
-    model = build_full_hamiltonian(params(n=0))
-    assert model.excited_indices == ()
-    h = model.hamiltonian
+    p = params(n=0)
+    h = build_full_hamiltonian(p)
+    assert h.shape == (len(ladder_offsets(p)),) * 2
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 
@@ -238,12 +258,13 @@ def test_pair_and_joint_states_carry_the_branch_amplitudes():
     for ts in (0.6, 0.0):
         c_plus, c_minus = branch_amplitudes(p, ts)
         pair = entangled_pair_state(p, ts)
-        assert pair.amplitude((1, m)) == c_plus / math.sqrt(2.0)
-        assert pair.amplitude((1, -m)) == c_minus / math.sqrt(2.0)
+        assert amplitude(p, pair, (1, m)) == c_plus / math.sqrt(2.0)
+        assert amplitude(p, pair, (1, -m)) == c_minus / math.sqrt(2.0)
+        # Rows are the cavity pairs 00, 01, 10, 11.
         js = joint_state(p, ts)
-        assert js.amplitude((0, 1, (1, 1, 0, 0))) == 0.5 * c_plus
-        assert js.amplitude((0, 1, (1, 0, 0, 1))) == 0.5 * c_minus
-        assert js.amplitude((1, 1, (0, 0, 1, 1))) == 0.5 * c_minus * c_minus
+        assert js[1, mode_basis(2).index((1, 1, 0, 0))] == 0.5 * c_plus
+        assert js[1, mode_basis(2).index((1, 0, 0, 1))] == 0.5 * c_minus
+        assert js[3, mode_basis(2).index((0, 0, 1, 1))] == 0.5 * c_minus * c_minus
 
 
 # ---------------------------------------------------------------- ladder oracle
@@ -394,22 +415,22 @@ def test_entangled_pair_state_at_first_order():
     p = params()
     pair = entangled_pair_state(p)
     m = p.l0 // 2
-    assert pair.amplitude((0, m)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    assert pair.amplitude((0, -m)) == 0.0
-    assert pair.amplitude((1, m)) == 0.0
-    assert pair.amplitude((1, -m)) == pytest.approx(1j / math.sqrt(2), abs=1e-12)
+    assert amplitude(p, pair, (0, m)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    assert amplitude(p, pair, (0, -m)) == 0.0
+    assert amplitude(p, pair, (1, m)) == 0.0
+    assert amplitude(p, pair, (1, -m)) == pytest.approx(1j / math.sqrt(2), abs=1e-12)
 
 
 def test_entangled_pair_state_carries_the_deflection_phase():
     p = params(l0=4)
     pair = entangled_pair_state(p)
     expected = 1j * np.exp(-1j * deflection_phase(p)) / math.sqrt(2)
-    assert pair.amplitude((1, -2)) == pytest.approx(expected, abs=1e-12)
+    assert amplitude(p, pair, (1, -2)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pair_reduced_cavity_state_is_maximally_mixed():
     pair = entangled_pair_state(params())
-    rho = partial_trace(pair.density(), (2, 2), keep=0)
+    rho = partial_trace(np.outer(pair, pair.conj()), (2, 2), keep=0)
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
@@ -421,4 +442,4 @@ def test_pair_state_agrees_with_ladder_oracle():
 
 def test_ladder_pair_state_is_normalised():
     state, _ = pair_state_from_ladder(params())
-    assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-9
+    assert abs(np.linalg.norm(state) - 1.0) <= 1e-9

@@ -160,6 +160,47 @@ def test_fewer_than_two_points_exits_one(tmp_path, capsys):
             assert not out.exists()
 
 
+_PHYSICAL = {"mass_kg": 1.4e-25, "wavelength_m": 780e-9, "g_rad_per_s": 1e4, "delta_rad_per_s": 1e6}
+_SWEEP = {"sweep": {"axis": "l0", "values": [2]}}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # Integer keys take whole numbers only: no fractions, bools or text.
+    ("entangle", {"points": "many"}, "points must be a whole number, got 'many'"),
+    ("entangle", {"points": 2.5}, "points must be a whole number, got 2.5"),
+    ("oracle-compare", {"points": True}, "points must be a whole number, got True"),
+    ("entangle", {"l0": 2.5}, "l0 must be a whole number, got 2.5"),
+    ("protocol", {"r": "3"}, "r must be a whole number, got '3'"),
+    ("entangle", {"ladder_halfwidth": 7.9}, "ladder_halfwidth must be a whole number, got 7.9"),
+    ("protocol", {"shots": 2.5, "seed": 1.7}, "shots must be a whole number, got 2.5"),
+    ("protocol", {"seed": 1.7}, "seed must be a whole number, got 1.7"),
+    ("sweep", {**_SWEEP, "shots": 10.5}, "shots must be a whole number, got 10.5"),
+    ("sweep", {**_SWEEP, "seed": None}, "seed must be a whole number, got None"),
+    # Blocks are JSON objects, and their numbers are numbers.
+    ("oracle-compare", {"assert": 3}, "config block 'assert' must be a JSON object"),
+    ("oracle-compare", {"assert": {"max_error": "x"}}, "assert max_error must be a number, got 'x'"),
+    ("sweep", {**_SWEEP, "assert": {"max_error": False}}, "assert max_error must be a number, got False"),
+    ("sweep", {"sweep": [2, 4]}, "config block 'sweep' must be a JSON object"),
+    ("protocol", {"physical": 3}, "config block 'physical' must be a JSON object"),
+    ("protocol", {"physical": {**_PHYSICAL, "mass_kg": "x"}}, "physical block values must be numbers: ['mass_kg']"),
+    ("protocol", {"physical": {**_PHYSICAL, "wavelength_m": 0.0}}, "mass and wavelength must be positive"),
+])
+def test_malformed_config_values_exit_1_before_any_artifact(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_whole_number_floats_count_as_integers(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 5.0, "l0": 4.0}))
+    assert run_cli("entangle", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    assert len(read(tmp_path / "entangle_populations.csv").splitlines()) == 3 + 5
+
+
 # ---------------------------------------------------------------- entangle
 
 

@@ -6,7 +6,6 @@ import pytest
 from cavityswap.bragg import BraggParams, deflection_phase
 from cavityswap.cli import main
 from cavityswap.metrics import wilson_interval
-from cavityswap.quantum import StateVector, concurrence
 from cavityswap.swap import (
     CLASS_TARGETS,
     ClickPattern,
@@ -21,7 +20,7 @@ from cavityswap.swap import (
     run_protocol,
     single_particle_mixer,
 )
-from reference import fidelity, first_quantised_lift, partial_trace, two_pair_joint_amplitudes
+from reference import concurrence, fidelity, first_quantised_lift, partial_trace, two_pair_joint_amplitudes
 
 P2 = BraggParams()
 P4 = BraggParams(l0=4)
@@ -38,20 +37,19 @@ def conditional_cavity_state(s, pattern):
     joint state on the click pattern with a full-space projector, trace out
     the modes, and return (two-cavity density matrix, pattern probability)."""
     basis = mode_basis(2)
-    occ_index = next(
-        j for j, occ in enumerate(basis.occupations) if ClickPattern.from_occupation(occ) == pattern
-    )
-    proj = np.zeros((basis.dim, basis.dim))
+    occ_index = next(j for j, occ in enumerate(basis) if ClickPattern.from_occupation(occ) == pattern)
+    proj = np.zeros((len(basis), len(basis)))
     proj[occ_index, occ_index] = 1.0
     proj_full = np.kron(np.eye(4), proj)
-    projected = proj_full @ s.density() @ proj_full
+    vec = s.reshape(-1)
+    projected = proj_full @ np.outer(vec, vec.conj()) @ proj_full
     prob = float(np.trace(projected).real)
-    return partial_trace(projected / prob, (4, basis.dim), keep=0), prob
+    return partial_trace(projected / prob, (4, len(basis)), keep=0), prob
 
 
 def mode_vector(occ, *extra_occupations):
     basis = mode_basis(2)
-    vec = np.zeros(basis.dim, dtype=complex)
+    vec = np.zeros(len(basis), dtype=complex)
     vec[basis.index(occ)] = 1.0
     for occ2, coeff in extra_occupations:
         vec[basis.index(occ2)] = coeff
@@ -62,37 +60,38 @@ def mode_vector(occ, *extra_occupations):
 
 
 def test_joint_state_branch_amplitudes_at_zero_phase():
+    # Rows are the cavity pairs 00, 01, 10, 11.
     js = joint_state(P2)
     basis = mode_basis(2)
-    expected = {
-        (0, 0, (1, 1, 0, 0)): 0.5,
-        (0, 1, (1, 0, 0, 1)): 0.5j,
-        (1, 0, (0, 1, 1, 0)): 0.5j,
-        (1, 1, (0, 0, 1, 1)): -0.5,
-    }
-    for label, amp in zip(js.labels, js.amps):
-        want = expected.get(label, 0.0)
-        assert amp == pytest.approx(want, abs=1e-14)
-    assert js.dim == 4 * basis.dim
+    expected = np.zeros((4, len(basis)), dtype=complex)
+    for row, occ, amp in (
+        (0, (1, 1, 0, 0), 0.5),
+        (1, (1, 0, 0, 1), 0.5j),
+        (2, (0, 1, 1, 0), 0.5j),
+        (3, (0, 0, 1, 1), -0.5),
+    ):
+        expected[row, basis.index(occ)] = amp
+    assert js.shape == expected.shape
+    assert np.max(np.abs(js - expected)) <= 1e-14
 
 
 def test_joint_state_is_normalised_for_any_timing():
     rng = np.random.default_rng(8)
     for ts in (1.0, 0.0, *rng.uniform(0.0, 2.0, size=8)):
         js = joint_state(P2, time_scale=float(ts))
-        assert abs(np.linalg.norm(js.amps) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(js) - 1.0) <= 1e-12
 
 
 def test_joint_state_reduced_cavities_are_maximally_mixed():
-    js = joint_state(P2)
-    rho = partial_trace(js.density(), (2, 2, mode_basis(2).dim), keep=(0, 1))
+    vec = joint_state(P2).reshape(-1)
+    rho = partial_trace(np.outer(vec, vec.conj()), (2, 2, len(mode_basis(2))), keep=(0, 1))
     assert np.allclose(rho, np.eye(4) / 4, atol=1e-12)
 
 
 def test_joint_state_respects_atom_number_superselection():
     js = joint_state(P2, time_scale=0.87)
-    for label, amp in zip(js.labels, js.amps):
-        assert sum(label[2]) == 2 or amp == 0.0
+    for occ, column in zip(mode_basis(2), js.T):
+        assert sum(occ) == 2 or not column.any()
 
 
 def test_joint_state_from_amplitudes_matches_the_term_by_term_expansion():
@@ -101,10 +100,9 @@ def test_joint_state_from_amplitudes_matches_the_term_by_term_expansion():
     for _ in range(20):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         pairs.append(tuple(c / np.linalg.norm(c)))
-    occupations = mode_basis(2).occupations
     for c_plus, c_minus in pairs:
-        want = two_pair_joint_amplitudes(complex(c_plus), complex(c_minus), occupations)
-        assert np.array_equal(joint_state_from_amplitudes(c_plus, c_minus).amps, want)
+        want = two_pair_joint_amplitudes(complex(c_plus), complex(c_minus), mode_basis(2))
+        assert np.array_equal(joint_state_from_amplitudes(c_plus, c_minus).reshape(-1), want)
 
 
 def test_joint_state_from_amplitudes_rejects_unnormalised_branches():
@@ -113,11 +111,11 @@ def test_joint_state_from_amplitudes_rejects_unnormalised_branches():
 
 
 def test_joint_state_functions_reject_a_state_of_the_wrong_dimension():
-    wrong = joint_state_from_amplitudes(0.0, 1.0)
-    wrong = type(wrong)(wrong.labels[:-1], wrong.amps[:-1])
+    js = joint_state_from_amplitudes(0.0, 1.0)
     for check in (apply_beam_splitter, lambda s: epr_decomposition_check(s, 0.0), click_distribution):
-        with pytest.raises(ValueError, match="joint state"):
-            check(wrong)
+        for wrong in (js[:, :-1], js.reshape(-1), js[None]):
+            with pytest.raises(ValueError, match="joint state"):
+                check(wrong)
 
 
 # ---------------------------------------------------------------- EPR identity
@@ -131,10 +129,8 @@ def test_epr_decomposition_identity(p):
 
 
 def test_epr_decomposition_detects_a_perturbed_amplitude():
-    js = joint_state(P2)
-    amps = js.amps.copy()
-    amps[5] += 1e-6
-    broken = type(js)(js.labels, amps)
+    broken = joint_state(P2)
+    broken[0, 5] += 1e-6
     ok, residual = epr_decomposition_check(broken, deflection_phase(P2))
     assert not ok
     assert residual > 1e-12
@@ -159,7 +155,7 @@ def test_beam_splitter_conserves_atom_number():
 def test_beam_splitter_lift_matches_the_first_quantised_lift():
     for total in range(4):
         basis = mode_basis(total)
-        reference = first_quantised_lift(single_particle_mixer(), basis.occupations)
+        reference = first_quantised_lift(single_particle_mixer(), basis)
         assert np.max(np.abs(beam_splitter_unitary(basis) - reference)) <= 1e-15
 
 
@@ -207,9 +203,7 @@ def test_phi_branch_inputs_produce_no_cross_port_amplitudes():
     # bunch entirely into doubles for any relative phase.
     basis = mode_basis(2)
     u = beam_splitter_unitary()
-    coincidences = [
-        basis.index(occ) for occ in basis.occupations if max(occ) == 1
-    ]
+    coincidences = [basis.index(occ) for occ in basis if max(occ) == 1]
     for phase in (0.0, -math.pi / 4, 1.234):
         vec = (
             mode_vector((1, 1, 0, 0)) + np.exp(-2j * phase) * mode_vector((0, 0, 1, 1))
@@ -310,15 +304,15 @@ def test_click_distribution_matches_the_brute_force_reference():
     # On those Wootters' eigen-route reads up to ~1.1e-8 off (the square
     # root of eigenvalue round-off), hence its looser concurrence bound.
     rng = np.random.default_rng(2024)
-    labels = joint_state_from_amplitudes(0.0, 1.0).labels
+    shape = joint_state_from_amplitudes(0.0, 1.0).shape
     states = []
     for _ in range(20):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         c_plus, c_minus = c / np.linalg.norm(c)
         states.append((apply_beam_splitter(joint_state_from_amplitudes(c_plus, c_minus)), 1e-8))
     for _ in range(20):
-        amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
-        states.append((StateVector(labels, amps / np.linalg.norm(amps)), 1e-7))
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        states.append((amps / np.linalg.norm(amps), 1e-7))
     for post, concurrence_bound in states:
         for h in click_distribution(post):
             if h.probability == 0.0:
@@ -376,22 +370,6 @@ def test_herald_distribution_solves_no_eigenproblem(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     for ts in (0.6, 1.0):
         assert len(herald_distribution(P2, ts)) == 10
-
-
-def test_sweep_and_protocol_build_no_state_vector(monkeypatch, tmp_path):
-    # Heralds travel as (rows x cavity pair x pattern) arrays; labelled
-    # states are built only where labels are written or asserted.
-    def refuse(self):
-        raise AssertionError("a StateVector was built")
-
-    monkeypatch.setattr(StateVector, "__post_init__", refuse)
-    assert len(herald_distribution(P4, 0.7)) == 10
-    for argv in (
-        ["protocol", "--time-scale", "0.7", "--shots", "1000"],
-        ["sweep", "--axis", "delta_over_g", "--l0", "4", "--values", "5,60,100", "--shots", "100"],
-        ["sweep", "--axis", "interaction_time_scale", "--values", "0.5,1", "--shots", "100"],
-    ):
-        assert main([*argv, "--out", str(tmp_path)]) == 0
 
 
 # ---------------------------------------------------------------- protocol runs
