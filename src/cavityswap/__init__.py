@@ -10,6 +10,6 @@ holds only ``__version__``; import everything else from its module
 (``cavityswap.swap``, ``cavityswap.bragg``, ...).
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = ["__version__"]

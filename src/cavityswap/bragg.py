@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,8 +79,6 @@ class BraggParams:
         and scatters to -(l0/2) hbar k.
     r : int
         Positive odd integer selecting which full-deflection time to use.
-    n : int
-        Photon number the atom sees, 0 or 1.
     ladder_halfwidth : int
         The ladder keeps momentum offsets -2L .. +2L in steps of 2; must
         leave at least two sites beyond the Bragg pair.  Defaults to
@@ -91,7 +89,6 @@ class BraggParams:
     delta: float = 100.0
     l0: int = 2
     r: int = 1
-    n: int = 1
     ladder_halfwidth: int | None = None
 
     def __post_init__(self):
@@ -103,8 +100,6 @@ class BraggParams:
             raise ValueError("l0 must be a positive even integer (got %r)" % (self.l0,))
         if self.r < 1 or self.r % 2 != 1:
             raise ValueError("r must be a positive odd integer (got %r)" % (self.r,))
-        if self.n not in (0, 1):
-            raise ValueError("photon number n must be 0 or 1 (got %r)" % (self.n,))
         ratio = self.delta / self.g
         if ratio < 10.0:
             raise ValueError(
@@ -124,10 +119,6 @@ class BraggParams:
             raise ValueError(
                 f"ladder_halfwidth must be at least l0/2 + 2 = {self.l0 // 2 + 2}"
             )
-
-    def with_photons(self, n: int) -> "BraggParams":
-        # Frozen, so a set that already sees n photons can stand for itself.
-        return self if self.n == n else replace(self, n=n)
 
 
 def recoil_frequency(mass_kg: float, wavelength_m: float) -> float:
@@ -149,22 +140,23 @@ def _site_momenta(p: BraggParams) -> np.ndarray:
 
 
 def _light_shift(p: BraggParams) -> float:
-    return -(p.g**2) * p.n / (2.0 * p.delta)
+    return -(p.g**2) / (2.0 * p.delta)
 
 
 def build_effective_hamiltonian(p: BraggParams) -> np.ndarray:
     """Momentum-ladder Hamiltonian after eliminating the excited state.
 
     Diagonal entries hold the recoil kinetic energy (zeroed at the
-    incoming momentum, a global phase choice) plus the photon-number
-    light shift -g^2 n / (2 delta), which is kept so the relative phase
-    between the zero- and one-photon branches stays physical.  Standing
-    wave momentum transfer couples ladder neighbours (offset +-2) with
-    strength -g^2 n / (4 delta).  With n = 0 the matrix is purely kinetic.
+    incoming momentum, a global phase choice) plus the one-photon light
+    shift -g^2 / (2 delta), which is kept so the relative phase between the
+    zero- and one-photon branches stays physical.  Standing wave momentum
+    transfer couples ladder neighbours (offset +-2) with strength
+    -g^2 / (4 delta).  The zero-photon branch has no coupling, so the atom
+    stays at its incoming momentum there and needs no ladder of its own.
     """
     mom = _site_momenta(p)
     kinetic = mom**2 - (p.l0 / 2.0) ** 2
-    coupling = -(p.g**2) * p.n / (4.0 * p.delta)
+    coupling = -(p.g**2) / (4.0 * p.delta)
     h = np.diag((kinetic + _light_shift(p)).astype(np.complex128))
     i = np.arange(len(mom) - 1)
     h[i, i + 1] = coupling
@@ -175,12 +167,10 @@ def build_effective_hamiltonian(p: BraggParams) -> np.ndarray:
 def build_full_hamiltonian(p: BraggParams) -> np.ndarray:
     """Ground/excited two-manifold Hamiltonian before adiabatic elimination.
 
-    The ground manifold (atom in its ground state, n photons) lives on the
-    even momentum ladder; absorbing a photon moves the atom to the excited
-    manifold (n-1 photons), detuned by delta, on the odd ladder.  The
-    standing wave shifts momentum by +-1 on each absorption or emission,
-    with matrix element (g/2) sqrt(n).  With n = 0 there is no excited
-    manifold at all.
+    The ground manifold (atom in its ground state, one photon) lives on the
+    even momentum ladder; absorbing the photon moves the atom to the excited
+    manifold, detuned by delta, on the odd ladder.  The standing wave shifts
+    momentum by +-1 on each absorption or emission, with matrix element g/2.
 
     The G ground sites come first, on the offsets of :func:`ladder_offsets`
     (the incoming momentum is index ``p.ladder_halfwidth``); the G + 1
@@ -190,13 +180,11 @@ def build_full_hamiltonian(p: BraggParams) -> np.ndarray:
     """
     even = ladder_offsets(p)
     kin_even = (p.l0 / 2.0 + even) ** 2 - (p.l0 / 2.0) ** 2
-    if p.n < 1:
-        return np.diag(kin_even.astype(np.complex128))
     odd = np.arange(even[0] - 1, even[-1] + 2, 2)
     kin_odd = (p.l0 / 2.0 + odd) ** 2 - (p.l0 / 2.0) ** 2
     h = np.diag(np.concatenate((kin_even, kin_odd + p.delta)).astype(np.complex128))
     ground = np.arange(len(even))
-    coupling = 0.5 * p.g * math.sqrt(p.n)
+    coupling = 0.5 * p.g
     for excited in (ground + len(even), ground + len(even) + 1):
         h[ground, excited] = coupling
         h[excited, ground] = coupling
@@ -211,8 +199,6 @@ def max_excited_population(p: BraggParams) -> float:
     time.  Small values validate the adiabatic elimination behind the
     effective ladder.
     """
-    if p.n < 1:
-        return 0.0
     h = build_full_hamiltonian(p)
     psi0 = np.zeros(len(h), dtype=np.complex128)
     psi0[p.ladder_halfwidth] = 1.0
@@ -225,14 +211,12 @@ def max_excited_population(p: BraggParams) -> float:
 def pendellosung_frequency(p: BraggParams) -> float:
     """Angular frequency of the population flop between the two Bragg momenta.
 
-    First order (l0 = 2): g^2 n / (2 delta).  Higher orders pick up one
+    First order (l0 = 2): g^2 / (2 delta).  Higher orders pick up one
     recoil denominator per intermediate ladder site:
-    (g^2 n / 2 delta)^(l0/2) / [2^(l0/2 - 1) * (l0-2)(l0-4)...4*2]
+    (g^2 / 2 delta)^(l0/2) / [2^(l0/2 - 1) * (l0-2)(l0-4)...4*2]
     with frequencies already in recoil units.
     """
-    if p.n == 0:
-        return 0.0
-    base = p.g**2 * p.n / (2.0 * p.delta)
+    base = p.g**2 / (2.0 * p.delta)
     if p.l0 == 2:
         return base
     order = p.l0 // 2
@@ -243,33 +227,30 @@ def pendellosung_frequency(p: BraggParams) -> float:
 def pendellosung_phase_rate(p: BraggParams) -> float:
     """Common phase accumulation rate of the two Bragg amplitudes.
 
-    Zero at first order; for l0 > 2 equals -(g^2 n / 4 delta)^2 / (2 (l0-2))
+    Zero at first order; for l0 > 2 equals -(g^2 / 4 delta)^2 / (2 (l0-2))
     in recoil units.
     """
     if p.l0 == 2:
         return 0.0
-    return -((p.g**2 * p.n / (4.0 * p.delta)) ** 2) / ((p.l0 - 2) * 2.0)
+    return -((p.g**2 / (4.0 * p.delta)) ** 2) / ((p.l0 - 2) * 2.0)
 
 
 def full_deflection_time(p: BraggParams) -> float:
     """Interaction time r pi / |B| after which a one-photon field flips
-    the momentum with certainty (r odd).  Undefined without a photon."""
-    if p.n < 1:
-        raise ValueError("full deflection time is undefined for n = 0")
+    the momentum with certainty (r odd)."""
     return p.r * math.pi / pendellosung_frequency(p)
 
 
 def deflection_phase(p: BraggParams) -> float:
     """Phase r pi A/B carried by the deflected amplitude at the full
-    deflection time, evaluated for the one-photon branch.
+    deflection time.
 
     The deflected amplitude there is i (-1)^((r-1)/2) e^{-i phi} (see
     :func:`branch_amplitudes`); the phi returned here leaves the
     sign (-1)^((r-1)/2) out, so at r = 3 mod 4 it is off by pi from the
     phase the amplitude actually carries.
     """
-    one = p.with_photons(1)
-    return p.r * math.pi * pendellosung_phase_rate(one) / pendellosung_frequency(one)
+    return p.r * math.pi * pendellosung_phase_rate(p) / pendellosung_frequency(p)
 
 
 def analytic_amplitudes(p: BraggParams, t):
@@ -299,8 +280,7 @@ def branch_amplitudes(p: BraggParams, time_scale: float = 1.0) -> tuple[complex,
     if time_scale == 1.0:
         parity = -1.0 if (p.r - 1) // 2 % 2 else 1.0
         return 0.0j, complex(1j * parity * np.exp(-1j * deflection_phase(p)))
-    one = p.with_photons(1)
-    return analytic_amplitudes(one, time_scale * full_deflection_time(one))
+    return analytic_amplitudes(p, time_scale * full_deflection_time(p))
 
 
 @dataclass(frozen=True)
@@ -465,22 +445,25 @@ def entangled_pair_state(p: BraggParams, time_scale: float = 1.0) -> np.ndarray:
 
 
 def pair_state_from_ladder(p: BraggParams, time_scale: float = 1.0) -> tuple[np.ndarray, bool]:
-    """Pair state assembled from exact ladder runs of both photon branches,
-    run for ``time_scale`` full deflection times.
+    """Pair state with the one-photon branch from an exact ladder run of
+    ``time_scale`` full deflection times.
 
-    Phases are reported in the frame co-rotating with the photon-number
-    light shift, which is where the closed-form amplitudes live; without
-    that rotation the one-photon branch would carry an extra, protocol-
-    irrelevant phase exp(i g^2 t / 2 delta).  Returns the amplitudes, the
-    zero-photon ladder then the one-photon ladder, each in the order of
-    :func:`ladder_offsets`, together with a truncation warning flag.
+    The zero-photon branch has no coupling, so its atom stays at the
+    incoming momentum: that half is the unit vector there.  Phases are
+    reported in the frame co-rotating with the photon-number light shift,
+    which is where the closed-form amplitudes live; without that rotation
+    the one-photon branch would carry an extra, protocol-irrelevant phase
+    exp(i g^2 t / 2 delta).  Returns the amplitudes, the zero-photon ladder
+    then the one-photon ladder, each in the order of :func:`ladder_offsets`,
+    together with the one-photon ladder's truncation warning flag.
     """
-    t = time_scale * full_deflection_time(p.with_photons(1))
-    zero = evolve_ladder(p.with_photons(0), t)
-    one = evolve_ladder(p.with_photons(1), t)
+    t = time_scale * full_deflection_time(p)
+    one = evolve_ladder(p, t)
+    zero = np.zeros(len(one.amps), dtype=np.complex128)
+    zero[p.ladder_halfwidth] = 1.0
     frame = np.exp(-1j * (p.g**2 / (2.0 * p.delta)) * t)
-    amps = np.concatenate([zero.amps, frame * one.amps]) / math.sqrt(2.0)
-    return amps, (zero.truncation_warning or one.truncation_warning)
+    amps = np.concatenate([zero, frame * one.amps]) / math.sqrt(2.0)
+    return amps, one.truncation_warning
 
 
 def pair_oracle_fidelity(p: BraggParams, time_scale: float = 1.0) -> tuple[float, bool]:

@@ -27,7 +27,6 @@ from .bragg import (
     BraggParams,
     entangled_pair_state,
     full_deflection_time,
-    ladder_population_chunks,
     nonnegative_time_scale,
     pair_labels,
     pair_oracle_fidelity,
@@ -64,6 +63,14 @@ def _max_error(cfg: dict):
     return (cfg.get("assert") or {}).get("max_error")
 
 
+def _real(cfg: dict, key: str) -> float:
+    """``cfg[key]`` as a float: bools and non-numbers are a ConfigError."""
+    value = cfg[key]
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(cfg: dict, key: str) -> int:
     """``cfg[key]`` as an int: whole numbers pass; fractions, bools and
     non-numbers are a ConfigError."""
@@ -71,6 +78,17 @@ def _whole(cfg: dict, key: str) -> int:
     if not (_is_number(value) and float(value).is_integer()):
         raise ConfigError(f"{key} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _check_block(name: str, block: dict, keys: tuple) -> None:
+    """Refuse a config block that lacks one of ``keys`` or holds a
+    non-number there."""
+    missing = set(keys) - set(block)
+    if missing:
+        raise ConfigError(f"{name} block is missing {sorted(missing)}")
+    wrong = [k for k in keys if not _is_number(block[k])]
+    if wrong:
+        raise ConfigError(f"{name} block values must be numbers: {wrong}")
 
 
 def load_config(path: str | None, overrides: dict, unused=()) -> dict:
@@ -81,8 +99,8 @@ def load_config(path: str | None, overrides: dict, unused=()) -> dict:
     delta_rad_per_s) must end up present; the physical block is converted
     here and nowhere else.  A config file that sets one of the ``unused``
     keys (keys the command does not read) is rejected, and so is a block
-    that is not a JSON object, a physical value or an assert ``max_error``
-    that is not a number.
+    that is not a JSON object, a physical or dimensionless value or an
+    assert ``max_error`` that is not a number.
     """
     cfg = dict(DEFAULTS)
     file_cfg: dict = {}
@@ -115,13 +133,7 @@ def load_config(path: str | None, overrides: dict, unused=()) -> dict:
     if dimless is not None and physical is not None:
         raise ConfigError("config must carry exactly one of 'dimensionless' and 'physical'")
     if physical is not None:
-        keys = ("mass_kg", "wavelength_m", "g_rad_per_s", "delta_rad_per_s")
-        missing = set(keys) - set(physical)
-        if missing:
-            raise ConfigError(f"physical block is missing {sorted(missing)}")
-        wrong = [k for k in keys if not _is_number(physical[k])]
-        if wrong:
-            raise ConfigError(f"physical block values must be numbers: {wrong}")
+        _check_block("physical", physical, ("mass_kg", "wavelength_m", "g_rad_per_s", "delta_rad_per_s"))
         try:
             w_rec = recoil_frequency(physical["mass_kg"], physical["wavelength_m"])
         except ValueError as exc:
@@ -130,9 +142,7 @@ def load_config(path: str | None, overrides: dict, unused=()) -> dict:
         cfg["delta"] = physical["delta_rad_per_s"] / w_rec
         cfg["recoil_rad_per_s"] = w_rec
     elif dimless is not None:
-        missing = {"g", "delta"} - set(dimless)
-        if missing:
-            raise ConfigError(f"dimensionless block is missing {sorted(missing)}")
+        _check_block("dimensionless", dimless, ("g", "delta"))
         cfg["g"] = dimless["g"]
         cfg["delta"] = dimless["delta"]
     else:
@@ -161,7 +171,6 @@ def resolve_params(cfg: dict) -> BraggParams:
 def _config_echo(cfg: dict, params: BraggParams) -> dict:
     echo = {k: cfg[k] for k in DEFAULTS}
     echo.update(asdict(params))
-    del echo["n"]
     if "recoil_rad_per_s" in cfg:
         echo["recoil_rad_per_s"] = cfg["recoil_rad_per_s"]
     return echo
@@ -340,23 +349,17 @@ def _tables(comparisons, seen: list):
 def cmd_entangle(cfg: dict) -> int:
     params = resolve_params(cfg)
     try:
-        ts = nonnegative_time_scale(float(cfg["time_scale"]))
+        ts = nonnegative_time_scale(_real(cfg, "time_scale"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     points = _points(cfg)
-    one = params.with_photons(1)
-    times = np.linspace(0.0, ts * full_deflection_time(one), points)
+    times = np.linspace(0.0, ts * full_deflection_time(params), points)
     config = _config_echo(cfg, params)
     out = Path(cfg["output_dir"])
     seen: list = []
-    tables = _tables(oracle_compare_chunks(one, times), seen)
-    zero = ladder_population_chunks(params.with_photons(0), times)
-    _write_csv(
-        out / "entangle_populations.csv",
-        config,
-        POPULATION_COLUMNS[:5] + ("ladder_deflected_n0",),
-        (np.column_stack((table[:, :5], series.deflected)) for table, series in zip(tables, zero)),
-    )
+    tables = _tables(oracle_compare_chunks(params, times), seen)
+    _write_csv(out / "entangle_populations.csv", config, POPULATION_COLUMNS[:5],
+               (table[:, :5] for table in tables))
 
     final = seen[-1][2]
     pair = entangled_pair_state(params, ts)
@@ -380,8 +383,8 @@ def cmd_protocol(cfg: dict) -> int:
             params,
             shots=_whole(cfg, "shots"),
             seed=_whole(cfg, "seed"),
-            time_scale=float(cfg["time_scale"]),
-            detection_efficiency=float(cfg["detection_efficiency"]),
+            time_scale=_real(cfg, "time_scale"),
+            detection_efficiency=_real(cfg, "detection_efficiency"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -413,7 +416,7 @@ def cmd_protocol(cfg: dict) -> int:
 
 
 def cmd_oracle_compare(cfg: dict) -> int:
-    params = resolve_params(cfg).with_photons(1)
+    params = resolve_params(cfg)
     points = _points(cfg)
     period = 2.0 * math.pi / pendellosung_frequency(params)
     comparisons = oracle_compare_chunks(params, np.linspace(0.0, period, points))
@@ -455,7 +458,7 @@ def _sweep_values(values) -> tuple:
 
 def cmd_sweep(cfg: dict) -> int:
     params = resolve_params(cfg)
-    if float(cfg["detection_efficiency"]) != 1.0:
+    if _real(cfg, "detection_efficiency") != 1.0:
         raise ConfigError("sweep does not apply detection_efficiency; leave it at 1")
     sweep_cfg = dict(cfg.get("sweep") or {})
     axis = cfg.get("axis") or sweep_cfg.get("axis")
@@ -469,7 +472,7 @@ def cmd_sweep(cfg: dict) -> int:
             base=params,
             shots=_whole(cfg, "shots"),
             seed=_whole(cfg, "seed"),
-            time_scale=float(cfg["time_scale"]),
+            time_scale=_real(cfg, "time_scale"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -539,12 +542,13 @@ _COMMANDS = {
 }
 
 
-# Config keys a command does not read (it has no flag for them either).
+# Config keys a command does not read (it has no flag for them either);
+# only oracle-compare and sweep check an assert block.
 # The ladder commands still take --seed: the ladder benchmark passes it.
 # oracle-compare spans one Pendelloesung period, whatever the time scale.
 _UNUSED_KEYS = {
-    "entangle": ("shots", "detection_efficiency"),
-    "protocol": ("points",),
+    "entangle": ("shots", "detection_efficiency", "assert"),
+    "protocol": ("points", "assert"),
     "oracle-compare": ("shots", "detection_efficiency", "time_scale"),
     "sweep": ("points",),
 }

@@ -211,8 +211,8 @@ def _row_params(spec: SweepSpec, value) -> tuple[BraggParams, float]:
     return replace(base, ladder_halfwidth=int(value)), spec.time_scale
 
 
-def _row_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
+def _row_seed(seed: int, index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
 def _failed_row(value, exc: ValueError) -> ComparisonRow:
@@ -230,34 +230,33 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     times each are propagated as one stack (a time gives the same bits
     alone, inside a grid or inside a stack).  The herald statistics of all
     rows come from one :func:`~cavityswap.swap.herald_batch`; each row then
-    draws its own counts, seeded by its index, so the result is
-    deterministic for a given spec and every row equals a direct
-    :func:`~cavityswap.swap.run_protocol` run with that seed.  Domain
-    errors (``ValueError``) of a row become that row's ``error``; anything
-    else propagates.
+    draws its own counts, seeded by the ``SeedSequence`` spawned from the
+    spec's seed at its index, so the result is deterministic for a given
+    spec and every row equals a direct :func:`~cavityswap.swap.run_protocol`
+    run with that seed.  Domain errors (``ValueError``) of a row become that
+    row's ``error``; anything else propagates.
     """
     rows: list = [None] * len(spec.values)
     resolved: dict = {}  # index -> (params, time scale), in index order
-    groups: dict = {}  # one-photon params -> [(index, time)]
+    groups: dict = {}  # params -> [(index, time)]
     for i, value in enumerate(spec.values):
         try:
             params, ts = _row_params(spec, value)
-            one = params.with_photons(1)
-            t = ts * full_deflection_time(one)
+            t = ts * full_deflection_time(params)
             nonnegative_times([t])
         except ValueError as exc:  # domain errors of a row are data, not crashes
             rows[i] = _failed_row(value, exc)
             continue
         resolved[i] = (params, ts)
-        groups.setdefault(one, []).append((i, t))
-    stacks: dict = {}  # (l0, ladder halfwidth, times per Hamiltonian) -> one-photon params
-    for one, members in groups.items():
-        stacks.setdefault((one.l0, one.ladder_halfwidth, len(members)), []).append(one)
+        groups.setdefault(params, []).append((i, t))
+    stacks: dict = {}  # (l0, ladder halfwidth, times per Hamiltonian) -> params
+    for params, members in groups.items():
+        stacks.setdefault((params.l0, params.ladder_halfwidth, len(members)), []).append(params)
     columns: dict = {}  # index -> (analytic, ladder) deflected population
-    for ones in stacks.values():
-        comparisons = oracle_compare(ones, [[t for _, t in groups[one]] for one in ones])
-        for one, comparison in zip(ones, comparisons):
-            for (i, _), (_, _, analytic, _, ladder, _) in zip(groups[one], comparison.table.tolist()):
+    for stack in stacks.values():
+        comparisons = oracle_compare(stack, [[t for _, t in groups[params]] for params in stack])
+        for params, comparison in zip(stack, comparisons):
+            for (i, _), (_, _, analytic, _, ladder, _) in zip(groups[params], comparison.table.tolist()):
                 columns[i] = (analytic, ladder)
     heralds = herald_batch([branch_pair(params, ts) for params, ts in resolved.values()])
     for r, i in enumerate(resolved):

@@ -428,7 +428,7 @@ def herald_distribution(p: BraggParams, time_scale: float = 1.0) -> list:
     return _herald_results(herald_batch([branch_pair(p, time_scale)]), 0)
 
 
-def _sample_counts(probs, shots: int, seed: int, efficiency: float) -> tuple[list, int]:
+def _sample_counts(probs, shots: int, seed, efficiency: float) -> tuple[list, int]:
     # Each atom is missed independently of the pattern, so a discarded shot
     # is one more outcome, of probability 1 - efficiency^2.  It goes first,
     # because multinomial gives the rounding remainder to the last outcome:
@@ -453,13 +453,14 @@ class ProtocolSample(NamedTuple):
 
 
 def sample_protocol(
-    heralds: Heralds, row: int, shots: int, seed: int, detection_efficiency: float = 1.0
+    heralds: Heralds, row: int, shots: int, seed, detection_efficiency: float = 1.0
 ) -> ProtocolSample:
     """Draw the counts of ``shots`` click patterns from one row of a herald
-    batch, in one multinomial draw seeded by ``seed``, and sum the psi
-    heralds in pattern order.  With ``detection_efficiency`` below one each
-    atom is detected independently with that probability and shots with a
-    missed click are discarded."""
+    batch, in one multinomial draw seeded by ``seed`` (an int or a
+    ``np.random.SeedSequence``), and sum the psi heralds in pattern order.
+    With ``detection_efficiency`` below one each atom is detected
+    independently with that probability and shots with a missed click are
+    discarded."""
     probs = heralds.probabilities[row].tolist()
     counts, discarded = _sample_counts(probs, shots, seed, detection_efficiency)
     retained = shots - discarded

@@ -78,21 +78,17 @@ def full_hamiltonian_by_labels(p) -> tuple:
     sites, with its labels: ("g", offset) on the even ladder offsets, then
     ("e", offset) on the odd offsets between and around them.  Each site
     gets its kinetic energy (plus delta when excited), and each ground site
-    couples with (g/2) sqrt(n) to every excited site one momentum unit
-    away."""
+    couples with g/2 to every excited site one momentum unit away."""
     even = [int(o) for o in ladder_offsets(p)]
-    labels = [("g", o) for o in even]
-    if p.n >= 1:
-        labels += [("e", o) for o in range(even[0] - 1, even[-1] + 2, 2)]
+    labels = [("g", o) for o in even] + [("e", o) for o in range(even[0] - 1, even[-1] + 2, 2)]
     index = {label: i for i, label in enumerate(labels)}
     h = np.zeros((len(labels), len(labels)), dtype=np.complex128)
     for (manifold, offset), i in index.items():
         h[i, i] = (p.l0 / 2.0 + offset) ** 2 - (p.l0 / 2.0) ** 2 + (p.delta if manifold == "e" else 0.0)
     for offset in even:
         for target in (("e", offset - 1), ("e", offset + 1)):
-            if target in index:
-                i, j = index[("g", offset)], index[target]
-                h[i, j] = h[j, i] = 0.5 * p.g * math.sqrt(p.n)
+            i, j = index[("g", offset)], index[target]
+            h[i, j] = h[j, i] = 0.5 * p.g
     return h, tuple(labels)
 
 

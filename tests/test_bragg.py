@@ -81,8 +81,8 @@ def test_params_validation():
         params(l0=0)
     with pytest.raises(ValueError, match="odd"):
         params(r=2)
-    with pytest.raises(ValueError, match="photon"):
-        params(n=2)
+    with pytest.raises(TypeError):
+        params(n=0)  # every ladder is the one-photon ladder
     with pytest.raises(ValueError, match="dispersive"):
         params(delta=5.0)
     with pytest.raises(ValueError, match="ladder_halfwidth"):
@@ -100,11 +100,6 @@ def test_ladder_halfwidth_default():
 
 
 # ---------------------------------------------------------------- Hamiltonians
-
-
-def test_effective_hamiltonian_is_diagonal_without_photons():
-    h = build_effective_hamiltonian(params(n=0))
-    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 
 def test_effective_hamiltonian_coupling_magnitude():
@@ -135,14 +130,13 @@ def test_full_hamiltonian_matches_the_labelled_construction():
     # ground sites first, the incoming one at index ladder_halfwidth, then
     # the excited block.
     for l0 in (2, 4, 6):
-        for n in (0, 1):
-            for halfwidth in (l0 // 2 + 2, None, l0 // 2 + 9):
-                p = params(l0=l0, n=n, ladder_halfwidth=halfwidth)
-                reference, labels = full_hamiltonian_by_labels(p)
-                assert build_full_hamiltonian(p).tobytes() == reference.tobytes(), (l0, n, halfwidth)
-                assert labels.index(("g", 0)) == p.ladder_halfwidth
-                ground = len(ladder_offsets(p))
-                assert [lab[0] for lab in labels] == ["g"] * ground + ["e"] * (len(labels) - ground)
+        for halfwidth in (l0 // 2 + 2, None, l0 // 2 + 9):
+            p = params(l0=l0, ladder_halfwidth=halfwidth)
+            reference, labels = full_hamiltonian_by_labels(p)
+            assert build_full_hamiltonian(p).tobytes() == reference.tobytes(), (l0, halfwidth)
+            assert labels.index(("g", 0)) == p.ladder_halfwidth
+            ground = len(ladder_offsets(p))
+            assert [lab[0] for lab in labels] == ["g"] * ground + ["e"] * (len(labels) - ground)
 
 
 def test_full_hamiltonian_block_structure():
@@ -161,13 +155,6 @@ def test_full_hamiltonian_block_structure():
     assert h[g0, e0] == pytest.approx(p.g / 2)
 
 
-def test_full_hamiltonian_without_photons_has_no_excited_manifold():
-    p = params(n=0)
-    h = build_full_hamiltonian(p)
-    assert h.shape == (len(ladder_offsets(p)),) * 2
-    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-
-
 def test_adiabaticity_of_the_effective_reduction():
     # Excited-manifold population stays perturbatively small, (g/2 delta)^2
     # per virtual transition, validating the ladder model.
@@ -181,7 +168,6 @@ def test_adiabaticity_of_the_effective_reduction():
 def test_pendellosung_frequency_values():
     assert pendellosung_frequency(params()) == pytest.approx(0.005, rel=1e-12)
     assert pendellosung_frequency(params(l0=4)) == pytest.approx(6.25e-6, rel=1e-12)
-    assert pendellosung_frequency(params(n=0)) == 0.0
 
 
 def test_pendellosung_phase_rate_values():
@@ -190,8 +176,8 @@ def test_pendellosung_phase_rate_values():
 
 
 def test_phase_rate_scales_with_photon_number_squared():
-    # The rate is quadratic in n by construction; n is restricted to {0, 1},
-    # so check through the formula's g dependence instead: doubling g^2 n
+    # The rate is quadratic in g^2 n; the photon number is fixed at one, so
+    # check through the formula's g dependence instead: doubling g^2
     # quadruples the magnitude.
     base = pendellosung_phase_rate(params(l0=4))
     doubled = pendellosung_phase_rate(params(l0=4, g=math.sqrt(2.0)))
@@ -205,8 +191,6 @@ def test_full_deflection_time_values():
     assert full_deflection_time(p4) == pytest.approx(
         p4.r * math.pi / pendellosung_frequency(p4), rel=1e-12
     )
-    with pytest.raises(ValueError, match="n = 0"):
-        full_deflection_time(params(n=0))
 
 
 def test_deflection_phase_values():
@@ -245,9 +229,8 @@ def test_branch_amplitudes_at_nominal_timing_match_the_closed_form():
     for l0 in (2, 4, 6):
         for r in (1, 3):
             p = params(l0=l0, r=r)
-            one = p.with_photons(1)
             exact = branch_amplitudes(p)
-            closed = analytic_amplitudes(one, full_deflection_time(one))
+            closed = analytic_amplitudes(p, full_deflection_time(p))
             assert exact[0] == 0.0
             assert max(abs(a - b) for a, b in zip(exact, closed)) <= 1e-12, (l0, r)
 
@@ -274,9 +257,19 @@ def test_ladder_initial_state_and_zero_photon_freeze():
     p = params()
     state = evolve_ladder(p, 0.0)
     assert state.undeflected_population == pytest.approx(1.0, abs=1e-14)
-    frozen = evolve_ladder(params(n=0), 123.4)
-    assert frozen.undeflected_population == pytest.approx(1.0, abs=1e-12)
-    assert frozen.deflected_population == 0.0
+    # Without a photon the ladder is purely kinetic and diagonal, so the
+    # atom stays at its incoming site bit for bit: pair_state_from_ladder
+    # writes that half as the unit vector instead of propagating it.
+    for l0 in (2, 4, 6, 8, 10):
+        for halfwidth in (l0 // 2 + 2, None, l0 // 2 + 9):
+            p = params(l0=l0, ladder_halfwidth=halfwidth)
+            offsets = ladder_offsets(p)
+            kinetic = np.diag(((p.l0 / 2.0 + offsets) ** 2 - (p.l0 / 2.0) ** 2).astype(np.complex128))
+            incoming = np.zeros(len(offsets), dtype=np.complex128)
+            incoming[p.ladder_halfwidth] = 1.0
+            for scale in (0.0, 0.3, 1.0, 1.7):
+                (frozen,) = quantum.propagate(kinetic, incoming, [scale * full_deflection_time(p)])
+                assert frozen.tobytes() == incoming.tobytes(), (l0, halfwidth, scale)
 
 
 def test_ladder_matches_closed_form_over_a_full_period():
@@ -365,22 +358,21 @@ def test_population_series_does_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_population_chunks_equal_the_whole_series():
-    # Two full chunks and a one-time tail, both photon numbers: the chunks
-    # hold the bits of the whole series, t = 0 included, and the largest
-    # chunk boundary population is the whole grid's.
+    # Two full chunks and a one-time tail: the chunks hold the bits of the
+    # whole series, t = 0 included, and the largest chunk boundary
+    # population is the whole grid's.
     chunk = bragg.SERIES_CHUNK_BLOCKS * quantum.SERIES_BLOCK
     for l0 in (2, 4):
-        one = params(l0=l0).with_photons(1)
-        times = np.linspace(0.0, 1.5 * full_deflection_time(one), 2 * chunk + 1)
-        for p in (one, one.with_photons(0)):
-            whole = ladder_population_series(p, times)
-            chunks = list(ladder_population_chunks(p, times))
-            assert [len(c.times) for c in chunks] == [chunk, chunk, 1]
-            for name in ("times", "undeflected", "deflected"):
-                joined = np.concatenate([getattr(c, name) for c in chunks])
-                assert joined.tobytes() == getattr(whole, name).tobytes()
-            assert max(c.boundary_max for c in chunks) == whole.boundary_max
-            assert (chunks[0].undeflected[0], chunks[0].deflected[0]) == (1.0, 0.0)
+        p = params(l0=l0)
+        times = np.linspace(0.0, 1.5 * full_deflection_time(p), 2 * chunk + 1)
+        whole = ladder_population_series(p, times)
+        chunks = list(ladder_population_chunks(p, times))
+        assert [len(c.times) for c in chunks] == [chunk, chunk, 1]
+        for name in ("times", "undeflected", "deflected"):
+            joined = np.concatenate([getattr(c, name) for c in chunks])
+            assert joined.tobytes() == getattr(whole, name).tobytes()
+        assert max(c.boundary_max for c in chunks) == whole.boundary_max
+        assert (chunks[0].undeflected[0], chunks[0].deflected[0]) == (1.0, 0.0)
 
 
 def test_times_must_be_finite_and_nonnegative():

@@ -14,7 +14,6 @@ from cavityswap import __version__, bragg, quantum
 from cavityswap.bragg import (
     BraggParams,
     full_deflection_time,
-    ladder_population_series,
     pendellosung_frequency,
     recoil_frequency,
 )
@@ -27,7 +26,7 @@ from cavityswap.cli import (
     main,
     resolve_params,
 )
-from cavityswap.metrics import oracle_compare
+from cavityswap.metrics import POPULATION_COLUMNS, oracle_compare
 
 
 def run_cli(*args):
@@ -184,6 +183,14 @@ _SWEEP = {"sweep": {"axis": "l0", "values": [2]}}
     ("protocol", {"physical": 3}, "config block 'physical' must be a JSON object"),
     ("protocol", {"physical": {**_PHYSICAL, "mass_kg": "x"}}, "physical block values must be numbers: ['mass_kg']"),
     ("protocol", {"physical": {**_PHYSICAL, "wavelength_m": 0.0}}, "mass and wavelength must be positive"),
+    ("protocol", {"dimensionless": {"g": "1", "delta": 100.0}}, "dimensionless block values must be numbers: ['g']"),
+    ("protocol", {"dimensionless": {"g": True, "delta": 100.0}}, "dimensionless block values must be numbers: ['g']"),
+    ("entangle", {"dimensionless": {"g": 1.0, "delta": "100"}}, "dimensionless block values must be numbers: ['delta']"),
+    ("entangle", {"dimensionless": {"g": 1.0, "delta": True}}, "dimensionless block values must be numbers: ['delta']"),
+    # Real-valued keys take numbers only.
+    ("entangle", {"time_scale": None}, "time_scale must be a number, got None"),
+    ("protocol", {"detection_efficiency": "x"}, "detection_efficiency must be a number, got 'x'"),
+    ("sweep", {**_SWEEP, "time_scale": True}, "time_scale must be a number, got True"),
 ])
 def test_malformed_config_values_exit_1_before_any_artifact(tmp_path, capsys, command, config, message):
     cfg = tmp_path / "cfg.json"
@@ -217,8 +224,8 @@ def test_entangle_writes_populations_and_state(tmp_path, capsys):
     rows = csv_text.splitlines()[3:]
     assert len(rows) == 41
     final = rows[-1].split(",")
+    assert len(final) == 5
     assert float(final[4]) >= 0.95  # ladder deflected population
-    assert float(final[5]) == 0.0  # zero-photon column shows no transfer
     state = json.loads(read(out / "entangle_state.json"))
     assert state["final_deflected_population"] >= 0.95
     assert state["oracle_fidelity"] >= 0.98
@@ -371,6 +378,16 @@ def test_sweep_rejects_detection_efficiency(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_rejects_non_number_detection_efficiency(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detection_efficiency": "x"}))
+    out = tmp_path / "run"
+    argv = ("sweep", "--axis", "l0", "--values", "2", "--shots", "10", "--out", str(out))
+    assert run_cli(*argv, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == "error: detection_efficiency must be a number, got 'x'\n"
+    assert not out.exists()
+
+
 def test_sweep_rejects_points(tmp_path, capsys):
     # sweep has no time grid: a config file setting points is refused, and
     # so is the flag.
@@ -386,31 +403,36 @@ def test_sweep_rejects_points(tmp_path, capsys):
 
 
 def test_protocol_rejects_points(tmp_path, capsys):
-    # protocol has no time grid either: the config key and the flag are refused.
+    # protocol has no time grid either: the config key and the flag are
+    # refused.  It checks no assertion, so an assert block is refused too.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"points": 5}))
     out = tmp_path / "run"
     argv = ("protocol", "--shots", "10", "--out", str(out))
-    assert run_cli(*argv, "--config", str(cfg)) == 1
-    assert "points" in capsys.readouterr().err
-    assert not out.exists()
+    for key, value in (("points", 5), ("assert", {"max_error": 0.0})):
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(*argv, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: config keys this command does not read: ['{key}']\n"
+        assert not out.exists()
     with pytest.raises(SystemExit):
         run_cli(*argv, "--points", "5")
 
 
 def test_ladder_commands_reject_shots_and_detection_efficiency(tmp_path, capsys):
-    # entangle and oracle-compare sample nothing, and oracle-compare spans
-    # one Pendelloesung period whatever the time scale: the flags are
-    # argparse errors and the config keys are refused; --seed stays
-    # accepted, and the config line still echoes the defaults.
+    # entangle and oracle-compare sample nothing, oracle-compare spans
+    # one Pendelloesung period whatever the time scale, and entangle checks
+    # no assertion: the flags are argparse errors and the config keys are
+    # refused; --seed stays accepted, and the config line still echoes the
+    # defaults.
     sampling = (("--shots", "shots", 5), ("--detection-efficiency", "detection_efficiency", 0.5))
     for command, csv_name, refused in (
-        ("entangle", "entangle_populations.csv", sampling),
+        ("entangle", "entangle_populations.csv", sampling + ((None, "assert", {"max_error": 0.0}),)),
         ("oracle-compare", "oracle_compare.csv", sampling + (("--time-scale", "time_scale", 0.5),)),
     ):
         out = tmp_path / command
         argv = (command, "--points", "3", "--seed", "4", "--out", str(out))
         for flag, _, value in refused:
+            if flag is None:  # a config block, with no flag
+                continue
             with pytest.raises(SystemExit) as exc:
                 run_cli(*argv, flag, str(value))
             assert exc.value.code == 2
@@ -579,7 +601,7 @@ def test_float_writer_edge_values_and_a_zero_column():
             0.0001, 1e-4 * (1 - 2**-52), 1e16, 123456789012.5, 0.5, 1.0, -1.0]
     column = np.array(edge)[:, None]
     assert _format_floats(column) == percent_lines(column)
-    # entangle's ladder_deflected_n0 column is all zeros
+    # a column of zeros, as entangle's ladder_deflected reads at time scale 0
     table = np.column_stack((np.linspace(0.0, 1.0, 101), np.zeros(101)))
     assert _format_floats(table) == percent_lines(table)
     assert _format_floats(table).splitlines()[7] == "0.07,0"
@@ -613,11 +635,11 @@ def _chunk() -> int:
 def test_ladder_commands_stream_the_whole_array_tables(tmp_path, capsys, monkeypatch):
     # Two full chunks and a one-time tail: the streamed tables, the printed
     # max error and the final population equal those of the whole-array
-    # oracle_compare and ladder_population_series on the same grid.
+    # oracle_compare on the same grid.
     points = 2 * _chunk() + 1
-    one = BraggParams(ladder_halfwidth=3).with_photons(1)
+    p = BraggParams(ladder_halfwidth=3)
     argv = ("--points", str(points), "--ladder-halfwidth", "3", "--out", str(tmp_path))
-    whole = oracle_compare(one, np.linspace(0.0, 2.0 * math.pi / pendellosung_frequency(one), points))
+    whole = oracle_compare(p, np.linspace(0.0, 2.0 * math.pi / pendellosung_frequency(p), points))
     assert run_cli("oracle-compare", *argv) == 0
     assert "".join(read(tmp_path / "oracle_compare.csv").splitlines(keepends=True)[3:]) == _format_floats(whole.table)
     assert capsys.readouterr().out == f"max population error: {whole.max_error:.12g}\n"
@@ -628,13 +650,13 @@ def test_ladder_commands_stream_the_whole_array_tables(tmp_path, capsys, monkeyp
     assert "warning: ladder truncation too tight" in capsys.readouterr().out
     monkeypatch.undo()
 
-    times = np.linspace(0.0, 1.3 * full_deflection_time(one), points)
-    whole = oracle_compare(one, times)
-    zero = ladder_population_series(one.with_photons(0), times)
+    times = np.linspace(0.0, 1.3 * full_deflection_time(p), points)
+    whole = oracle_compare(p, times)
     assert run_cli("entangle", *argv, "--time-scale", "1.3") == 0
-    rows = "".join(read(tmp_path / "entangle_populations.csv").splitlines(keepends=True)[3:])
-    assert rows == _format_floats(np.column_stack((whole.table[:, :5], zero.deflected)))
-    assert rows.startswith("0,1,0,1,0,0\n")
+    lines = read(tmp_path / "entangle_populations.csv").splitlines(keepends=True)
+    assert lines[2] == ",".join(POPULATION_COLUMNS[:5]) + "\n"
+    assert "".join(lines[3:]) == _format_floats(whole.table[:, :5])
+    assert lines[3] == "0,1,0,1,0\n"
     state = json.loads(read(tmp_path / "entangle_state.json"))
     assert state["final_deflected_population"] == whole.table[-1, 4]
     assert state["truncation_warning"] is False
