@@ -17,8 +17,9 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,71 +39,166 @@ from .swap import run_protocol
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
 
-DEFAULTS = {
-    "l0": 2,
-    "r": 1,
-    "shots": 100_000,
-    "seed": 1,
-    "ladder_halfwidth": None,
-    "time_scale": 1.0,
-    "detection_efficiency": 1.0,
-    "output_dir": "out",
-    "points": 161,
-}
 
 class ConfigError(ValueError):
     """Invalid configuration; reported on stderr with exit code 1."""
+
+
+def _checked(check, *args, **kwargs):
+    """``check(*args, **kwargs)``, its ValueError (a domain check's) raised
+    as a ConfigError."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+# Kinds: each reads one value, from the config file or a flag, and returns
+# it typed or raises a ConfigError naming it.
 
 
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _max_error(cfg: dict):
-    """The ``max_error`` of the config's ``assert`` block, or None."""
-    return (cfg.get("assert") or {}).get("max_error")
+def _is_real(value) -> bool:
+    # JSON has no Infinity or NaN, so they are not numbers here.
+    return _is_number(value) and math.isfinite(value)
 
 
-def _real(cfg: dict, key: str) -> float:
-    """``cfg[key]`` as a float: bools and non-numbers are a ConfigError."""
-    value = cfg[key]
-    if not _is_number(value):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _whole(cfg: dict, key: str) -> int:
-    """``cfg[key]`` as an int: whole numbers pass; fractions, bools and
-    non-numbers are a ConfigError."""
-    value = cfg[key]
+def _whole(name: str, value) -> int:
+    """Whole numbers pass (4 or 4.0); fractions, bools and text do not."""
     if not (_is_number(value) and float(value).is_integer()):
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
-def _check_block(name: str, block: dict, keys: tuple) -> None:
-    """Refuse a config block that lacks one of ``keys`` or holds a
-    non-number there."""
-    missing = set(keys) - set(block)
-    if missing:
-        raise ConfigError(f"{name} block is missing {sorted(missing)}")
-    wrong = [k for k in keys if not _is_number(block[k])]
-    if wrong:
-        raise ConfigError(f"{name} block values must be numbers: {wrong}")
+def _whole_or_null(name: str, value):
+    return None if value is None else _whole(name, value)
 
 
-def load_config(path: str | None, overrides: dict, unused=()) -> dict:
-    """Resolve defaults, config file, and flag overrides into one dict.
+def _real(name: str, value) -> float:
+    if not _is_real(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
-    Exactly one of the ``dimensionless`` block (g, delta in recoil units)
-    and the ``physical`` block (mass_kg, wavelength_m, g_rad_per_s,
-    delta_rad_per_s) must end up present; the physical block is converted
-    here and nowhere else.  A config file that sets one of the ``unused``
-    keys (keys the command does not read) is rejected, and so is a block
-    that is not a JSON object, a physical or dimensionless value or an
-    assert ``max_error`` that is not a number.
+
+def _time_scale(name: str, value) -> float:
+    """A number that ``nonnegative_time_scale`` accepts: it refuses the
+    negative and non-finite ones, with its own messages; anything else
+    gets the error of :func:`_real`."""
+    return _checked(nonnegative_time_scale, value if _is_number(value) else _real(name, value))
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be text, got {value!r}")
+    return value
+
+
+def _numbers(name: str, value) -> tuple:
+    """A JSON list of numbers, or comma-separated text as ``--values``
+    gives it."""
+    if not isinstance(value, str):
+        if not isinstance(value, list) or not all(map(_is_number, value)):
+            raise ConfigError(f"{name} must be numbers, got {value!r}")
+        return tuple(value)
+    parsed = []
+    for text in value.split(","):
+        if not text.strip():
+            continue
+        try:
+            parsed.append(float(text))
+        except ValueError:
+            raise ConfigError(f"sweep value {text.strip()!r} is not a number") from None
+    return tuple(parsed)
+
+
+_FLAG_TYPES = {_whole: int, _whole_or_null: int, _real: float, _time_scale: float}  # else text
+_ALL = ("entangle", "protocol", "oracle-compare", "sweep")
+
+
+class Key(NamedTuple):
+    """A config key: its kind, its default, the commands that read it and
+    its flag.  A block's kind is the dict of its inner keys, which are read
+    by the block's commands and default to their own defaults."""
+
+    kind: object
+    default: object = None
+    commands: tuple = _ALL
+    flag: str | None = None
+    help: str | None = None
+    metavar: str | None = None
+
+
+# The config table, in flag order.  A command has the flags of the keys it
+# reads, and a config file that sets any other key is refused; a block may
+# hold only its inner keys.  A flag wins over the file, inside a block too.
+CONFIG = {
+    # entangle and oracle-compare draw nothing; they take --seed while the ladder benchmark passes it.
+    "seed": Key(_whole, 1, flag="--seed"),
+    "output_dir": Key(_text, "out", flag="--out", metavar="DIR"),
+    "dimensionless": Key({
+        "g": Key(_real, 1.0, flag="--g", help="vacuum Rabi frequency (recoil units)"),
+        "delta": Key(_real, 100.0, flag="--delta", help="detuning (recoil units)"),
+    }),
+    "l0": Key(_whole, 2, flag="--l0"),
+    "r": Key(_whole, 1, flag="--r"),
+    "ladder_halfwidth": Key(_whole_or_null, None, flag="--ladder-halfwidth"),
+    # oracle-compare spans one Pendelloesung period, whatever the time scale.
+    "time_scale": Key(_time_scale, 1.0, ("entangle", "protocol", "sweep"), "--time-scale"),
+    "shots": Key(_whole, 100_000, ("protocol", "sweep"), "--shots"),
+    "detection_efficiency": Key(_real, 1.0, ("protocol", "sweep"), "--detection-efficiency"),
+    "sweep": Key({
+        "axis": Key(_text, flag="--axis"),
+        "values": Key(_numbers, (), flag="--values", help="comma-separated axis values; when the first is "
+                      "negative, join with '=' (--values=-0.5,0.5)"),
+    }, commands=("sweep",)),
+    # protocol and sweep have no time grid.
+    "points": Key(_whole, 161, ("entangle", "oracle-compare"), "--points"),
+    # Converted to recoil units once, at load, in place of 'dimensionless'.
+    "physical": Key({name: Key(_real) for name in ("mass_kg", "wavelength_m", "g_rad_per_s", "delta_rad_per_s")}),
+    # Only oracle-compare and sweep check an assertion.
+    "assert": Key({"max_error": Key(_real)}, commands=("oracle-compare", "sweep")),
+}
+_PARAMETER_BLOCKS = ("dimensionless", "physical")  # exactly one in effect, each given whole
+# Every key by the name the commands read it under, an inner key of a block
+# with its block's commands.
+_KEYS = {
+    name: key._replace(commands=row.commands)
+    for top, row in CONFIG.items()
+    for name, key in (row.kind.items() if isinstance(row.kind, dict) else [(top, row)])
+}
+
+
+def _read_block(name: str, block) -> dict:
+    """The inner keys of config block ``name``, each read by its kind."""
+    keys = CONFIG[name].kind
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {name!r} must be a JSON object")
+    unknown = set(block) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in config block {name!r}: {sorted(unknown)}")
+    if name in _PARAMETER_BLOCKS:  # a whole set of numbers
+        missing = set(keys) - set(block)
+        if missing:
+            raise ConfigError(f"{name} block is missing {sorted(missing)}")
+        wrong = [k for k in keys if not _is_real(block[k])]
+        if wrong:
+            raise ConfigError(f"{name} block values must be numbers: {wrong}")
+    return {k: keys[k].kind(f"{name} {k}", v) for k, v in block.items()}
+
+
+def load_config(command: str, path: str | None, overrides: dict) -> tuple[dict, dict]:
+    """The typed values of ``command``'s configuration, and the values of
+    its top-level keys as given, which the artifacts echo.
+
+    Defaults come from :data:`CONFIG`, then the JSON file at ``path``, then
+    the flag ``overrides``; each value given is read by its key's kind, the
+    file's in file order, before any command runs.  A key the command does
+    not read, or two parameter blocks, are refused.  The physical block is
+    converted to recoil units here and nowhere else.
     """
-    cfg = dict(DEFAULTS)
     file_cfg: dict = {}
     if path is not None:
         p = Path(path)
@@ -114,66 +210,34 @@ def load_config(path: str | None, overrides: dict, unused=()) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    unknown = set(file_cfg) - set(DEFAULTS) - {"dimensionless", "physical", "assert", "sweep"}
+    unknown = set(file_cfg) - set(CONFIG)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    ignored = set(file_cfg) & set(unused)
-    if ignored:
-        raise ConfigError(f"config keys this command does not read: {sorted(ignored)}")
-    for block in ("dimensionless", "physical", "assert", "sweep"):
-        if file_cfg.get(block) is not None and not isinstance(file_cfg[block], dict):
-            raise ConfigError(f"config block {block!r} must be a JSON object")
-    limit = _max_error(file_cfg)
-    if limit is not None and not _is_number(limit):
-        raise ConfigError(f"assert max_error must be a number, got {limit!r}")
-    cfg.update({k: v for k, v in file_cfg.items() if k not in ("dimensionless", "physical")})
-
-    dimless = file_cfg.get("dimensionless")
-    physical = file_cfg.get("physical")
-    if dimless is not None and physical is not None:
+    unread = {key for key in file_cfg if command not in CONFIG[key].commands}
+    if unread:
+        raise ConfigError(f"config keys this command does not read: {sorted(unread)}")
+    if set(_PARAMETER_BLOCKS) <= set(file_cfg):
         raise ConfigError("config must carry exactly one of 'dimensionless' and 'physical'")
-    if physical is not None:
-        _check_block("physical", physical, ("mass_kg", "wavelength_m", "g_rad_per_s", "delta_rad_per_s"))
-        try:
-            w_rec = recoil_frequency(physical["mass_kg"], physical["wavelength_m"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        cfg["g"] = physical["g_rad_per_s"] / w_rec
-        cfg["delta"] = physical["delta_rad_per_s"] / w_rec
-        cfg["recoil_rad_per_s"] = w_rec
-    elif dimless is not None:
-        _check_block("dimensionless", dimless, ("g", "delta"))
-        cfg["g"] = dimless["g"]
-        cfg["delta"] = dimless["delta"]
-    else:
-        cfg.setdefault("g", 1.0)
-        cfg.setdefault("delta", 100.0)
 
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    return cfg
+    cfg = {name: key.default for name, key in _KEYS.items()}
+    for name, value in file_cfg.items():
+        cfg.update(_read_block(name, value) if isinstance(CONFIG[name].kind, dict)
+                   else {name: CONFIG[name].kind(name, value)})
+    echo = {name: overrides.get(name, file_cfg.get(name, key.default))
+            for name, key in CONFIG.items() if not isinstance(key.kind, dict)}
+    if "physical" in file_cfg:
+        w_rec = _checked(recoil_frequency, cfg["mass_kg"], cfg["wavelength_m"])
+        cfg["g"] = cfg["g_rad_per_s"] / w_rec
+        cfg["delta"] = cfg["delta_rad_per_s"] / w_rec
+        echo["recoil_rad_per_s"] = w_rec
+    for name, value in overrides.items():
+        cfg[name] = _KEYS[name].kind(name, value)
+    return cfg, echo
 
 
 def resolve_params(cfg: dict) -> BraggParams:
-    try:
-        return BraggParams(
-            g=float(cfg["g"]),
-            delta=float(cfg["delta"]),
-            l0=_whole(cfg, "l0"),
-            r=_whole(cfg, "r"),
-            ladder_halfwidth=None if cfg["ladder_halfwidth"] is None else _whole(cfg, "ladder_halfwidth"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _config_echo(cfg: dict, params: BraggParams) -> dict:
-    echo = {k: cfg[k] for k in DEFAULTS}
-    echo.update(asdict(params))
-    if "recoil_rad_per_s" in cfg:
-        echo["recoil_rad_per_s"] = cfg["recoil_rad_per_s"]
-    return echo
+    """The Bragg parameters of a config, whose keys bear the field names."""
+    return _checked(BraggParams, **{field.name: cfg[field.name] for field in fields(BraggParams)})
 
 
 def _fmt(x) -> str:
@@ -329,7 +393,7 @@ def _write_json(path: Path, config: dict, doc: dict) -> None:
 
 
 def _points(cfg: dict) -> int:
-    points = _whole(cfg, "points")
+    points = cfg["points"]
     if points < 2:
         raise ConfigError(f"points must be at least 2 (the first and last time), got {points}")
     return points
@@ -346,15 +410,20 @@ def _tables(comparisons, seen: list):
         yield comp.table
 
 
-def cmd_entangle(cfg: dict) -> int:
-    params = resolve_params(cfg)
-    try:
-        ts = nonnegative_time_scale(_real(cfg, "time_scale"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _assert_at_most(what: str, value: float, limit) -> int:
+    """Exit code 2, said on stderr, unless ``value`` is at most the
+    ``assert`` block's ``limit`` (a NaN value fails); 0 without a limit."""
+    if limit is None or value <= limit:
+        return 0
+    print(f"assertion failed: {what} {_fmt(value)} exceeds {_fmt(limit)}", file=sys.stderr)
+    return 2
+
+
+def cmd_entangle(cfg: dict, params: BraggParams, config: dict) -> int:
+    """single-pair Bragg interaction: populations and final pair state"""
+    ts = cfg["time_scale"]
     points = _points(cfg)
     times = np.linspace(0.0, ts * full_deflection_time(params), points)
-    config = _config_echo(cfg, params)
     out = Path(cfg["output_dir"])
     seen: list = []
     tables = _tables(oracle_compare_chunks(params, times), seen)
@@ -376,19 +445,16 @@ def cmd_entangle(cfg: dict) -> int:
     return 0
 
 
-def cmd_protocol(cfg: dict) -> int:
-    params = resolve_params(cfg)
-    try:
-        report = run_protocol(
-            params,
-            shots=_whole(cfg, "shots"),
-            seed=_whole(cfg, "seed"),
-            time_scale=_real(cfg, "time_scale"),
-            detection_efficiency=_real(cfg, "detection_efficiency"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    config = _config_echo(cfg, params)
+def cmd_protocol(cfg: dict, params: BraggParams, config: dict) -> int:
+    """full swap protocol: exact heralds plus sampled shots"""
+    report = _checked(
+        run_protocol,
+        params,
+        shots=cfg["shots"],
+        seed=cfg["seed"],
+        time_scale=cfg["time_scale"],
+        detection_efficiency=cfg["detection_efficiency"],
+    )
     out = Path(cfg["output_dir"])
     retained = max(report.retained_shots, 1)
     _write_csv(
@@ -415,84 +481,53 @@ def cmd_protocol(cfg: dict) -> int:
     return 0
 
 
-def cmd_oracle_compare(cfg: dict) -> int:
-    params = resolve_params(cfg)
+def cmd_oracle_compare(cfg: dict, params: BraggParams, config: dict) -> int:
+    """closed-form vs exact-ladder population table"""
     points = _points(cfg)
     period = 2.0 * math.pi / pendellosung_frequency(params)
     comparisons = oracle_compare_chunks(params, np.linspace(0.0, period, points))
     out = Path(cfg["output_dir"])
     seen: list = []
-    _write_csv(out / "oracle_compare.csv", _config_echo(cfg, params), POPULATION_COLUMNS,
+    _write_csv(out / "oracle_compare.csv", config, POPULATION_COLUMNS,
                _tables(comparisons, seen))
     max_error = float(np.max([error for error, _, _ in seen]))
     print(f"max population error: {_fmt(max_error)}")
     if any(flag for _, flag, _ in seen):
         print("warning: ladder truncation too tight (boundary population exceeded limit)")
-    limit = _max_error(cfg)
-    if limit is not None and max_error > float(limit):
-        print(
-            f"assertion failed: max_error {_fmt(max_error)} exceeds {_fmt(float(limit))}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _assert_at_most("max_error", max_error, cfg["max_error"])
 
 
-def _sweep_values(values) -> tuple:
-    """Axis values from comma-separated text (the flag, or a string in the
-    config) or from a JSON list of numbers."""
-    if not isinstance(values, str):
-        if not isinstance(values, list) or not all(map(_is_number, values)):
-            raise ConfigError(f"sweep values must be numbers, got {values!r}")
-        return tuple(values)
-    parsed = []
-    for text in values.split(","):
-        if not text.strip():
-            continue
-        try:
-            parsed.append(float(text))
-        except ValueError:
-            raise ConfigError(f"sweep value {text.strip()!r} is not a number") from None
-    return tuple(parsed)
-
-
-def cmd_sweep(cfg: dict) -> int:
-    params = resolve_params(cfg)
-    if _real(cfg, "detection_efficiency") != 1.0:
+def cmd_sweep(cfg: dict, params: BraggParams, config: dict) -> int:
+    """one-axis parameter sweep"""
+    if cfg["detection_efficiency"] != 1.0:
         raise ConfigError("sweep does not apply detection_efficiency; leave it at 1")
-    sweep_cfg = dict(cfg.get("sweep") or {})
-    axis = cfg.get("axis") or sweep_cfg.get("axis")
-    values = cfg.get("values") or sweep_cfg.get("values")
-    if not axis or not values:
-        raise ConfigError("sweep needs an axis and a list of values")
-    try:
-        spec = SweepSpec(
-            axis=axis,
-            values=_sweep_values(values),
-            base=params,
-            shots=_whole(cfg, "shots"),
-            seed=_whole(cfg, "seed"),
-            time_scale=_real(cfg, "time_scale"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _checked(
+        SweepSpec,
+        axis=cfg["axis"],
+        values=cfg["values"],
+        base=params,
+        shots=cfg["shots"],
+        seed=cfg["seed"],
+        time_scale=cfg["time_scale"],
+    )
     result = run_sweep(spec)
-    config = _config_echo(cfg, params)
-    config["sweep"] = {"axis": axis, "values": list(spec.values)}
+    config["sweep"] = {"axis": spec.axis, "values": list(spec.values)}
     out = Path(cfg["output_dir"])
     _write_csv(out / "sweep.csv", config, ComparisonRow._fields, result.rows)
     _write_json(out / "sweep_manifest.json", config, result.manifest())
     for row in result.rows:
         if row.error:
             print(f"row {_fmt(row.value)} failed: {row.error}")
-    limit = _max_error(cfg)
-    if limit is not None and not (result.max_abs_error <= float(limit)):
-        print(
-            f"assertion failed: max abs_error {_fmt(result.max_abs_error)} exceeds {_fmt(float(limit))}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    return _assert_at_most("max abs_error", result.max_abs_error, cfg["max_error"])
+
+
+# Each command's docstring is its help text.
+_COMMANDS = {
+    "entangle": cmd_entangle,
+    "protocol": cmd_protocol,
+    "oracle-compare": cmd_oracle_compare,
+    "sweep": cmd_sweep,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -502,56 +537,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cavityswap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("entangle", "single-pair Bragg interaction: populations and final pair state"),
-        ("protocol", "full swap protocol: exact heralds plus sampled shots"),
-        ("oracle-compare", "closed-form vs exact-ladder population table"),
-        ("sweep", "one-axis parameter sweep"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.__doc__)
         sp.add_argument("--config", metavar="PATH", help="JSON config file")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", dest="output_dir", metavar="DIR")
-        sp.add_argument("--g", type=float, help="vacuum Rabi frequency (recoil units)")
-        sp.add_argument("--delta", type=float, help="detuning (recoil units)")
-        sp.add_argument("--l0", type=int)
-        sp.add_argument("--r", type=int)
-        sp.add_argument("--ladder-halfwidth", dest="ladder_halfwidth", type=int)
-        if name != "oracle-compare":
-            sp.add_argument("--time-scale", dest="time_scale", type=float)
-        if name in ("protocol", "sweep"):
-            sp.add_argument("--shots", type=int)
-            sp.add_argument("--detection-efficiency", dest="detection_efficiency", type=float)
-        if name == "sweep":
-            sp.add_argument("--axis")
-            sp.add_argument(
-                "--values",
-                help="comma-separated axis values; when the first is negative, "
-                "join with '=' (--values=-0.5,0.5)",
-            )
-        elif name in ("entangle", "oracle-compare"):
-            sp.add_argument("--points", type=int)
+        for dest, key in _KEYS.items():
+            if key.flag and name in key.commands:
+                sp.add_argument(key.flag, dest=dest, type=_FLAG_TYPES.get(key.kind), help=key.help,
+                                metavar=key.metavar)
     return parser
-
-
-_COMMANDS = {
-    "entangle": cmd_entangle,
-    "protocol": cmd_protocol,
-    "oracle-compare": cmd_oracle_compare,
-    "sweep": cmd_sweep,
-}
-
-
-# Config keys a command does not read (it has no flag for them either);
-# only oracle-compare and sweep check an assert block.
-# The ladder commands still take --seed: the ladder benchmark passes it.
-# oracle-compare spans one Pendelloesung period, whatever the time scale.
-_UNUSED_KEYS = {
-    "entangle": ("shots", "detection_efficiency", "assert"),
-    "protocol": ("points", "assert"),
-    "oracle-compare": ("shots", "detection_efficiency", "time_scale"),
-    "sweep": ("points",),
-}
 
 
 def main(argv=None) -> int:
@@ -562,8 +555,9 @@ def main(argv=None) -> int:
         if k not in ("command", "config") and v is not None
     }
     try:
-        cfg = load_config(args.config, overrides, unused=_UNUSED_KEYS.get(args.command, ()))
-        return _COMMANDS[args.command](cfg)
+        cfg, echo = load_config(args.command, args.config, overrides)
+        params = resolve_params(cfg)
+        return _COMMANDS[args.command](cfg, params, {**echo, **asdict(params)})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

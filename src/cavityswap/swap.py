@@ -490,7 +490,7 @@ class ProtocolReport:
     """Exact distribution plus sampled statistics for one protocol run."""
 
     params: BraggParams
-    seed: int
+    seed: int | np.random.SeedSequence
     shots: int
     time_scale: float
     detection_efficiency: float
@@ -507,9 +507,14 @@ class ProtocolReport:
     note: str
 
     def summary(self) -> dict:
-        """Body of the protocol summary artifact (the CLI adds version and config)."""
+        """Body of the protocol summary artifact (the CLI adds version and
+        config).  A ``SeedSequence`` seed is written as its entropy and
+        spawn key."""
+        seed = self.seed
+        if isinstance(seed, np.random.SeedSequence):
+            seed = {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key)}
         return {
-            "seed": self.seed,
+            "seed": seed,
             "shots": self.shots,
             "retained_shots": self.retained_shots,
             "discarded_shots": self.discarded_shots,
@@ -528,7 +533,7 @@ class ProtocolReport:
 def run_protocol(
     p: BraggParams,
     shots: int,
-    seed: int,
+    seed: int | np.random.SeedSequence,
     time_scale: float = 1.0,
     detection_efficiency: float = 1.0,
 ) -> ProtocolReport:

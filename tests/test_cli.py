@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -19,8 +20,16 @@ from cavityswap.bragg import (
 )
 from cavityswap.cli import (
     _CSV_BLOCK,
+    CONFIG,
     ConfigError,
+    _build_parser,
     _format_floats,
+    _numbers,
+    _real,
+    _text,
+    _time_scale,
+    _whole,
+    _whole_or_null,
     _write_csv,
     load_config,
     main,
@@ -41,7 +50,7 @@ def read(path):
 
 
 def test_defaults_resolve_to_the_reference_parameters():
-    cfg = load_config(None, {})
+    cfg, _ = load_config("protocol", None, {})
     params = resolve_params(cfg)
     assert params.g == 1.0 and params.delta == 100.0
     assert params.l0 == 2 and params.r == 1
@@ -51,7 +60,7 @@ def test_defaults_resolve_to_the_reference_parameters():
 def test_config_file_with_dimensionless_block(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dimensionless": {"g": 2.0, "delta": 300.0}, "l0": 4}))
-    cfg = load_config(str(path), {})
+    cfg, _ = load_config("entangle", str(path), {})
     params = resolve_params(cfg)
     assert params.g == 2.0 and params.delta == 300.0 and params.l0 == 4
 
@@ -72,11 +81,11 @@ def test_physical_block_converts_to_recoil_units_once(tmp_path):
             }
         )
     )
-    cfg = load_config(str(path), {})
+    cfg, echo = load_config("protocol", str(path), {})
     params = resolve_params(cfg)
     assert params.g == pytest.approx(1.0, rel=1e-12)
     assert params.delta == pytest.approx(100.0, rel=1e-12)
-    assert cfg["recoil_rad_per_s"] == pytest.approx(w_rec)
+    assert echo["recoil_rad_per_s"] == pytest.approx(w_rec)
 
 
 def test_both_parameter_blocks_present_is_an_error(tmp_path):
@@ -95,7 +104,7 @@ def test_both_parameter_blocks_present_is_an_error(tmp_path):
         )
     )
     with pytest.raises(ConfigError, match="exactly one"):
-        load_config(str(path), {})
+        load_config("protocol", str(path), {})
 
 
 def test_unknown_config_keys_are_rejected(tmp_path):
@@ -103,14 +112,15 @@ def test_unknown_config_keys_are_rejected(tmp_path):
     for key in ("detuning", "step"):
         path.write_text(json.dumps({key: 100.0}))
         with pytest.raises(ConfigError, match="unknown config keys"):
-            load_config(str(path), {})
+            load_config("protocol", str(path), {})
 
 
 def test_flag_overrides_win_over_the_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 5, "shots": 10}))
-    cfg = load_config(str(path), {"seed": 9})
+    cfg, echo = load_config("protocol", str(path), {"seed": 9})
     assert cfg["seed"] == 9 and cfg["shots"] == 10
+    assert echo["seed"] == 9
 
 
 # ---------------------------------------------------------------- exit codes
@@ -199,6 +209,122 @@ def test_malformed_config_values_exit_1_before_any_artifact(tmp_path, capsys, co
     assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# Walking the config table: bad values of each kind, valid blocks to hold a
+# bad inner value, and flags that would make each command run if the file
+# were not checked (a flag wins over the file, but the file is read first).
+_BAD = {
+    _whole: (2.5, True, "2", None, math.inf),
+    _whole_or_null: (2.5, False, "2"),
+    _real: ("x", True, None, math.inf, math.nan),
+    _time_scale: ("x", True, None, -1.0, math.inf, math.nan),
+    _text: (3, None, ["a"]),
+    _numbers: (4, "2,x", [2, "x"], [2, None], {"a": 2}),
+}
+_BAD_BLOCKS = (3, None, [1], {"unknown": 1})
+_VALID_BLOCKS = {
+    "dimensionless": {"g": 1.0, "delta": 100.0},
+    "physical": _PHYSICAL,
+    "sweep": {"axis": "l0", "values": [2]},
+    "assert": {"max_error": 0.02},
+}
+_RUNNABLE = {
+    "entangle": ("--points", "3"),
+    "protocol": ("--shots", "10"),
+    "oracle-compare": ("--points", "3"),
+    "sweep": ("--axis", "l0", "--values", "2", "--shots", "10"),
+}
+
+
+def _table_cases():
+    for command in _RUNNABLE:
+        for key, row in CONFIG.items():
+            if command not in row.commands:
+                yield pytest.param(command, {key: row.default}, f"error: config keys this command does not read: "
+                                   f"['{key}']", id=f"{command}-unread-{key}")
+                continue
+            if not isinstance(row.kind, dict):
+                for bad in _BAD[row.kind]:
+                    yield pytest.param(command, {key: bad}, f"error: {key} must be ", id=f"{command}-{key}={bad!r}")
+                continue
+            for bad in _BAD_BLOCKS:
+                yield pytest.param(command, {key: bad}, key, id=f"{command}-{key}={bad!r}")
+            for inner, inner_row in row.kind.items():
+                for bad in _BAD[inner_row.kind]:
+                    config = {key: {**_VALID_BLOCKS[key], inner: bad}}
+                    yield pytest.param(command, config, key, id=f"{command}-{key}.{inner}={bad!r}")
+
+
+# Misspelt and misplaced keys inside blocks, a block the command does not
+# read, and output directories that are not text.
+_NAMED_CASES = [
+    ("oracle-compare", {"assert": {"max_eror": 0.0}}, "unknown keys in config block 'assert': ['max_eror']"),
+    ("entangle", _SWEEP, "config keys this command does not read: ['sweep']"),
+    ("protocol", _SWEEP, "config keys this command does not read: ['sweep']"),
+    ("sweep", {"sweep": {"axis": "l0", "values": [2], "valuez": [4]}}, "unknown keys in config block 'sweep': ['valuez']"),
+    ("sweep", {"sweep": {"axis": "l0", "values": [2], "shots": 5}}, "unknown keys in config block 'sweep': ['shots']"),
+    ("protocol", {"dimensionless": {"g": 1, "delta": 100, "l0": 4}}, "unknown keys in config block 'dimensionless': ['l0']"),
+    ("protocol", {"physical": {**_PHYSICAL, "l0": 4}}, "unknown keys in config block 'physical': ['l0']"),
+    ("protocol", {"output_dir": 3}, "output_dir must be text, got 3"),
+    ("protocol", {"output_dir": None}, "output_dir must be text, got None"),
+    ("protocol", {"output_dir": ["a"]}, "output_dir must be text, got ['a']"),
+]
+
+
+@pytest.mark.parametrize("command, config, named", [
+    *_table_cases(),
+    *(pytest.param(command, config, message, id=f"named-{i}")
+      for i, (command, config, message) in enumerate(_NAMED_CASES)),
+])
+def test_config_table_refuses_unread_keys_and_bad_values(tmp_path, capsys, command, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_cli(command, *_RUNNABLE[command], "--config", str(cfg), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+def test_every_command_has_its_flags_in_order():
+    # Option strings, dests and types per command.  oracle-compare has no
+    # --time-scale; protocol and sweep have no --points.
+    expected = {
+        "entangle": [
+            (["-h", "--help"], "help", None), (["--config"], "config", None), (["--seed"], "seed", int),
+            (["--out"], "output_dir", None), (["--g"], "g", float), (["--delta"], "delta", float),
+            (["--l0"], "l0", int), (["--r"], "r", int), (["--ladder-halfwidth"], "ladder_halfwidth", int),
+            (["--time-scale"], "time_scale", float), (["--points"], "points", int),
+        ],
+        "protocol": [
+            (["-h", "--help"], "help", None), (["--config"], "config", None), (["--seed"], "seed", int),
+            (["--out"], "output_dir", None), (["--g"], "g", float), (["--delta"], "delta", float),
+            (["--l0"], "l0", int), (["--r"], "r", int), (["--ladder-halfwidth"], "ladder_halfwidth", int),
+            (["--time-scale"], "time_scale", float), (["--shots"], "shots", int),
+            (["--detection-efficiency"], "detection_efficiency", float),
+        ],
+        "oracle-compare": [
+            (["-h", "--help"], "help", None), (["--config"], "config", None), (["--seed"], "seed", int),
+            (["--out"], "output_dir", None), (["--g"], "g", float), (["--delta"], "delta", float),
+            (["--l0"], "l0", int), (["--r"], "r", int), (["--ladder-halfwidth"], "ladder_halfwidth", int),
+            (["--points"], "points", int),
+        ],
+        "sweep": [
+            (["-h", "--help"], "help", None), (["--config"], "config", None), (["--seed"], "seed", int),
+            (["--out"], "output_dir", None), (["--g"], "g", float), (["--delta"], "delta", float),
+            (["--l0"], "l0", int), (["--r"], "r", int), (["--ladder-halfwidth"], "ladder_halfwidth", int),
+            (["--time-scale"], "time_scale", float), (["--shots"], "shots", int),
+            (["--detection-efficiency"], "detection_efficiency", float), (["--axis"], "axis", None),
+            (["--values"], "values", None),
+        ],
+    }
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(expected)
+    for name, flags in expected.items():
+        actions = subparsers.choices[name]._actions
+        assert [(a.option_strings, a.dest, a.type) for a in actions] == flags, name
 
 
 def test_whole_number_floats_count_as_integers(tmp_path):

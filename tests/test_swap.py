@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from cavityswap.bragg import BraggParams, deflection_phase
 from cavityswap.cli import main
-from cavityswap.metrics import wilson_interval
+from cavityswap.metrics import _row_seed, wilson_interval
 from cavityswap.swap import (
     CLASS_TARGETS,
     ClickPattern,
@@ -447,6 +448,17 @@ def test_protocol_counts_are_consistent_at_a_billion_shots():
             assert low <= h.probability <= high
         else:
             assert count == 0
+
+
+def test_protocol_summary_dumps_int_and_seed_sequence_seeds():
+    # An int seed is written as it is; a sweep row's SeedSequence as its
+    # entropy and spawn key, which rebuild the same draw.
+    assert '"seed": 7,' in json.dumps(run_protocol(P2, shots=10, seed=7).summary())
+    report = run_protocol(P2, shots=1000, seed=_row_seed(3, 2))
+    seed = json.loads(json.dumps(report.summary()))["seed"]
+    assert seed == {"entropy": 3, "spawn_key": [2]}
+    again = run_protocol(P2, shots=1000, seed=np.random.SeedSequence(seed["entropy"], spawn_key=seed["spawn_key"]))
+    assert again.counts == report.counts
 
 
 def test_protocol_report_serialisation_is_deterministic(tmp_path):
