@@ -35,7 +35,7 @@ from .bragg import (
     recoil_frequency,
 )
 from .metrics import POPULATION_COLUMNS, ComparisonRow, SweepSpec, oracle_compare_chunks, run_sweep
-from .swap import run_protocol
+from .swap import CLASS_NAMES, PAPER_TABLE_LABELS, PATTERN_LABELS, run_protocol
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
 
@@ -58,7 +58,9 @@ def _checked(check, *args, **kwargs):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # A JSON integer beyond the float range is no number here: float() of it overflows.
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) > sys.float_info.max))
 
 
 def _is_real(value) -> bool:
@@ -179,10 +181,12 @@ def _read_block(name: str, block) -> dict:
     unknown = set(block) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in config block {name!r}: {sorted(unknown)}")
-    if name in _PARAMETER_BLOCKS:  # a whole set of numbers
-        missing = set(keys) - set(block)
-        if missing:
-            raise ConfigError(f"{name} block is missing {sorted(missing)}")
+    # A parameter block is a whole set of numbers; any other block must
+    # hold the inner keys that no flag can set.
+    missing = {k for k, key in keys.items() if name in _PARAMETER_BLOCKS or key.flag is None} - set(block)
+    if missing:
+        raise ConfigError(f"{name} block is missing {sorted(missing)}")
+    if name in _PARAMETER_BLOCKS:
         wrong = [k for k in keys if not _is_real(block[k])]
         if wrong:
             raise ConfigError(f"{name} block values must be numbers: {wrong}")
@@ -206,7 +210,7 @@ def load_config(command: str, path: str | None, overrides: dict) -> tuple[dict, 
             raise ConfigError(f"config file not found: {path}")
         try:
             file_cfg = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than Python reads
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -457,15 +461,15 @@ def cmd_protocol(cfg: dict, params: BraggParams, config: dict) -> int:
     )
     out = Path(cfg["output_dir"])
     retained = max(report.retained_shots, 1)
+    probs, classes, fids, concs = report.heralds.row(0)
     _write_csv(
         out / "protocol_report.csv",
         config,
         ("pattern", "probability", "empirical_frequency", "classification", "paper_label",
          "fidelity", "concurrence"),
         (
-            (h.pattern.label, h.probability, count / retained, h.classification, h.paper_label,
-             h.fidelity_to_class, h.concurrence)
-            for h, count in zip(report.results, report.counts)
+            (label, prob, count / retained, CLASS_NAMES[k], PAPER_TABLE_LABELS[label], fid, c)
+            for label, prob, count, k, fid, c in zip(PATTERN_LABELS, probs, report.counts, classes, fids, concs)
         ),
     )
     _write_json(out / "protocol_summary.json", config, report.summary())

@@ -7,9 +7,12 @@ momentum class and the output modes feed the detectors
 
     a1' -> D4,   a2' -> D3,   b1' -> D2,   b2' -> D1.
 
-Every two-click pattern heralds a conditional state of the two cavities;
-classifying those states and sampling shot statistics is what this module
-does.
+Every two-click pattern heralds a conditional state of the two cavities.
+:func:`herald_batch` computes the heralds of many joint states at once and
+returns them as :class:`Heralds` arrays, one row per state and one column
+per pattern: columns are labelled by :data:`PATTERN_LABELS`, classes index
+:data:`CLASS_NAMES`.  The protocol's sampled counts and reports are read
+from those arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,25 +30,22 @@ from .bragg import BraggParams, branch_amplitudes, nonnegative_time_scale
 __all__ = [
     "DETECTORS",
     "N_MODES",
-    "ClickPattern",
     "mode_basis",
     "single_particle_mixer",
     "beam_splitter_unitary",
     "joint_state",
-    "joint_state_from_amplitudes",
-    "apply_beam_splitter",
     "epr_decomposition_check",
     "branch_pair",
     "Heralds",
     "herald_batch",
-    "HeraldResult",
-    "click_distribution",
     "herald_distribution",
     "ProtocolSample",
     "sample_protocol",
     "run_protocol",
     "ProtocolReport",
     "CLASS_TARGETS",
+    "CLASS_NAMES",
+    "PATTERN_LABELS",
     "PAPER_TABLE_LABELS",
 ]
 
@@ -63,11 +63,18 @@ CLASS_TARGETS = {
 }
 # Herald classes by index: the targets, then "none" for a pattern that
 # never clicks.
-_CLASS_NAMES = (*CLASS_TARGETS, "none")
+CLASS_NAMES = (*CLASS_TARGETS, "none")
 _NONE = len(CLASS_TARGETS)
-_PSI = (_CLASS_NAMES.index("psi_plus"), _CLASS_NAMES.index("psi_minus"))
+_PSI = (CLASS_NAMES.index("psi_plus"), CLASS_NAMES.index("psi_minus"))
 # Row k is the bra of target k, so _TARGET_BRAS @ v holds every <target|v>.
 _TARGET_BRAS = np.array(list(CLASS_TARGETS.values())).conj()
+
+# Click pattern of each two-atom occupation, in mode_basis(2) order: the
+# detectors of its two atoms, in output mode order.
+PATTERN_LABELS = (
+    "D4&D4", "D4&D3", "D4&D2", "D4&D1", "D3&D3",
+    "D3&D2", "D3&D1", "D2&D2", "D2&D1", "D1&D1",
+)
 
 # Herald table as published alongside the protocol, kept for side-by-side
 # reporting.  It disagrees with the bosonic calculation on every pattern:
@@ -86,30 +93,6 @@ PAPER_TABLE_LABELS = {
     "D4&D3": "none",
     "D2&D1": "none",
 }
-
-@dataclass(frozen=True)
-class ClickPattern:
-    """Unordered pair of detector clicks (a double counts one detector twice)."""
-
-    clicks: tuple
-
-    def __post_init__(self):
-        clicks = tuple(sorted(self.clicks, reverse=True))
-        if len(clicks) != 2 or any(c not in DETECTORS for c in clicks):
-            raise ValueError(f"a click pattern is two of {DETECTORS}, got {self.clicks!r}")
-        object.__setattr__(self, "clicks", clicks)
-
-    @classmethod
-    def from_occupation(cls, occ) -> "ClickPattern":
-        clicks = []
-        for mode, count in enumerate(occ):
-            clicks.extend([DETECTORS[mode]] * count)
-        return cls(tuple(clicks))
-
-    @cached_property
-    def label(self) -> str:
-        return f"{self.clicks[0]}&{self.clicks[1]}"
-
 
 def _occupations_with_total(total: int) -> list:
     occs = []
@@ -130,14 +113,6 @@ def mode_basis(total: int = 2) -> tuple:
     if total < 0:
         raise ValueError("total occupation must be nonnegative")
     return tuple(_occupations_with_total(total))
-
-
-@lru_cache(maxsize=None)
-def _click_patterns() -> tuple:
-    """(click pattern, published table label) of each two-atom occupation,
-    in basis order."""
-    patterns = [ClickPattern.from_occupation(occ) for occ in mode_basis(2)]
-    return tuple((pattern, PAPER_TABLE_LABELS[pattern.label]) for pattern in patterns)
 
 
 def single_particle_mixer() -> np.ndarray:
@@ -198,9 +173,11 @@ _JOINT_SHAPE = (4, len(mode_basis(2)))
 _BRANCH_COLUMNS = [mode_basis(2).index(occ) for occ in _BRANCH_PAIRS]
 
 
-def _checked_pair(c_plus, c_minus) -> tuple[complex, complex]:
-    c_plus = complex(c_plus)
-    c_minus = complex(c_minus)
+def branch_pair(p: BraggParams, time_scale: float = 1.0) -> tuple[complex, complex]:
+    """The branch amplitudes of :func:`~cavityswap.bragg.branch_amplitudes`
+    as a checked pair of complex numbers: ValueError unless
+    |c+|^2 + |c-|^2 = 1 within 1e-12 and both are finite."""
+    c_plus, c_minus = map(complex, branch_amplitudes(p, time_scale))
     if abs(abs(c_plus) ** 2 + abs(c_minus) ** 2 - 1.0) > 1e-12:
         raise ValueError("branch amplitudes must satisfy |c+|^2 + |c-|^2 = 1")
     if not all(map(math.isfinite, (c_plus.real, c_plus.imag, c_minus.real, c_minus.imag))):
@@ -210,7 +187,8 @@ def _checked_pair(c_plus, c_minus) -> tuple[complex, complex]:
 
 def _joint_amplitudes(pairs) -> np.ndarray:
     """(pair, cavity pair, two-atom mode) amplitudes of the joint states of
-    checked (c+, c-) pairs, as in :func:`joint_state_from_amplitudes`."""
+    (c+, c-) pairs as :func:`branch_pair` returns them, as in
+    :func:`joint_state`."""
     # The products are taken in Python: numpy may fuse a complex product's
     # multiply and add, which would round them differently from the
     # term-by-term expansion.
@@ -229,9 +207,10 @@ def _joint_amplitudes(pairs) -> np.ndarray:
     return amps
 
 
-def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> np.ndarray:
-    """Two-pair joint state before the mode mixer, from one-photon branch
-    amplitudes (undeflected, deflected) shared by both atoms.
+def joint_state(p: BraggParams, time_scale: float = 1.0) -> np.ndarray:
+    """Joint state of both cavities and both atoms before the mode mixer,
+    from the one-photon branch amplitudes (c+, c-) = (undeflected,
+    deflected) of :func:`branch_pair`, shared by both atoms.
 
     The zero-photon branch leaves its atom undeflected with amplitude one,
     so the state over (cavity 1, cavity 2, mode occupation) reads
@@ -240,17 +219,11 @@ def joint_state_from_amplitudes(c_plus: complex, c_minus: complex) -> np.ndarray
               + |10> (c+ a1+ + c- b1+) a2+
               + |11> (c+ a1+ + c- b1+)(c+ a2+ + c- b2+) ] |vac>.
 
-    Requires |c+|^2 + |c-|^2 = 1; every term holds exactly two atoms.  The
-    result is a (cavity pair, two-atom mode) array of shape (4, 10), cavity
-    pairs in the order 00, 01, 10, 11 and modes in :func:`mode_basis` order.
+    Every term holds exactly two atoms.  The result is a (cavity pair,
+    two-atom mode) array of shape (4, 10), cavity pairs in the order 00,
+    01, 10, 11 and modes in :func:`mode_basis` order.
     """
-    return _joint_amplitudes([_checked_pair(c_plus, c_minus)])[0]
-
-
-def joint_state(p: BraggParams, time_scale: float = 1.0) -> np.ndarray:
-    """Joint state of both cavities and both atoms before the mode mixer,
-    with the one-photon branch amplitudes of :func:`branch_amplitudes`."""
-    return joint_state_from_amplitudes(*branch_amplitudes(p, time_scale))
+    return _joint_amplitudes([branch_pair(p, time_scale)])[0]
 
 
 def _mode_amplitudes(s) -> np.ndarray:
@@ -262,15 +235,6 @@ def _mode_amplitudes(s) -> np.ndarray:
             f"expected a (cavity pair x two-atom mode) joint state of shape {_JOINT_SHAPE}, got {amps.shape}"
         )
     return amps
-
-
-def apply_beam_splitter(s) -> np.ndarray:
-    """Send both atoms through the momentum-mode mixers.
-
-    The (4, 10) joint state keeps its layout; after this call the mode
-    columns refer to the primed (detector-facing) modes.
-    """
-    return _mode_amplitudes(s) @ beam_splitter_unitary(mode_basis(2)).T
 
 
 def epr_decomposition_check(s, phase: float) -> tuple[bool, float]:
@@ -316,40 +280,13 @@ def epr_decomposition_check(s, phase: float) -> tuple[bool, float]:
     return residual <= 1e-12, residual
 
 
-@dataclass(frozen=True)
-class HeraldResult:
-    """Conditional outcome for one click pattern.
-
-    ``conditional_state`` is the normalised two-cavity density matrix (None
-    when the pattern has probability zero), ``classification`` the best
-    matching target with its fidelity, ``concurrence`` the closed form
-    2|ad - bc| of the pure heralded state a|00> + b|01> + c|10> + d|11>,
-    ``paper_label`` the published table entry for comparison.
-    """
-
-    pattern: ClickPattern
-    probability: float
-    conditional_state: np.ndarray | None
-    classification: str
-    fidelity_to_class: float
-    concurrence: float
-    paper_label: str
-
-
-def branch_pair(p: BraggParams, time_scale: float = 1.0) -> tuple[complex, complex]:
-    """The branch amplitudes of :func:`~cavityswap.bragg.branch_amplitudes`
-    as a checked pair of complex numbers: ValueError unless
-    |c+|^2 + |c-|^2 = 1 within 1e-12 and both are finite."""
-    return _checked_pair(*branch_amplitudes(p, time_scale))
-
-
 class Heralds(NamedTuple):
     """Herald statistics of R joint states, one row per state and one
-    column per click pattern (in :func:`mode_basis` order).
+    column per click pattern (labelled by :data:`PATTERN_LABELS`).
 
     ``states[r, :, j]`` is the normalised conditional cavity vector of
-    pattern j, ``classes`` indexes the best matching target of
-    :data:`CLASS_TARGETS`, or "none" after them for a pattern of
+    pattern j, ``classes`` indexes :data:`CLASS_NAMES`: the best matching
+    target of :data:`CLASS_TARGETS`, or "none" after them for a pattern of
     probability zero (whose fidelity and concurrence read 0), and
     ``concurrences`` holds the closed form 2|ad - bc| of each pure herald.
     """
@@ -359,6 +296,12 @@ class Heralds(NamedTuple):
     classes: np.ndarray
     fidelities: np.ndarray
     concurrences: np.ndarray
+
+    def row(self, r: int) -> tuple[list, list, list, list]:
+        """Probabilities, classes, fidelities and concurrences of row ``r``
+        as Python lists in pattern order, for sums that must run in that
+        order."""
+        return tuple(a[r].tolist() for a in (self.probabilities, self.classes, self.fidelities, self.concurrences))
 
 
 def _heralds(psi: np.ndarray) -> Heralds:
@@ -398,34 +341,9 @@ def herald_batch(pairs) -> Heralds:
     return _heralds(_joint_amplitudes(pairs) @ beam_splitter_unitary(mode_basis(2)).T)
 
 
-def _herald_results(heralds: Heralds, row: int) -> list:
-    """The :class:`HeraldResult` of every pattern of one row of a batch."""
-    vecs = heralds.states[row]
-    rhos = vecs.T[:, :, None] * vecs.T[:, None, :].conj()
-    rhos.setflags(write=False)
-    return [
-        HeraldResult(pattern, prob, None if prob == 0.0 else rhos[j], _CLASS_NAMES[k], fid, c, paper)
-        for j, ((pattern, paper), prob, k, fid, c) in enumerate(zip(
-            _click_patterns(), heralds.probabilities[row].tolist(), heralds.classes[row].tolist(),
-            heralds.fidelities[row].tolist(), heralds.concurrences[row].tolist(),
-        ))
-    ]
-
-
-def click_distribution(s) -> list:
-    """Exact outcome distribution of a mode-mixed (4, 10) joint state.
-
-    One entry per possible two-click pattern (zero-probability patterns
-    included); probabilities must sum to one within 1e-12 or the state was
-    not a valid post-mixer joint state.  Every statistic is computed for
-    all patterns at once, on the (cavity pair x pattern) amplitude array.
-    """
-    return _herald_results(_heralds(_mode_amplitudes(s)[None]), 0)
-
-
-def herald_distribution(p: BraggParams, time_scale: float = 1.0) -> list:
-    """Click distribution for the full protocol at the given timing."""
-    return _herald_results(herald_batch([branch_pair(p, time_scale)]), 0)
+def herald_distribution(p: BraggParams, time_scale: float = 1.0) -> Heralds:
+    """The one-row :class:`Heralds` of the full protocol at the given timing."""
+    return herald_batch([branch_pair(p, time_scale)])
 
 
 def _sample_counts(probs, shots: int, seed, efficiency: float) -> tuple[list, int]:
@@ -461,15 +379,12 @@ def sample_protocol(
     With ``detection_efficiency`` below one each atom is detected
     independently with that probability and shots with a missed click are
     discarded."""
-    probs = heralds.probabilities[row].tolist()
+    probs, classes, fids, concs = heralds.row(row)
     counts, discarded = _sample_counts(probs, shots, seed, detection_efficiency)
     retained = shots - discarded
     psi = [
         (prob, fid, c, count)
-        for prob, k, fid, c, count in zip(
-            probs, heralds.classes[row].tolist(), heralds.fidelities[row].tolist(),
-            heralds.concurrences[row].tolist(), counts,
-        )
+        for prob, k, fid, c, count in zip(probs, classes, fids, concs, counts)
         if k in _PSI
     ]
     psi_prob = sum(prob for prob, _, _, _ in psi)
@@ -487,14 +402,15 @@ def sample_protocol(
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Exact distribution plus sampled statistics for one protocol run."""
+    """Exact heralds, as a one-row :class:`Heralds`, plus sampled
+    statistics for one protocol run."""
 
     params: BraggParams
     seed: int | np.random.SeedSequence
     shots: int
     time_scale: float
     detection_efficiency: float
-    results: tuple
+    heralds: Heralds
     counts: tuple
     retained_shots: int
     discarded_shots: int
@@ -551,31 +467,29 @@ def run_protocol(
     nonnegative_time_scale(time_scale)
     if not 0.0 < detection_efficiency <= 1.0:
         raise ValueError("detection efficiency must be in (0, 1]")
-    heralds = herald_batch([branch_pair(p, time_scale)])
-    dist = _herald_results(heralds, 0)
+    heralds = herald_distribution(p, time_scale)
     sample = sample_protocol(heralds, 0, shots, seed, detection_efficiency)
+    probs, classes, fids, concs = heralds.row(0)
+    counts = sample.counts
 
-    # (probability, count, fidelity, concurrence, label) of each pattern, by class.
-    by_class: dict = {}
-    for h, count in zip(dist, sample.counts):
-        row = (h.probability, count, h.fidelity_to_class, h.concurrence, h.pattern.label)
-        by_class.setdefault(h.classification, []).append(row)
     class_stats: dict = {}
-    for name in _CLASS_NAMES:
-        if name not in by_class:
+    for k, name in enumerate(CLASS_NAMES):
+        # The class's patterns, summed in pattern order.
+        js = [j for j, c in enumerate(classes) if c == k]
+        if not js:
             continue
-        probs, cts, fids, concs, labels = zip(*by_class[name])
-        prob, ct = sum(probs), sum(cts)
-        stats = {"probability": prob, "count": ct, "patterns": list(labels)}
+        prob, ct = sum(probs[j] for j in js), sum(counts[j] for j in js)
+        stats = {"probability": prob, "count": ct, "patterns": [PATTERN_LABELS[j] for j in js]}
         if prob > 0.0:
-            stats["fidelity_exact"] = sum(p * f for p, f in zip(probs, fids)) / prob
-            stats["concurrence_exact"] = sum(p * c for p, c in zip(probs, concs)) / prob
+            stats["fidelity_exact"] = sum(probs[j] * fids[j] for j in js) / prob
+            stats["concurrence_exact"] = sum(probs[j] * concs[j] for j in js) / prob
         if ct > 0:
-            stats["fidelity_empirical"] = sum(c * f for c, f in zip(cts, fids)) / ct
+            stats["fidelity_empirical"] = sum(counts[j] * fids[j] for j in js) / ct
         class_stats[name] = stats
 
     divergences = tuple(
-        h.pattern.label for h in dist if h.probability > 0.0 and h.classification != h.paper_label
+        label for label, prob, k in zip(PATTERN_LABELS, probs, classes)
+        if prob > 0.0 and CLASS_NAMES[k] != PAPER_TABLE_LABELS[label]
     )
     note = (
         "herald classifications follow the bosonic mode calculation; "
@@ -590,8 +504,8 @@ def run_protocol(
         shots=shots,
         time_scale=time_scale,
         detection_efficiency=detection_efficiency,
-        results=tuple(dist),
-        counts=tuple(sample.counts),
+        heralds=heralds,
+        counts=tuple(counts),
         retained_shots=sample.retained_shots,
         discarded_shots=sample.discarded_shots,
         success_rate=sample.success_rate,

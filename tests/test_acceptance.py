@@ -23,6 +23,8 @@ from cavityswap.cli import main
 from cavityswap.metrics import wilson_interval
 from cavityswap.quantum import propagate
 from cavityswap.swap import (
+    CLASS_NAMES,
+    PATTERN_LABELS,
     beam_splitter_unitary,
     epr_decomposition_check,
     herald_distribution,
@@ -46,32 +48,31 @@ def report(number, description, ok):
     assert ok, f"criterion {number} failed: {description}"
 
 
-def check_distribution(dist, tol_prob=1e-12, tol_state=1e-10):
-    """Criteria 5 and 6 on one herald distribution; returns (ok5, ok6)."""
-    by_label = {h.pattern.label: h for h in dist}
-    ok5 = all(abs(by_label[lab].probability - 0.125) <= tol_prob
-              for lab in PSI_PLUS | PSI_MINUS | PRODUCT_00 | PRODUCT_11)
-    ok5 &= all(by_label[lab].probability == 0.0 for lab in ZERO)
-    ok5 &= abs(sum(h.probability for h in dist) - 1.0) <= tol_prob
+def check_distribution(heralds, tol_prob=1e-12, tol_state=1e-10):
+    """Criteria 5 and 6 on a one-row herald distribution; returns (ok5, ok6)."""
+    probs, classes, fids, concs = heralds.row(0)
+    prob = dict(zip(PATTERN_LABELS, probs))
+    name = {label: CLASS_NAMES[k] for label, k in zip(PATTERN_LABELS, classes)}
+    fid = dict(zip(PATTERN_LABELS, fids))
+    conc = dict(zip(PATTERN_LABELS, concs))
+    ok5 = all(abs(prob[lab] - 0.125) <= tol_prob for lab in PSI_PLUS | PSI_MINUS | PRODUCT_00 | PRODUCT_11)
+    ok5 &= all(prob[lab] == 0.0 for lab in ZERO)
+    ok5 &= abs(sum(probs) - 1.0) <= tol_prob
 
     ok6 = True
     for lab in PSI_PLUS:
-        h = by_label[lab]
-        ok6 &= h.classification == "psi_plus"
-        ok6 &= abs(h.fidelity_to_class - 1.0) <= tol_state
-        ok6 &= abs(h.concurrence - 1.0) <= tol_state
+        ok6 &= name[lab] == "psi_plus"
+        ok6 &= abs(fid[lab] - 1.0) <= tol_state
+        ok6 &= abs(conc[lab] - 1.0) <= tol_state
     for lab in PSI_MINUS:
-        h = by_label[lab]
-        ok6 &= h.classification == "psi_minus"
-        ok6 &= abs(h.fidelity_to_class - 1.0) <= tol_state
-        ok6 &= abs(h.concurrence - 1.0) <= tol_state
+        ok6 &= name[lab] == "psi_minus"
+        ok6 &= abs(fid[lab] - 1.0) <= tol_state
+        ok6 &= abs(conc[lab] - 1.0) <= tol_state
     for lab in PRODUCT_00:
-        h = by_label[lab]
-        ok6 &= h.classification == "product_00" and h.concurrence <= tol_state
+        ok6 &= name[lab] == "product_00" and conc[lab] <= tol_state
     for lab in PRODUCT_11:
-        h = by_label[lab]
-        ok6 &= h.classification == "product_11" and h.concurrence <= tol_state
-    success = sum(h.probability for h in dist if h.classification in ("psi_plus", "psi_minus"))
+        ok6 &= name[lab] == "product_11" and conc[lab] <= tol_state
+    success = sum(prob[lab] for lab in PATTERN_LABELS if name[lab] in ("psi_plus", "psi_minus"))
     ok6 &= abs(success - 0.5) <= tol_prob
     return ok5, ok6
 
@@ -127,8 +128,7 @@ def test_criterion_5_exact_click_distribution():
 
 
 def test_criterion_6_herald_classes_and_success_probability():
-    dist = herald_distribution(P2)
-    _, ok6 = check_distribution(dist)
+    _, ok6 = check_distribution(herald_distribution(P2))
     rep = run_protocol(P2, shots=10, seed=1)
     flagged = set(rep.paper_label_divergences) == PSI_PLUS | PSI_MINUS | PRODUCT_00 | PRODUCT_11
     report(
@@ -142,8 +142,8 @@ def test_criterion_6_herald_classes_and_success_probability():
 def test_criterion_7_monte_carlo_consistency(tmp_path):
     rep = run_protocol(P2, shots=100_000, seed=7)
     ok = rep.retained_shots == 100_000
-    for h, count in zip(rep.results, rep.counts):
-        if h.probability > 0.0:
+    for prob, count in zip(rep.heralds.row(0)[0], rep.counts):
+        if prob > 0.0:
             low, high = wilson_interval(count, rep.retained_shots, z=4.0)
             ok &= low <= 0.125 <= high
         else:

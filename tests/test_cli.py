@@ -141,6 +141,11 @@ def test_invalid_json_exits_one(tmp_path, capsys):
     path.write_text("{not json")
     assert run_cli("protocol", "--config", str(path)) == 1
     assert "not valid JSON" in capsys.readouterr().err
+    # An integer longer than Python converts from text is refused the same way.
+    path.write_text('{"points": 1' + "0" * 5000 + "}")
+    assert run_cli("entangle", "--config", str(path), "--out", str(tmp_path / "run")) == 1
+    assert capsys.readouterr().err.startswith("error: config file is not valid JSON: ")
+    assert not (tmp_path / "run").exists()
 
 
 def test_zero_shots_exits_one(tmp_path, capsys):
@@ -185,6 +190,9 @@ _SWEEP = {"sweep": {"axis": "l0", "values": [2]}}
     ("protocol", {"seed": 1.7}, "seed must be a whole number, got 1.7"),
     ("sweep", {**_SWEEP, "shots": 10.5}, "shots must be a whole number, got 10.5"),
     ("sweep", {**_SWEEP, "seed": None}, "seed must be a whole number, got None"),
+    # An integer past the float range is no number: it would overflow float().
+    ("entangle", {"points": 10**400}, f"points must be a whole number, got {10**400}"),
+    ("entangle", {"time_scale": 10**400}, f"time_scale must be a number, got {10**400}"),
     # Blocks are JSON objects, and their numbers are numbers.
     ("oracle-compare", {"assert": 3}, "config block 'assert' must be a JSON object"),
     ("oracle-compare", {"assert": {"max_error": "x"}}, "assert max_error must be a number, got 'x'"),
@@ -197,6 +205,10 @@ _SWEEP = {"sweep": {"axis": "l0", "values": [2]}}
     ("protocol", {"dimensionless": {"g": True, "delta": 100.0}}, "dimensionless block values must be numbers: ['g']"),
     ("entangle", {"dimensionless": {"g": 1.0, "delta": "100"}}, "dimensionless block values must be numbers: ['delta']"),
     ("entangle", {"dimensionless": {"g": 1.0, "delta": True}}, "dimensionless block values must be numbers: ['delta']"),
+    ("protocol", {"dimensionless": {"g": 10**400, "delta": 100}}, "dimensionless block values must be numbers: ['g']"),
+    # A block holds the inner keys no flag can set: an assert block its bound.
+    ("oracle-compare", {"assert": {}}, "assert block is missing ['max_error']"),
+    ("sweep", {**_SWEEP, "assert": {}}, "assert block is missing ['max_error']"),
     # Real-valued keys take numbers only.
     ("entangle", {"time_scale": None}, "time_scale must be a number, got None"),
     ("protocol", {"detection_efficiency": "x"}, "detection_efficiency must be a number, got 'x'"),

@@ -4,19 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from cavityswap import swap
 from cavityswap.bragg import BraggParams, deflection_phase
 from cavityswap.cli import main
 from cavityswap.metrics import _row_seed, wilson_interval
 from cavityswap.swap import (
+    CLASS_NAMES,
     CLASS_TARGETS,
-    ClickPattern,
-    apply_beam_splitter,
+    DETECTORS,
+    PAPER_TABLE_LABELS,
+    PATTERN_LABELS,
     beam_splitter_unitary,
-    click_distribution,
+    branch_pair,
     epr_decomposition_check,
+    herald_batch,
     herald_distribution,
     joint_state,
-    joint_state_from_amplitudes,
     mode_basis,
     run_protocol,
     single_particle_mixer,
@@ -33,14 +36,34 @@ DOUBLE_00 = {"D4&D4", "D3&D3"}
 DOUBLE_11 = {"D2&D2", "D1&D1"}
 
 
-def conditional_cavity_state(s, pattern):
+def patterns(heralds, row=0):
+    """(label, probability, class name, fidelity, concurrence) of every
+    pattern of one herald row, in pattern order."""
+    probs, classes, fids, concs = heralds.row(row)
+    return [
+        (label, prob, CLASS_NAMES[k], fid, c)
+        for label, prob, k, fid, c in zip(PATTERN_LABELS, probs, classes, fids, concs)
+    ]
+
+
+def conditional_density(heralds, j, row=0):
+    """Density matrix of pattern j's normalised conditional cavity vector."""
+    vec = heralds.states[row, :, j]
+    return np.outer(vec, vec.conj())
+
+
+def post_mixer(s):
+    """A (4, 10) joint state after both atoms pass the mode mixers."""
+    return s @ beam_splitter_unitary().T
+
+
+def conditional_cavity_state(s, j):
     """Brute-force reference for one herald: project the whole mode-mixed
-    joint state on the click pattern with a full-space projector, trace out
+    joint state on click pattern j with a full-space projector, trace out
     the modes, and return (two-cavity density matrix, pattern probability)."""
     basis = mode_basis(2)
-    occ_index = next(j for j, occ in enumerate(basis) if ClickPattern.from_occupation(occ) == pattern)
     proj = np.zeros((len(basis), len(basis)))
-    proj[occ_index, occ_index] = 1.0
+    proj[j, j] = 1.0
     proj_full = np.kron(np.eye(4), proj)
     vec = s.reshape(-1)
     projected = proj_full @ np.outer(vec, vec.conj()) @ proj_full
@@ -95,28 +118,38 @@ def test_joint_state_respects_atom_number_superselection():
         assert sum(occ) == 2 or not column.any()
 
 
-def test_joint_state_from_amplitudes_matches_the_term_by_term_expansion():
+def test_joint_amplitudes_match_the_term_by_term_expansion():
     rng = np.random.default_rng(12)
     pairs = [(0.0, 1.0), (1.0, 0.0), (0.0, 1j)]
     for _ in range(20):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         pairs.append(tuple(c / np.linalg.norm(c)))
-    for c_plus, c_minus in pairs:
-        want = two_pair_joint_amplitudes(complex(c_plus), complex(c_minus), mode_basis(2))
-        assert np.array_equal(joint_state_from_amplitudes(c_plus, c_minus).reshape(-1), want)
+    # Complex pairs, as branch_pair returns them.
+    pairs = [(complex(c_plus), complex(c_minus)) for c_plus, c_minus in pairs]
+    amps = swap._joint_amplitudes(pairs)
+    assert amps.shape == (len(pairs), 4, len(mode_basis(2)))
+    for (c_plus, c_minus), state in zip(pairs, amps):
+        want = two_pair_joint_amplitudes(c_plus, c_minus, mode_basis(2))
+        assert np.array_equal(state.reshape(-1), want)
 
 
-def test_joint_state_from_amplitudes_rejects_unnormalised_branches():
-    with pytest.raises(ValueError, match="c\\+"):
-        joint_state_from_amplitudes(0.9, 0.9)
+@pytest.mark.parametrize("pair, message", [
+    ((0.9, 0.9), "c\\+"),
+    ((math.nan, 1.0), "finite"),
+])
+def test_branch_pair_rejects_unnormalised_or_nonfinite_branches(monkeypatch, pair, message):
+    monkeypatch.setattr(swap, "branch_amplitudes", lambda p, time_scale: pair)
+    with pytest.raises(ValueError, match=message):
+        branch_pair(P2)
+    with pytest.raises(ValueError, match=message):
+        joint_state(P2)
 
 
-def test_joint_state_functions_reject_a_state_of_the_wrong_dimension():
-    js = joint_state_from_amplitudes(0.0, 1.0)
-    for check in (apply_beam_splitter, lambda s: epr_decomposition_check(s, 0.0), click_distribution):
-        for wrong in (js[:, :-1], js.reshape(-1), js[None]):
-            with pytest.raises(ValueError, match="joint state"):
-                check(wrong)
+def test_epr_decomposition_check_rejects_a_state_of_the_wrong_dimension():
+    js = joint_state(P2)
+    for wrong in (js[:, :-1], js.reshape(-1), js[None]):
+        with pytest.raises(ValueError, match="joint state"):
+            epr_decomposition_check(wrong, 0.0)
 
 
 # ---------------------------------------------------------------- EPR identity
@@ -213,119 +246,129 @@ def test_phi_branch_inputs_produce_no_cross_port_amplitudes():
         assert np.max(np.abs(out[coincidences])) <= 1e-14
 
 
-# ---------------------------------------------------------------- click distribution
+# ---------------------------------------------------------------- heralds
 
 
-def test_click_distribution_nominal_probabilities():
-    dist = herald_distribution(P2)
-    by_label = {h.pattern.label: h for h in dist}
-    assert len(dist) == 10
-    for label in ZERO_PATTERNS:
-        assert by_label[label].probability == 0.0
-        assert by_label[label].classification == "none"
-    for h in dist:
-        if h.pattern.label not in ZERO_PATTERNS:
-            assert abs(h.probability - 0.125) <= 1e-12
-    assert abs(sum(h.probability for h in dist) - 1.0) <= 1e-12
+def test_pattern_labels_name_the_detectors_of_each_occupation():
+    # Output mode i feeds DETECTORS[i]; a double names its detector twice.
+    for occ, label in zip(mode_basis(2), PATTERN_LABELS, strict=True):
+        clicks = [DETECTORS[mode] for mode, count in enumerate(occ) for _ in range(count)]
+        assert label == "&".join(clicks)
+    assert set(PATTERN_LABELS) == set(PAPER_TABLE_LABELS)
 
 
-def test_click_distribution_herald_classes():
-    dist = herald_distribution(P2)
-    for h in dist:
-        label = h.pattern.label
+def test_herald_distribution_nominal_probabilities():
+    heralds = herald_distribution(P2)
+    assert heralds.probabilities.shape == (1, 10)
+    for label, prob, name, fid, c in patterns(heralds):
+        if label in ZERO_PATTERNS:
+            assert prob == 0.0 and name == "none" and fid == 0.0 and c == 0.0
+        else:
+            assert abs(prob - 0.125) <= 1e-12
+    assert abs(sum(heralds.row(0)[0]) - 1.0) <= 1e-12
+
+
+def test_herald_distribution_classes():
+    for label, _, name, fid, c in patterns(herald_distribution(P2)):
         if label in PSI_PLUS_PATTERNS:
-            assert h.classification == "psi_plus"
-            assert abs(h.fidelity_to_class - 1.0) <= 1e-10
-            assert abs(h.concurrence - 1.0) <= 1e-10
+            assert name == "psi_plus"
+            assert abs(fid - 1.0) <= 1e-10
+            assert abs(c - 1.0) <= 1e-10
         elif label in PSI_MINUS_PATTERNS:
-            assert h.classification == "psi_minus"
-            assert abs(h.fidelity_to_class - 1.0) <= 1e-10
-            assert abs(h.concurrence - 1.0) <= 1e-10
+            assert name == "psi_minus"
+            assert abs(fid - 1.0) <= 1e-10
+            assert abs(c - 1.0) <= 1e-10
         elif label in DOUBLE_00:
-            assert h.classification == "product_00"
-            assert h.concurrence <= 1e-10
+            assert name == "product_00"
+            assert c <= 1e-10
         elif label in DOUBLE_11:
-            assert h.classification == "product_11"
-            assert h.concurrence <= 1e-10
+            assert name == "product_11"
+            assert c <= 1e-10
 
 
-def test_click_distribution_heralds_are_pure_at_nominal_timing():
-    for h in herald_distribution(P2):
-        if h.probability > 0.0:
-            rho = h.conditional_state
+def test_heralds_are_pure_at_nominal_timing():
+    heralds = herald_distribution(P2)
+    for j, prob in enumerate(heralds.row(0)[0]):
+        if prob > 0.0:
+            rho = conditional_density(heralds, j)
             assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-10
 
 
 def test_heralds_are_independent_of_the_deflection_phase():
-    reference = herald_distribution(P2)
+    reference = patterns(herald_distribution(P2))
     for phase in (-math.pi / 4, 1.234):
-        dist = click_distribution(
-            apply_beam_splitter(joint_state_from_amplitudes(0.0, 1j * np.exp(-1j * phase)))
-        )
-        for a, b in zip(reference, dist):
-            assert a.pattern == b.pattern
-            assert abs(a.probability - b.probability) <= 1e-12
-            assert a.classification == b.classification
-            if a.probability > 0.0:
-                assert abs(a.fidelity_to_class - b.fidelity_to_class) <= 1e-12
+        heralds = herald_batch([(0j, complex(1j * np.exp(-1j * phase)))])
+        for a, b in zip(reference, patterns(heralds)):
+            assert a[0] == b[0]
+            assert abs(a[1] - b[1]) <= 1e-12
+            assert a[2] == b[2]
+            if a[1] > 0.0:
+                assert abs(a[3] - b[3]) <= 1e-12
 
 
 def test_probability_completeness_for_arbitrary_timing():
     rng = np.random.default_rng(31)
     for ts in rng.uniform(0.0, 2.0, size=10):
-        dist = herald_distribution(P2, time_scale=float(ts))
-        assert abs(sum(h.probability for h in dist) - 1.0) <= 1e-12
+        probs = herald_distribution(P2, time_scale=float(ts)).row(0)[0]
+        assert abs(sum(probs) - 1.0) <= 1e-12
 
 
 def test_paper_table_labels_disagree_with_the_calculation():
-    dist = herald_distribution(P2)
-    for h in dist:
-        if h.probability > 0.0:
-            assert h.classification != h.paper_label
+    for label, prob, name, _, _ in patterns(herald_distribution(P2)):
+        if prob > 0.0:
+            assert name != PAPER_TABLE_LABELS[label]
 
 
 def test_conditional_state_via_projection_and_partial_trace():
     # l0 = 4 off nominal timing gives complex conditional states.
     for p in (P2, P4):
         for ts in (1.0, 0.7):
-            post = apply_beam_splitter(joint_state(p, time_scale=ts))
-            for h in click_distribution(post):
-                if h.probability == 0.0:
+            post = post_mixer(joint_state(p, time_scale=ts))
+            heralds = herald_distribution(p, ts)
+            for j, prob in enumerate(heralds.row(0)[0]):
+                if prob == 0.0:
                     continue
-                rho, prob = conditional_cavity_state(post, h.pattern)
-                assert abs(prob - h.probability) <= 1e-12
-                assert np.max(np.abs(rho - h.conditional_state)) <= 1e-12
+                rho, want = conditional_cavity_state(post, j)
+                assert abs(want - prob) <= 1e-12
+                assert np.max(np.abs(rho - conditional_density(heralds, j))) <= 1e-12
 
 
-def test_click_distribution_matches_the_brute_force_reference():
-    # Every herald statistic, computed for all patterns at once, against
-    # projection and partial trace of the whole state: post-mixer states of
-    # random branch pairs, whose heralds are symmetric under exchanging the
-    # cavities, then random states of the same space, whose heralds are not.
-    # On those Wootters' eigen-route reads up to ~1.1e-8 off (the square
-    # root of eigenvalue round-off), hence its looser concurrence bound.
+def test_heralds_match_the_brute_force_reference():
+    # Every herald statistic, computed for all states and patterns at once,
+    # against projection and partial trace of the whole state: post-mixer
+    # states of random branch pairs (through herald_batch), whose heralds
+    # are symmetric under exchanging the cavities, then random states of the
+    # same space (through the array core), whose heralds are not.  On those
+    # Wootters' eigen-route reads up to ~1.1e-8 off (the square root of
+    # eigenvalue round-off), hence its looser concurrence bound.
     rng = np.random.default_rng(2024)
-    shape = joint_state_from_amplitudes(0.0, 1.0).shape
-    states = []
+    pairs = []
     for _ in range(20):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         c_plus, c_minus = c / np.linalg.norm(c)
-        states.append((apply_beam_splitter(joint_state_from_amplitudes(c_plus, c_minus)), 1e-8))
+        pairs.append((complex(c_plus), complex(c_minus)))
+    states = []
     for _ in range(20):
-        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        states.append((amps / np.linalg.norm(amps), 1e-7))
-    for post, concurrence_bound in states:
-        for h in click_distribution(post):
-            if h.probability == 0.0:
-                assert h.conditional_state is None and h.pattern.label in ZERO_PATTERNS
-                continue
-            rho, prob = conditional_cavity_state(post, h.pattern)
-            assert abs(prob - h.probability) <= 1e-12
-            assert np.max(np.abs(rho - h.conditional_state)) <= 1e-12
-            fids = {name: fidelity(rho, target) for name, target in CLASS_TARGETS.items()}
-            assert h.classification == max(fids, key=fids.get)
-            assert abs(h.fidelity_to_class - fids[h.classification]) <= 1e-12
-            assert abs(h.concurrence - concurrence(rho)) <= concurrence_bound
+        amps = rng.normal(size=(4, 10)) + 1j * rng.normal(size=(4, 10))
+        states.append(amps / np.linalg.norm(amps))
+    amps = np.stack(states)
+    batches = (
+        (herald_batch(pairs), post_mixer(swap._joint_amplitudes(pairs)), 1e-8),
+        (swap._heralds(amps), amps, 1e-7),
+    )
+    for heralds, posts, concurrence_bound in batches:
+        for row, post in enumerate(posts):
+            for j, (label, prob, name, fid, c) in enumerate(patterns(heralds, row)):
+                if prob == 0.0:
+                    assert name == "none" and label in ZERO_PATTERNS
+                    continue
+                rho, want = conditional_cavity_state(post, j)
+                assert abs(want - prob) <= 1e-12
+                assert np.max(np.abs(rho - conditional_density(heralds, j, row))) <= 1e-12
+                fids = {target: fidelity(rho, vec) for target, vec in CLASS_TARGETS.items()}
+                assert name == max(fids, key=fids.get)
+                assert abs(fid - fids[name]) <= 1e-12
+                assert abs(c - concurrence(rho)) <= concurrence_bound
 
 
 # ---------------------------------------------------------------- sampling
@@ -334,9 +377,9 @@ def test_click_distribution_matches_the_brute_force_reference():
 def test_sampled_frequencies_match_the_exact_distribution():
     report = run_protocol(P2, shots=100_000, seed=7)
     sigma = math.sqrt(0.125 * 0.875 / report.retained_shots)
-    for h, count in zip(report.results, report.counts):
+    for prob, count in zip(report.heralds.row(0)[0], report.counts):
         freq = count / report.retained_shots
-        if h.probability > 0.0:
+        if prob > 0.0:
             assert abs(freq - 0.125) <= 4 * sigma
         else:
             assert count == 0
@@ -348,18 +391,21 @@ def test_closed_form_concurrence_matches_wootters(l0, r):
     # Each herald is pure, so 2|ad - bc| must agree with the mixed-state
     # Wootters routine up to that routine's eigenvalue round-off.
     for ts in (0.0, 0.3, 0.6, 0.7, 1.0, 1.3):
-        for h in herald_distribution(BraggParams(l0=l0, r=r), ts):
-            if h.probability > 0.0:
-                assert 0.0 <= h.concurrence <= 1.0
-                assert abs(h.concurrence - concurrence(h.conditional_state)) <= 1e-8
+        heralds = herald_distribution(BraggParams(l0=l0, r=r), ts)
+        probs, _, _, concs = heralds.row(0)
+        for j, (prob, c) in enumerate(zip(probs, concs)):
+            if prob > 0.0:
+                assert 0.0 <= c <= 1.0
+                assert abs(c - concurrence(conditional_density(heralds, j))) <= 1e-8
 
 
 def test_product_doubles_have_zero_concurrence_off_nominal_timing():
     # The Wootters eigen-route reads 3.4e-9 here: the square root of round-off.
-    by_label = {h.pattern.label: h for h in herald_distribution(P2, 0.6)}
+    by_label = {label: (prob, c) for label, prob, _, _, c in patterns(herald_distribution(P2, 0.6))}
     for label in DOUBLE_00:
-        assert by_label[label].probability > 0.0
-        assert by_label[label].concurrence <= 1e-15
+        prob, c = by_label[label]
+        assert prob > 0.0
+        assert c <= 1e-15
 
 
 def test_herald_distribution_solves_no_eigenproblem(monkeypatch):
@@ -370,7 +416,7 @@ def test_herald_distribution_solves_no_eigenproblem(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     for ts in (0.6, 1.0):
-        assert len(herald_distribution(P2, ts)) == 10
+        assert herald_distribution(P2, ts).probabilities.shape == (1, 10)
 
 
 # ---------------------------------------------------------------- protocol runs
@@ -388,11 +434,11 @@ def test_protocol_nominal_success_statistics():
 
 def test_protocol_without_interaction_yields_separable_doubles():
     report = run_protocol(P2, shots=2_000, seed=5, time_scale=0.0)
-    nonzero = [h for h in report.results if h.probability > 0.0]
-    assert {h.pattern.label for h in nonzero} == DOUBLE_00
-    for h in nonzero:
-        assert h.probability == pytest.approx(0.5, abs=1e-12)
-        assert h.concurrence <= 1e-10
+    nonzero = [(label, prob, c) for label, prob, _, _, c in patterns(report.heralds) if prob > 0.0]
+    assert {label for label, _, _ in nonzero} == DOUBLE_00
+    for _, prob, c in nonzero:
+        assert prob == pytest.approx(0.5, abs=1e-12)
+        assert c <= 1e-10
 
 
 def test_protocol_timing_error_degrades_psi_fidelity():
@@ -413,9 +459,9 @@ def test_protocol_psi_minus_heralds_stay_exact_under_timing_error():
     # cross-momentum same-index patterns keep fidelity one; only their
     # probability shrinks.
     report = run_protocol(P2, shots=500, seed=5, time_scale=1.1)
-    for h in report.results:
-        if h.classification == "psi_minus":
-            assert abs(h.fidelity_to_class - 1.0) <= 1e-10
+    for _, _, name, fid, _ in patterns(report.heralds):
+        if name == "psi_minus":
+            assert abs(fid - 1.0) <= 1e-10
 
 
 def test_protocol_rejects_zero_shots():
@@ -430,8 +476,8 @@ def test_protocol_detection_efficiency_discards_shots():
     low, high = wilson_interval(report.discarded_shots, 50_000, z=4.0)
     assert low <= 1.0 - 0.8**2 <= high
     sigma = math.sqrt(0.125 * 0.875 / report.retained_shots)
-    for h, count in zip(report.results, report.counts):
-        if h.probability > 0.0:
+    for prob, count in zip(report.heralds.row(0)[0], report.counts):
+        if prob > 0.0:
             assert abs(count / report.retained_shots - 0.125) <= 4 * sigma
     # At this timing the pattern probabilities sum to 1 - 5.6e-16; ideal
     # detectors must still discard nothing.
@@ -442,10 +488,10 @@ def test_protocol_counts_are_consistent_at_a_billion_shots():
     report = run_protocol(P2, shots=10**9, seed=13, detection_efficiency=0.9)
     assert sum(report.counts) == report.retained_shots
     assert report.retained_shots + report.discarded_shots == 10**9
-    for h, count in zip(report.results, report.counts):
-        if h.probability > 0.0:
+    for prob, count in zip(report.heralds.row(0)[0], report.counts):
+        if prob > 0.0:
             low, high = wilson_interval(count, report.retained_shots, z=4.0)
-            assert low <= h.probability <= high
+            assert low <= prob <= high
         else:
             assert count == 0
 
@@ -478,3 +524,25 @@ def test_protocol_report_csv_columns(tmp_path):
     assert lines[1].startswith("# config: ")
     assert lines[2] == "pattern,probability,empirical_frequency,classification,paper_label,fidelity,concurrence"
     assert len(lines) == 3 + 10
+
+
+@pytest.mark.parametrize("l0, time_scale", [(2, 1.0), (2, 0.6), (4, 0.7)])
+def test_protocol_report_csv_matches_the_heralds(tmp_path, l0, time_scale):
+    # Every cell is the '%.12g' text of the herald arrays' value; the
+    # empirical frequency is the count over the retained shots.
+    argv = ["protocol", "--l0", str(l0), "--time-scale", str(time_scale), "--shots", "1000", "--seed", "4",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in (tmp_path / "protocol_report.csv").read_text().splitlines()[3:]]
+    p = BraggParams(l0=l0)
+    report = run_protocol(p, shots=1000, seed=4, time_scale=time_scale)
+    want = patterns(herald_distribution(p, time_scale))
+    assert len(rows) == len(want) == 10
+    for row, (label, prob, name, fid, c), count in zip(rows, want, report.counts, strict=True):
+        assert row[0] == label
+        assert row[1] == f"{prob:.12g}"
+        assert row[2] == f"{count / report.retained_shots:.12g}"
+        assert row[3] == name
+        assert row[4] == PAPER_TABLE_LABELS[label]
+        assert row[5] == f"{fid:.12g}"
+        assert row[6] == f"{c:.12g}"
