@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quantum
-from .quantum import propagate, propagator
+from .quantum import propagate
 
 __all__ = [
     "HBAR",
@@ -44,7 +43,6 @@ __all__ = [
     "nonnegative_times",
     "nonnegative_time_scale",
     "ladder_population_series",
-    "ladder_population_chunks",
     "pair_labels",
     "entangled_pair_state",
     "pair_state_from_ladder",
@@ -55,12 +53,6 @@ HBAR = 1.054571817e-34  # J s
 
 # Boundary population above this marks the ladder truncation as too tight.
 TRUNCATION_LIMIT = 1e-6
-
-# Blocks of quantum.SERIES_BLOCK times per chunk of ladder_population_chunks.
-# A chunk's temporaries (~1.5 MB) stay below the free heap glibc keeps, so
-# chunks reuse it; at 16 blocks a 1e6-point entangle refaulted it chunk
-# after chunk (12-15k minor faults against ~1.3k).
-SERIES_CHUNK_BLOCKS = 4
 
 @dataclass(frozen=True)
 class BraggParams:
@@ -76,7 +68,8 @@ class BraggParams:
         a warning is emitted because the closed forms degrade.
     l0 : int
         Positive even integer; the atom enters at momentum +(l0/2) hbar k
-        and scatters to -(l0/2) hbar k.
+        and scatters to -(l0/2) hbar k.  The full deflection time must be a
+        finite positive float: at g = 1, delta = 100, l0 is at most 142.
     r : int
         Positive odd integer selecting which full-deflection time to use.
     ladder_halfwidth : int
@@ -118,6 +111,15 @@ class BraggParams:
         if self.ladder_halfwidth < self.l0 // 2 + 2:
             raise ValueError(
                 f"ladder_halfwidth must be at least l0/2 + 2 = {self.l0 // 2 + 2}"
+            )
+        try:
+            finite = 0.0 < full_deflection_time(self) < math.inf
+        except ArithmeticError:  # the frequency is 0, or a factor of it overflows
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"l0 = {self.l0} with g = {self.g!r} and delta = {self.delta!r} gives no finite positive "
+                "full deflection time: the Pendelloesung frequency leaves the float range"
             )
 
 
@@ -382,24 +384,9 @@ def ladder_population_series(p, times):
     stacked call, and a tuple of G series is returned, each bitwise equal
     to the series of its own call.
     """
-    return next(_series_chunks(p, times, None))
-
-
-def ladder_population_chunks(p, times):
-    """:func:`ladder_population_series` as an iterator of series over
-    consecutive chunks of ``SERIES_CHUNK_BLOCKS`` blocks (4 x 1024 times),
-    from one eigendecomposition made in this call.  Each is bitwise equal to
-    its part of the whole series; ``boundary_max`` is the chunk's own."""
-    return _series_chunks(p, times, SERIES_CHUNK_BLOCKS * quantum.SERIES_BLOCK)
-
-
-def _series_chunks(p, times, chunk):
-    # Series over chunks of ``chunk`` times; None takes the grid as one chunk.
     stacked = not isinstance(p, BraggParams)
     ps = tuple(p) if stacked else (p,)
-    times = nonnegative_times(times)
-    if not stacked:
-        times = times[None]
+    times = nonnegative_times(times if stacked else [times])
     if len({(q.l0, q.ladder_halfwidth) for q in ps}) != 1 or times.ndim != 2 or len(times) != len(ps):
         raise ValueError("a stack of ladders needs one l0 and ladder_halfwidth and one row of times per set")
     h = np.stack([build_effective_hamiltonian(q) for q in ps])
@@ -407,20 +394,12 @@ def _series_chunks(p, times, chunk):
     sites = [offsets.index(0), offsets.index(-ps[0].l0), 0, len(offsets) - 1]
     psi0 = np.zeros((len(ps), len(offsets)), dtype=np.complex128)
     psi0[:, sites[0]] = 1.0
-    evaluate = propagator(h, psi0, rows=sites)
-    count = times.shape[1]
-    chunk = chunk or max(count, 1)
-
-    def series(start):
-        grid = times[:, start:start + chunk]
-        pops = np.abs(evaluate(grid)) ** 2
-        out = tuple(
-            PopulationSeries(q, t, pop[:, 0], pop[:, 1], float(np.max(pop[:, 2] + pop[:, 3], initial=0.0)))
-            for q, t, pop in zip(ps, grid, pops)
-        )
-        return out if stacked else out[0]
-
-    return map(series, range(0, max(count, 1), chunk))
+    pops = np.abs(propagate(h, psi0, times, rows=sites)) ** 2
+    out = tuple(
+        PopulationSeries(q, t, pop[:, 0], pop[:, 1], float(np.max(pop[:, 2] + pop[:, 3], initial=0.0)))
+        for q, t, pop in zip(ps, times, pops)
+    )
+    return out if stacked else out[0]
 
 
 def pair_labels(p: BraggParams) -> tuple:

@@ -34,7 +34,7 @@ from .bragg import (
     pendellosung_frequency,
     recoil_frequency,
 )
-from .metrics import POPULATION_COLUMNS, ComparisonRow, SweepSpec, oracle_compare_chunks, run_sweep
+from .metrics import POPULATION_COLUMNS, ComparisonRow, SweepSpec, oracle_compare, run_sweep
 from .swap import CLASS_NAMES, PAPER_TABLE_LABELS, PATTERN_LABELS, run_protocol
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
@@ -403,13 +403,29 @@ def _points(cfg: dict) -> int:
     return points
 
 
+def _grid_end(what: str, end: float) -> float:
+    """``end``, the last time a command evaluates, unless it overflowed."""
+    if not math.isfinite(end):
+        raise ConfigError(f"{what} overflows to {end!r}")
+    return end
+
+
 _DEFLECTED = POPULATION_COLUMNS.index("ladder_deflected")
 
+# Times per oracle_compare call of the ladder commands, which write each
+# slice's table before the next is computed, so a long grid's results are
+# never held at once.  A slice's temporaries (~1.5 MB) stay below the free
+# heap glibc keeps, so slices reuse it; at 16384 times a 1e6-point entangle
+# refaulted it slice after slice (12-15k minor faults against ~1.3k).
+_LADDER_SLICE = 4096
 
-def _tables(comparisons, seen: list):
-    """The table of each streamed comparison, while ``seen`` collects its
-    max error, truncation flag and last ladder-deflected population."""
-    for comp in comparisons:
+
+def _ladder_tables(params: BraggParams, times: np.ndarray, seen: list):
+    """The table of :func:`oracle_compare` on each slice of ``_LADDER_SLICE``
+    times, while ``seen`` collects its max error, truncation flag and last
+    ladder-deflected population."""
+    for start in range(0, len(times), _LADDER_SLICE):
+        comp = oracle_compare(params, times[start:start + _LADDER_SLICE])
         seen.append((comp.max_error, comp.truncation_warning, float(comp.table[-1, _DEFLECTED])))
         yield comp.table
 
@@ -427,10 +443,10 @@ def cmd_entangle(cfg: dict, params: BraggParams, config: dict) -> int:
     """single-pair Bragg interaction: populations and final pair state"""
     ts = cfg["time_scale"]
     points = _points(cfg)
-    times = np.linspace(0.0, ts * full_deflection_time(params), points)
+    end = _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params))
     out = Path(cfg["output_dir"])
     seen: list = []
-    tables = _tables(oracle_compare_chunks(params, times), seen)
+    tables = _ladder_tables(params, np.linspace(0.0, end, points), seen)
     _write_csv(out / "entangle_populations.csv", config, POPULATION_COLUMNS[:5],
                (table[:, :5] for table in tables))
 
@@ -451,12 +467,14 @@ def cmd_entangle(cfg: dict, params: BraggParams, config: dict) -> int:
 
 def cmd_protocol(cfg: dict, params: BraggParams, config: dict) -> int:
     """full swap protocol: exact heralds plus sampled shots"""
+    ts = cfg["time_scale"]
+    _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params))
     report = _checked(
         run_protocol,
         params,
         shots=cfg["shots"],
         seed=cfg["seed"],
-        time_scale=cfg["time_scale"],
+        time_scale=ts,
         detection_efficiency=cfg["detection_efficiency"],
     )
     out = Path(cfg["output_dir"])
@@ -488,12 +506,11 @@ def cmd_protocol(cfg: dict, params: BraggParams, config: dict) -> int:
 def cmd_oracle_compare(cfg: dict, params: BraggParams, config: dict) -> int:
     """closed-form vs exact-ladder population table"""
     points = _points(cfg)
-    period = 2.0 * math.pi / pendellosung_frequency(params)
-    comparisons = oracle_compare_chunks(params, np.linspace(0.0, period, points))
+    period = _grid_end("one Pendelloesung period", 2.0 * math.pi / pendellosung_frequency(params))
     out = Path(cfg["output_dir"])
     seen: list = []
     _write_csv(out / "oracle_compare.csv", config, POPULATION_COLUMNS,
-               _tables(comparisons, seen))
+               _ladder_tables(params, np.linspace(0.0, period, points), seen))
     max_error = float(np.max([error for error, _, _ in seen]))
     print(f"max population error: {_fmt(max_error)}")
     if any(flag for _, flag, _ in seen):

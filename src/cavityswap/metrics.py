@@ -13,7 +13,6 @@ from .bragg import (
     BraggParams,
     analytic_amplitudes,
     full_deflection_time,
-    ladder_population_chunks,
     ladder_population_series,
     nonnegative_time_scale,
     nonnegative_times,
@@ -25,7 +24,6 @@ __all__ = [
     "POPULATION_COLUMNS",
     "PopulationComparison",
     "oracle_compare",
-    "oracle_compare_chunks",
     "SWEEP_AXES",
     "SweepSpec",
     "ComparisonRow",
@@ -103,19 +101,7 @@ def oracle_compare(p, times):
     propagated for all of them at once, and a tuple of G comparisons is
     returned, each bitwise equal to the comparison of its own call.
     """
-    return _compare(p, ladder_population_series(p, times))
-
-
-def oracle_compare_chunks(p, times):
-    """:func:`oracle_compare` over the chunks of
-    :func:`~cavityswap.bragg.ladder_population_chunks`: an iterator of
-    comparisons, each bitwise equal to its rows of the whole comparison.
-    ``max_error`` and ``truncation_warning`` are then the chunk's own; the
-    whole grid's are their maximum and their ``any``."""
-    return (_compare(p, series) for series in ladder_population_chunks(p, times))
-
-
-def _compare(p, series):
+    series = ladder_population_series(p, times)
     if isinstance(p, BraggParams):
         return _comparison(series)
     return tuple(map(_comparison, series))

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HERMITICITY_ATOL", "SERIES_BLOCK", "propagate", "propagator"]
+__all__ = ["HERMITICITY_ATOL", "SERIES_BLOCK", "propagate"]
 
 HERMITICITY_ATOL = 1e-12
 
 # Times evaluated at once by propagate; the block bounds the (times x modes)
-# phase array on long grids.  It does not keep the block's product on one
-# BLAS thread: with numpy 2.4.6 and OPENBLAS_NUM_THREADS=2 on 2 vCPUs, CPU
-# over wall time was ~2 at 16-64 modes (1 at 15; the default ladder has
-# l0 + 13), so the thread cap sets the product's parallelism.
+# phase array on long grids, not the BLAS threads of its product.  With numpy
+# 2.4.6 and OPENBLAS_NUM_THREADS=2 on 2 vCPUs, the (1024 x K) @ (K x 4)
+# product of a ladder series (K = l0 + 13 by default) ran on one thread up to
+# K = 16 and on two from K = 17 (CPU over wall 1.3 at 17, 1.9 at 19); from
+# K = 16 on, the second thread then spun ~0.13 s of CPU after every call.
 SERIES_BLOCK = 1024
 
 
@@ -52,14 +53,6 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
     which others occupy gains exact zero terms; a component that is
     exactly zero may then carry the other sign.
     """
-    return propagator(h, amps, rows)(times)
-
-
-def propagator(h, amps, rows=None):
-    """``times -> propagate(h, amps, times, rows)`` from one
-    eigendecomposition, made here.  No time's result depends on where the
-    blocks fall, so a long grid evaluated piece by piece gives the bits of
-    the whole without its result being held at once."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"Hamiltonian must be a square matrix or a stack of them, got shape {h.shape}")
@@ -69,6 +62,11 @@ def propagator(h, amps, rows=None):
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.shape != h.shape[:-1]:
         raise ValueError(f"Hamiltonian dimension {h.shape[-1]} does not match state shape {amps.shape}")
+    times = np.asarray(times, dtype=float)
+    if single:
+        times = times[None]
+    elif times.ndim != 2 or times.shape[0] != len(h):
+        raise ValueError(f"a stack of {len(h)} Hamiltonians needs ({len(h)}, T) times, got {times.shape}")
     rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
     w, v = np.linalg.eigh(h)
     if single:
@@ -77,27 +75,18 @@ def propagator(h, amps, rows=None):
     live = (overlap != 0.0).any(axis=0)
     w, overlap = w[:, live], overlap[:, live]
     modes = v.swapaxes(1, 2)[:, live][:, :, rows]
-
-    def evaluate(times) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if single:
-            times = times[None]
-        elif times.ndim != 2 or times.shape[0] != len(w):
-            raise ValueError(f"a stack of {len(w)} Hamiltonians needs ({len(w)}, T) times, got {times.shape}")
-        # One spare time: a one-time block is evaluated as two equal times,
-        # since BLAS would sum its matrix-vector product in another order
-        # than a matrix product.
-        count = times.shape[1]
-        out = np.empty((len(w), count + 1, modes.shape[2]), dtype=np.complex128)
-        for start in range(0, count, SERIES_BLOCK):
-            block = times[:, start:start + SERIES_BLOCK]
-            if block.shape[1] == 1:
-                block = np.repeat(block, 2, axis=1)
-            phases = np.exp(-1j * (block[:, :, None] * w[:, None, :])) * overlap[:, None, :]
-            np.matmul(phases, modes, out=out[:, start:start + block.shape[1]])
-        out = out[:, :count]
-        stack, at = np.nonzero(times == 0.0)
-        out[stack, at] = amps[stack][:, rows]
-        return out[0] if single else out
-
-    return evaluate
+    # One spare time: a one-time block is evaluated as two equal times,
+    # since BLAS would sum its matrix-vector product in another order
+    # than a matrix product.
+    count = times.shape[1]
+    out = np.empty((len(w), count + 1, modes.shape[2]), dtype=np.complex128)
+    for start in range(0, count, SERIES_BLOCK):
+        block = times[:, start:start + SERIES_BLOCK]
+        if block.shape[1] == 1:
+            block = np.repeat(block, 2, axis=1)
+        phases = np.exp(-1j * (block[:, :, None] * w[:, None, :])) * overlap[:, None, :]
+        np.matmul(phases, modes, out=out[:, start:start + block.shape[1]])
+    out = out[:, :count]
+    stack, at = np.nonzero(times == 0.0)
+    out[stack, at] = amps[stack][:, rows]
+    return out[0] if single else out

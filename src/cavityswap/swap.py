@@ -253,21 +253,8 @@ def epr_decomposition_check(s, phase: float) -> tuple[bool, float]:
     so PP = a1+a2+|vac> etc.
     """
     amps = _mode_amplitudes(s)
-    basis = mode_basis(2)
-
-    def occ_vec(occ):
-        v = np.zeros(len(basis), dtype=np.complex128)
-        v[basis.index(occ)] = 1.0
-        return v
-
-    pp = occ_vec((1, 1, 0, 0))
-    mm = occ_vec((0, 0, 1, 1))
-    pm = occ_vec((1, 0, 0, 1))
-    mp = occ_vec((0, 1, 1, 0))
-    c00 = np.array([1, 0, 0, 0], dtype=np.complex128)
-    c01 = np.array([0, 1, 0, 0], dtype=np.complex128)
-    c10 = np.array([0, 0, 1, 0], dtype=np.complex128)
-    c11 = np.array([0, 0, 0, 1], dtype=np.complex128)
+    pp, pm, mp, mm = np.eye(_JOINT_SHAPE[1], dtype=np.complex128)[_BRANCH_COLUMNS]
+    c00, c01, c10, c11 = np.eye(4, dtype=np.complex128)
     ph1 = np.exp(-1j * phase)
     ph2 = np.exp(-2j * phase)
     total = (

@@ -15,7 +15,6 @@ from cavityswap.bragg import (
     evolve_ladder,
     full_deflection_time,
     ladder_offsets,
-    ladder_population_chunks,
     ladder_population_series,
     max_excited_population,
     nonnegative_times,
@@ -27,6 +26,7 @@ from cavityswap.bragg import (
     recoil_frequency,
 )
 from cavityswap import bragg, quantum
+from cavityswap.cli import _LADDER_SLICE
 from cavityswap.swap import joint_state, mode_basis
 from reference import expm, full_hamiltonian_by_labels, partial_trace
 
@@ -357,22 +357,33 @@ def test_population_series_does_not_depend_on_the_block_size(monkeypatch):
                     assert other.boundary_max == series[0].boundary_max
 
 
-def test_population_chunks_equal_the_whole_series():
-    # Two full chunks and a one-time tail: the chunks hold the bits of the
-    # whole series, t = 0 included, and the largest chunk boundary
-    # population is the whole grid's.
-    chunk = bragg.SERIES_CHUNK_BLOCKS * quantum.SERIES_BLOCK
+def test_population_series_of_slices_equal_the_whole_series():
+    # Two full slices and a one-time tail, one call each as the ladder
+    # commands make them: the slices hold the bits of the whole series,
+    # t = 0 included, and the largest slice boundary population is the
+    # whole grid's.
+    size = _LADDER_SLICE
     for l0 in (2, 4):
         p = params(l0=l0)
-        times = np.linspace(0.0, 1.5 * full_deflection_time(p), 2 * chunk + 1)
+        times = np.linspace(0.0, 1.5 * full_deflection_time(p), 2 * size + 1)
         whole = ladder_population_series(p, times)
-        chunks = list(ladder_population_chunks(p, times))
-        assert [len(c.times) for c in chunks] == [chunk, chunk, 1]
+        slices = [ladder_population_series(p, times[s:s + size]) for s in range(0, len(times), size)]
+        assert [len(c.times) for c in slices] == [size, size, 1]
         for name in ("times", "undeflected", "deflected"):
-            joined = np.concatenate([getattr(c, name) for c in chunks])
+            joined = np.concatenate([getattr(c, name) for c in slices])
             assert joined.tobytes() == getattr(whole, name).tobytes()
-        assert max(c.boundary_max for c in chunks) == whole.boundary_max
-        assert (chunks[0].undeflected[0], chunks[0].deflected[0]) == (1.0, 0.0)
+        assert max(c.boundary_max for c in slices) == whole.boundary_max
+        assert (slices[0].undeflected[0], slices[0].deflected[0]) == (1.0, 0.0)
+
+
+def test_params_need_a_finite_positive_deflection_time():
+    # The Pendelloesung frequency underflows (subnormal at l0 = 144, 0 from
+    # l0 = 150, a float overflow in its denominator at l0 = 2000) or
+    # overflows (g^2 at g = 1e200); the last l0 with a finite time is 142.
+    assert math.isfinite(full_deflection_time(params(l0=142)))
+    for bad in (dict(l0=144), dict(l0=200), dict(l0=2000), dict(g=1e-300, delta=1e-290), dict(g=1e200, delta=1e202)):
+        with pytest.raises(ValueError, match="gives no finite positive full deflection time"):
+            BraggParams(**bad)
 
 
 def test_times_must_be_finite_and_nonnegative():
@@ -384,7 +395,7 @@ def test_times_must_be_finite_and_nonnegative():
         with pytest.raises(ValueError, match="^times must be finite and nonnegative$"):
             nonnegative_times(bad)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        ladder_population_chunks(params(), [0.0, math.inf])
+        ladder_population_series(params(), [0.0, math.inf])
 
 
 def test_ladder_integrator_paths_agree():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cavityswap
-from cavityswap import __version__, bragg, quantum
+from cavityswap import __version__, bragg
 from cavityswap.bragg import (
     BraggParams,
     full_deflection_time,
@@ -20,6 +20,7 @@ from cavityswap.bragg import (
 )
 from cavityswap.cli import (
     _CSV_BLOCK,
+    _LADDER_SLICE,
     CONFIG,
     ConfigError,
     _build_parser,
@@ -609,6 +610,39 @@ def test_non_finite_time_scales_exit_1_up_front(tmp_path, capsys):
     assert rows[0][-1] == "" and rows[1][-1] == "ValueError: times must be finite and nonnegative"
 
 
+_NO_DEFLECTION_TIME = "gives no finite positive full deflection time: the Pendelloesung frequency leaves the float range"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # The Pendelloesung frequency is subnormal at l0 = 144 and 0 at l0 = 200.
+    (("entangle", "--l0", "144", "--points", "3"), f"l0 = 144 with g = 1.0 and delta = 100.0 {_NO_DEFLECTION_TIME}"),
+    (("oracle-compare", "--l0", "200"), f"l0 = 200 with g = 1.0 and delta = 100.0 {_NO_DEFLECTION_TIME}"),
+    (("protocol", "--l0", "200"), f"l0 = 200 with g = 1.0 and delta = 100.0 {_NO_DEFLECTION_TIME}"),
+    (("entangle", "--g", "1e-300", "--delta", "1e-290"), f"l0 = 2 with g = 1e-300 and delta = 1e-290 {_NO_DEFLECTION_TIME}"),
+    # A finite deflection time, but the grid end overflows.
+    (("entangle", "--time-scale", "1e308", "--points", "3"),
+     "time_scale 1e+308 x the full deflection time overflows to inf"),
+    (("protocol", "--time-scale", "1e308"), "time_scale 1e+308 x the full deflection time overflows to inf"),
+    (("oracle-compare", "--g", "1e-150", "--delta", "1.5e7", "--points", "3"),
+     "one Pendelloesung period overflows to inf"),
+])
+def test_overflowing_interaction_times_exit_1_before_any_artifact(tmp_path, capsys, argv, message):
+    # No traceback and no RuntimeWarning (an error under this suite's filter).
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_row_without_a_deflection_time_fails_on_its_own(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--axis", "l0", "--values", "2,200", "--shots", "10", "--out", str(out)) == 0
+    error = f"ValueError: l0 = 200 with g = 1.0 and delta = 100.0 {_NO_DEFLECTION_TIME}"
+    assert capsys.readouterr().out == f"row 200 failed: {error}\n"
+    rows = [line.split(",") for line in read(out / "sweep.csv").splitlines()[3:]]
+    assert rows[0][-1] == "" and rows[1][-1] == error
+
+
 def test_sweep_rejects_non_numeric_values(tmp_path, capsys):
     out = tmp_path / "run"
     argv = ("sweep", "--shots", "10", "--out", str(out))
@@ -767,11 +801,11 @@ def test_write_csv_joins_uneven_float_blocks_into_the_whole_table(tmp_path):
 
 
 def _chunk() -> int:
-    return bragg.SERIES_CHUNK_BLOCKS * quantum.SERIES_BLOCK
+    return _LADDER_SLICE
 
 
 def test_ladder_commands_stream_the_whole_array_tables(tmp_path, capsys, monkeypatch):
-    # Two full chunks and a one-time tail: the streamed tables, the printed
+    # Two full slices and a one-time tail: the streamed tables, the printed
     # max error and the final population equal those of the whole-array
     # oracle_compare on the same grid.
     points = 2 * _chunk() + 1
@@ -781,8 +815,8 @@ def test_ladder_commands_stream_the_whole_array_tables(tmp_path, capsys, monkeyp
     assert run_cli("oracle-compare", *argv) == 0
     assert "".join(read(tmp_path / "oracle_compare.csv").splitlines(keepends=True)[3:]) == _format_floats(whole.table)
     assert capsys.readouterr().out == f"max population error: {whole.max_error:.12g}\n"
-    # Only the last chunk reads clean below this limit: the flag must be
-    # the whole grid's, not the last chunk's.
+    # Only the last slice reads clean below this limit: the flag must be
+    # the whole grid's, not the last slice's.
     monkeypatch.setattr(bragg, "TRUNCATION_LIMIT", 1e-18)
     assert run_cli("oracle-compare", *argv) == 0
     assert "warning: ladder truncation too tight" in capsys.readouterr().out
@@ -802,7 +836,7 @@ def test_ladder_commands_stream_the_whole_array_tables(tmp_path, capsys, monkeyp
 
 def test_oracle_compare_runs_in_bounded_memory(tmp_path, capsys):
     # The traced peak of a grid five times longer stays within 1.5x: only
-    # the time grid grows with it, the tables are streamed chunk by chunk.
+    # the time grid grows with it, the tables are streamed slice by slice.
     def peak(points):
         tracemalloc.start()
         try:

@@ -12,13 +12,12 @@ from cavityswap.bragg import (
     ladder_population_series,
     pendellosung_frequency,
 )
-from cavityswap.cli import main
+from cavityswap.cli import _LADDER_SLICE, main
 from cavityswap.metrics import (
     POPULATION_COLUMNS,
     ComparisonRow,
     SweepSpec,
     oracle_compare,
-    oracle_compare_chunks,
     run_sweep,
     wilson_interval,
 )
@@ -238,23 +237,25 @@ def test_delta_sweep_diagonalises_each_row_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_oracle_compare_chunks_equal_the_whole_comparison(monkeypatch):
-    # Two full chunks and a one-time tail on a tight ladder: the tables join
-    # to the whole table bit for bit, the largest chunk error is the whole
-    # max_error, and the truncation flag of the whole grid is any chunk's
-    # (with the limit set between the chunks' boundary populations, only
-    # the last chunk reads clean).
-    chunk = bragg.SERIES_CHUNK_BLOCKS * quantum.SERIES_BLOCK
+def test_oracle_compare_of_slices_equal_the_whole_comparison(monkeypatch):
+    # Two full slices and a one-time tail on a tight ladder, one call each
+    # as the ladder commands make them: the tables join to the whole table
+    # bit for bit, the largest slice error is the whole max_error, and the
+    # truncation flag of the whole grid is any slice's (with the limit set
+    # between the slices' boundary populations, only the last slice reads
+    # clean).
+    size = _LADDER_SLICE
     p = BraggParams(ladder_halfwidth=3)
-    times = period_grid(p, 2 * chunk + 1)
+    times = period_grid(p, 2 * size + 1)
     whole = oracle_compare(p, times)
-    chunks = list(oracle_compare_chunks(p, times))
-    assert [len(c.table) for c in chunks] == [chunk, chunk, 1]
-    assert np.concatenate([c.table for c in chunks]).tobytes() == whole.table.tobytes()
-    assert max(c.max_error for c in chunks) == whole.max_error
+    starts = range(0, len(times), size)
+    slices = [oracle_compare(p, times[s:s + size]) for s in starts]
+    assert [len(c.table) for c in slices] == [size, size, 1]
+    assert np.concatenate([c.table for c in slices]).tobytes() == whole.table.tobytes()
+    assert max(c.max_error for c in slices) == whole.max_error
     assert not whole.truncation_warning
     monkeypatch.setattr(bragg, "TRUNCATION_LIMIT", 1e-18)
-    assert [c.truncation_warning for c in oracle_compare_chunks(p, times)] == [True, True, False]
+    assert [oracle_compare(p, times[s:s + size]).truncation_warning for s in starts] == [True, True, False]
     assert oracle_compare(p, times).truncation_warning
 
 

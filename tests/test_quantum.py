@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cavityswap.quantum import SERIES_BLOCK, propagate, propagator
+from cavityswap.quantum import SERIES_BLOCK, propagate
 from reference import PAULI_X, concurrence, expm, fidelity, partial_trace
 
 
@@ -184,10 +184,10 @@ def test_stacked_propagate_equals_single_calls():
                 assert stacked[g].tobytes() == single.tobytes()
 
 
-def test_propagator_gives_the_bits_of_the_whole_grid_piece_by_piece():
+def test_propagate_gives_the_bits_of_the_whole_grid_piece_by_piece():
     # Pieces of two blocks, the last of them a lone time, and a t = 0 row
-    # inside a later piece: each piece reads exactly as its rows of one
-    # propagate call, for a single system and for a stack.
+    # inside a later piece: each piece's own call reads exactly as its rows
+    # of one call on the whole grid, for a single system and for a stack.
     rng = np.random.default_rng(41)
     hs = np.array([random_hermitian(rng, 13) for _ in range(2)])
     amps = np.array([random_state(rng, 13) for _ in hs])
@@ -197,8 +197,7 @@ def test_propagator_gives_the_bits_of_the_whole_grid_piece_by_piece():
     starts = range(0, times.shape[1], 2 * SERIES_BLOCK)
     for h, a, t in ((hs[0], amps[0], times[0]), (hs, amps, times)):
         whole = propagate(h, a, t, rows=rows)
-        evaluate = propagator(h, a, rows=rows)
-        pieces = [evaluate(t[..., s:s + 2 * SERIES_BLOCK]) for s in starts]
+        pieces = [propagate(h, a, t[..., s:s + 2 * SERIES_BLOCK], rows=rows) for s in starts]
         assert [piece.shape[-2] for piece in pieces] == [2 * SERIES_BLOCK, 2 * SERIES_BLOCK, 1]
         assert np.concatenate(pieces, axis=-2).tobytes() == whole.tobytes()
         assert pieces[1][..., 5, :].tobytes() == a[..., rows].tobytes()
