@@ -39,10 +39,12 @@ __all__ = [
     "branch_amplitudes",
     "LadderState",
     "evolve_ladder",
-    "PopulationSeries",
     "nonnegative_times",
     "nonnegative_time_scale",
-    "ladder_population_series",
+    "bounded_ladder_time",
+    "POPULATION_COLUMNS",
+    "PopulationComparison",
+    "oracle_compare",
     "pair_labels",
     "entangled_pair_state",
     "pair_state_from_ladder",
@@ -74,8 +76,8 @@ class BraggParams:
         Positive odd integer selecting which full-deflection time to use.
     ladder_halfwidth : int
         The ladder keeps momentum offsets -2L .. +2L in steps of 2; must
-        leave at least two sites beyond the Bragg pair.  Defaults to
-        l0/2 + 6.
+        leave at least two sites beyond the Bragg pair and be at most
+        ``MAX_LADDER_HALFWIDTH``.  Defaults to l0/2 + 6.
     """
 
     g: float = 1.0
@@ -83,6 +85,14 @@ class BraggParams:
     l0: int = 2
     r: int = 1
     ladder_halfwidth: int | None = None
+
+    # The ladders are dense: (2L+1)^2 complex entries for the effective
+    # model and (4L+3)^2 for the two-manifold one, each diagonalised by an
+    # O(M^3) eigh, so L = 1e5 would ask for hundreds of GiB.  The cap still
+    # admits the default halfwidth of every l0 with a finite deflection
+    # time: l0 is at most 268 (past it the Pendelloesung denominator
+    # overflows, whatever g and delta), whose default is 140.
+    MAX_LADDER_HALFWIDTH = 256
 
     def __post_init__(self):
         if not (self.g > 0.0 and math.isfinite(self.g)):
@@ -121,6 +131,10 @@ class BraggParams:
                 f"l0 = {self.l0} with g = {self.g!r} and delta = {self.delta!r} gives no finite positive "
                 "full deflection time: the Pendelloesung frequency leaves the float range"
             )
+        if self.ladder_halfwidth > self.MAX_LADDER_HALFWIDTH:
+            raise ValueError(
+                f"ladder_halfwidth must be at most {self.MAX_LADDER_HALFWIDTH}, got {self.ladder_halfwidth}"
+            )
 
 
 def recoil_frequency(mass_kg: float, wavelength_m: float) -> float:
@@ -137,12 +151,11 @@ def ladder_offsets(p: BraggParams) -> np.ndarray:
     return np.arange(-hw, hw + 1, 2)
 
 
-def _site_momenta(p: BraggParams) -> np.ndarray:
-    return p.l0 / 2.0 + ladder_offsets(p)
-
-
-def _light_shift(p: BraggParams) -> float:
-    return -(p.g**2) / (2.0 * p.delta)
+def _ladder_terms(p: BraggParams) -> tuple[np.ndarray, float]:
+    """Diagonal and neighbour coupling of :func:`build_effective_hamiltonian`."""
+    kinetic = (p.l0 / 2.0 + ladder_offsets(p)) ** 2 - (p.l0 / 2.0) ** 2
+    light_shift = -(p.g**2) / (2.0 * p.delta)
+    return kinetic + light_shift, -(p.g**2) / (4.0 * p.delta)
 
 
 def build_effective_hamiltonian(p: BraggParams) -> np.ndarray:
@@ -156,11 +169,9 @@ def build_effective_hamiltonian(p: BraggParams) -> np.ndarray:
     -g^2 / (4 delta).  The zero-photon branch has no coupling, so the atom
     stays at its incoming momentum there and needs no ladder of its own.
     """
-    mom = _site_momenta(p)
-    kinetic = mom**2 - (p.l0 / 2.0) ** 2
-    coupling = -(p.g**2) / (4.0 * p.delta)
-    h = np.diag((kinetic + _light_shift(p)).astype(np.complex128))
-    i = np.arange(len(mom) - 1)
+    diagonal, coupling = _ladder_terms(p)
+    h = np.diag(diagonal.astype(np.complex128))
+    i = np.arange(len(diagonal) - 1)
     h[i, i + 1] = coupling
     h[i + 1, i] = coupling
     return h
@@ -332,22 +343,6 @@ def evolve_ladder(p: BraggParams, t: float) -> LadderState:
     return LadderState(p, t, tuple(int(o) for o in offsets), amps, boundary)
 
 
-@dataclass(frozen=True)
-class PopulationSeries:
-    """Undeflected/deflected ladder populations sampled along a time grid,
-    as float arrays of one entry per time."""
-
-    params: BraggParams
-    times: np.ndarray
-    undeflected: np.ndarray
-    deflected: np.ndarray
-    boundary_max: float
-
-    @property
-    def truncation_warning(self) -> bool:
-        return self.boundary_max > TRUNCATION_LIMIT
-
-
 def nonnegative_times(times) -> np.ndarray:
     """``times`` as a float array; ValueError unless every one of them is
     finite and nonnegative."""
@@ -369,8 +364,53 @@ def nonnegative_time_scale(time_scale: float) -> float:
     return float(time_scale)
 
 
-def ladder_population_series(p, times):
-    """Ladder populations at each time of a finite, nonnegative grid.
+def bounded_ladder_time(p: BraggParams, t: float) -> float:
+    """``t`` as a float; ValueError unless its product with a bound on the
+    ladder's eigenvalues, max |diagonal| + 2 |coupling| (Gershgorin), stays
+    in the float range, so that no phase t * lambda of
+    :func:`~cavityswap.quantum.propagate` overflows.  The bound needs
+    neither the Hamiltonian nor its eigendecomposition."""
+    t = float(t)
+    diagonal, coupling = _ladder_terms(p)
+    bound = float(np.max(np.abs(diagonal))) + 2.0 * abs(coupling)
+    if not math.isfinite(t * bound):
+        raise ValueError(f"time {t!r} x the ladder spectral bound {bound!r} leaves the float range")
+    return t
+
+
+# Columns of PopulationComparison.table, and of ``oracle_compare.csv``.
+POPULATION_COLUMNS = (
+    "time",
+    "analytic_undeflected",
+    "analytic_deflected",
+    "ladder_undeflected",
+    "ladder_deflected",
+    "error",
+)
+
+
+@dataclass(frozen=True)
+class PopulationComparison:
+    """Closed-form vs exact-ladder populations along a time grid.
+
+    ``table`` holds one row per time and one column per name in
+    :data:`POPULATION_COLUMNS`.
+    """
+
+    table: np.ndarray
+    max_error: float
+    truncation_warning: bool
+
+
+def _population(z: np.ndarray) -> np.ndarray:
+    # |z|^2 rounded exactly as Python's abs(z) ** 2: hypot, then pow(x, 2),
+    # which is not always the x * x that np.abs(z) ** 2 computes.
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+
+
+def oracle_compare(p, times):
+    """Closed-form populations against the exact ladder along a finite,
+    nonnegative time grid.
 
     Each time is propagated directly from t = 0 by one
     :func:`~cavityswap.quantum.propagate` call, so the ladder Hamiltonian
@@ -381,8 +421,8 @@ def ladder_population_series(p, times):
     ``p`` may also be a sequence of G parameter sets on one ladder layout
     (equal ``l0`` and ``ladder_halfwidth``), with ``times`` a (G, T) grid of
     one row per set.  Their Hamiltonians are then diagonalised in one
-    stacked call, and a tuple of G series is returned, each bitwise equal
-    to the series of its own call.
+    stacked call, and a tuple of G comparisons is returned, each bitwise
+    equal to the comparison of its own call.
     """
     stacked = not isinstance(p, BraggParams)
     ps = tuple(p) if stacked else (p,)
@@ -395,11 +435,15 @@ def ladder_population_series(p, times):
     psi0 = np.zeros((len(ps), len(offsets)), dtype=np.complex128)
     psi0[:, sites[0]] = 1.0
     pops = np.abs(propagate(h, psi0, times, rows=sites)) ** 2
-    out = tuple(
-        PopulationSeries(q, t, pop[:, 0], pop[:, 1], float(np.max(pop[:, 2] + pop[:, 3], initial=0.0)))
-        for q, t, pop in zip(ps, times, pops)
-    )
-    return out if stacked else out[0]
+    out = []
+    for q, t, pop in zip(ps, times, pops):
+        c_plus, c_minus = analytic_amplitudes(q, t)
+        au, ad = _population(c_plus), _population(c_minus)
+        error = np.maximum(np.abs(au - pop[:, 0]), np.abs(ad - pop[:, 1]))
+        boundary = float(np.max(pop[:, 2] + pop[:, 3], initial=0.0))
+        out.append(PopulationComparison(np.column_stack((t, au, ad, pop[:, 0], pop[:, 1], error)),
+                                        float(np.max(error, initial=0.0)), boundary > TRUNCATION_LIMIT))
+    return tuple(out) if stacked else out[0]
 
 
 def pair_labels(p: BraggParams) -> tuple:

@@ -25,16 +25,19 @@ import numpy as np
 
 from . import __version__
 from .bragg import (
+    POPULATION_COLUMNS,
     BraggParams,
+    bounded_ladder_time,
     entangled_pair_state,
     full_deflection_time,
     nonnegative_time_scale,
+    oracle_compare,
     pair_labels,
     pair_oracle_fidelity,
     pendellosung_frequency,
     recoil_frequency,
 )
-from .metrics import POPULATION_COLUMNS, ComparisonRow, SweepSpec, oracle_compare, run_sweep
+from .metrics import ComparisonRow, SweepSpec, run_sweep
 from .swap import CLASS_NAMES, PAPER_TABLE_LABELS, PATTERN_LABELS, run_protocol
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
@@ -373,16 +376,16 @@ def _write_csv(path: Path, config: dict, columns, rows) -> None:
 
     ``rows`` is an iterable of 2-D float arrays, blocks of rows formatted
     ``_CSV_BLOCK`` rows at a time by :func:`_format_floats`, or of records,
-    whose cells go through :func:`_fmt` one by one; a 2-D float array is
-    one block.  Either way a long table is never held as text in memory,
-    and a table streamed in blocks is never held at all.
+    whose cells go through :func:`_fmt` one by one.  Either way a long
+    table is never held as text in memory, and a table streamed in blocks
+    is never held at all.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
         f.write(f"# cavityswap {__version__}\n")
         f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         f.write(",".join(columns) + "\n")
-        for row in (rows,) if isinstance(rows, np.ndarray) else rows:
+        for row in rows:
             if isinstance(row, np.ndarray):
                 for start in range(0, len(row), _CSV_BLOCK):
                     f.write(_format_floats(row[start:start + _CSV_BLOCK]))
@@ -403,11 +406,12 @@ def _points(cfg: dict) -> int:
     return points
 
 
-def _grid_end(what: str, end: float) -> float:
-    """``end``, the last time a command evaluates, unless it overflowed."""
+def _grid_end(what: str, end: float, ladder: BraggParams | None = None) -> float:
+    """``end``, the last time a command evaluates, unless it overflowed or,
+    given the ``ladder`` the command propagates to it, overflows its phases."""
     if not math.isfinite(end):
         raise ConfigError(f"{what} overflows to {end!r}")
-    return end
+    return end if ladder is None else _checked(bounded_ladder_time, ladder, end)
 
 
 _DEFLECTED = POPULATION_COLUMNS.index("ladder_deflected")
@@ -443,7 +447,7 @@ def cmd_entangle(cfg: dict, params: BraggParams, config: dict) -> int:
     """single-pair Bragg interaction: populations and final pair state"""
     ts = cfg["time_scale"]
     points = _points(cfg)
-    end = _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params))
+    end = _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params), params)
     out = Path(cfg["output_dir"])
     seen: list = []
     tables = _ladder_tables(params, np.linspace(0.0, end, points), seen)
@@ -506,7 +510,7 @@ def cmd_protocol(cfg: dict, params: BraggParams, config: dict) -> int:
 def cmd_oracle_compare(cfg: dict, params: BraggParams, config: dict) -> int:
     """closed-form vs exact-ladder population table"""
     points = _points(cfg)
-    period = _grid_end("one Pendelloesung period", 2.0 * math.pi / pendellosung_frequency(params))
+    period = _grid_end("one Pendelloesung period", 2.0 * math.pi / pendellosung_frequency(params), params)
     out = Path(cfg["output_dir"])
     seen: list = []
     _write_csv(out / "oracle_compare.csv", config, POPULATION_COLUMNS,

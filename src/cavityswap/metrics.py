@@ -1,4 +1,4 @@
-"""Closed-form vs ladder comparison tables and parameter sweeps."""
+"""Parameter sweeps and the Wilson interval of their success rates."""
 
 from __future__ import annotations
 
@@ -11,19 +11,16 @@ import numpy as np
 
 from .bragg import (
     BraggParams,
-    analytic_amplitudes,
+    bounded_ladder_time,
     full_deflection_time,
-    ladder_population_series,
     nonnegative_time_scale,
     nonnegative_times,
+    oracle_compare,
 )
 from .swap import branch_pair, herald_batch, sample_protocol
 
 __all__ = [
     "wilson_interval",
-    "POPULATION_COLUMNS",
-    "PopulationComparison",
-    "oracle_compare",
     "SWEEP_AXES",
     "SweepSpec",
     "ComparisonRow",
@@ -52,61 +49,6 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# Columns of PopulationComparison.table, and of ``oracle_compare.csv``.
-POPULATION_COLUMNS = (
-    "time",
-    "analytic_undeflected",
-    "analytic_deflected",
-    "ladder_undeflected",
-    "ladder_deflected",
-    "error",
-)
-
-
-@dataclass(frozen=True)
-class PopulationComparison:
-    """Closed-form vs exact-ladder populations along a time grid.
-
-    ``table`` holds one row per time and one column per name in
-    :data:`POPULATION_COLUMNS`.
-    """
-
-    params: BraggParams
-    table: np.ndarray
-    max_error: float
-    truncation_warning: bool
-
-
-def _population(z: np.ndarray) -> np.ndarray:
-    # |z|^2 rounded exactly as Python's abs(z) ** 2: hypot, then pow(x, 2),
-    # which is not always the x * x that np.abs(z) ** 2 computes.
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
-
-
-def _comparison(series) -> PopulationComparison:
-    c_plus, c_minus = analytic_amplitudes(series.params, series.times)
-    au, ad = _population(c_plus), _population(c_minus)
-    error = np.maximum(np.abs(au - series.undeflected), np.abs(ad - series.deflected))
-    table = np.column_stack((series.times, au, ad, series.undeflected, series.deflected, error))
-    max_error = float(np.max(error, initial=0.0))
-    return PopulationComparison(series.params, table, max_error, series.truncation_warning)
-
-
-def oracle_compare(p, times):
-    """Closed-form populations against the exact ladder along ``times``.
-
-    ``p`` and ``times`` may also be a stack of G parameter sets on one
-    ladder layout and a (G, T) grid, as for
-    :func:`~cavityswap.bragg.ladder_population_series`; the ladder is then
-    propagated for all of them at once, and a tuple of G comparisons is
-    returned, each bitwise equal to the comparison of its own call.
-    """
-    series = ladder_population_series(p, times)
-    if isinstance(p, BraggParams):
-        return _comparison(series)
-    return tuple(map(_comparison, series))
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One-axis sweep over protocol parameters.
@@ -117,8 +59,8 @@ class SweepSpec:
     order, and whole numbers on the integer axes (``l0``,
     ``ladder_halfwidth``).  The shared ``time_scale`` must be finite and
     nonnegative; a negative or non-finite value on the
-    ``interaction_time_scale`` axis fails only its own row, before its
-    ladder runs.
+    ``interaction_time_scale`` axis, or one whose ladder phases would
+    overflow, fails only its own row, before its ladder runs.
     """
 
     axis: str
@@ -230,6 +172,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             params, ts = _row_params(spec, value)
             t = ts * full_deflection_time(params)
             nonnegative_times([t])
+            bounded_ladder_time(params, t)
         except ValueError as exc:  # domain errors of a row are data, not crashes
             rows[i] = _failed_row(value, exc)
             continue

@@ -271,15 +271,14 @@ class Heralds(NamedTuple):
     """Herald statistics of R joint states, one row per state and one
     column per click pattern (labelled by :data:`PATTERN_LABELS`).
 
-    ``states[r, :, j]`` is the normalised conditional cavity vector of
-    pattern j, ``classes`` indexes :data:`CLASS_NAMES`: the best matching
-    target of :data:`CLASS_TARGETS`, or "none" after them for a pattern of
+    ``classes`` indexes :data:`CLASS_NAMES`: the target of
+    :data:`CLASS_TARGETS` that best matches the normalised conditional
+    cavity vector of the pattern, or "none" after them for a pattern of
     probability zero (whose fidelity and concurrence read 0), and
     ``concurrences`` holds the closed form 2|ad - bc| of each pure herald.
     """
 
     probabilities: np.ndarray
-    states: np.ndarray
     classes: np.ndarray
     fidelities: np.ndarray
     concurrences: np.ndarray
@@ -308,7 +307,6 @@ def _heralds(psi: np.ndarray) -> Heralds:
     conc = np.minimum(1.0, 2.0 * np.abs(vecs[:, 0] * vecs[:, 3] - vecs[:, 1] * vecs[:, 2]))
     return Heralds(
         probabilities=probs,
-        states=vecs,
         classes=np.where(dark, _NONE, fids.argmax(axis=1)),
         fidelities=np.where(dark, 0.0, fids.max(axis=1)),
         concurrences=np.where(dark, 0.0, conc),

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from cavityswap.bragg import (
+    POPULATION_COLUMNS,
     BraggParams,
     analytic_amplitudes,
+    bounded_ladder_time,
     branch_amplitudes,
     build_effective_hamiltonian,
     build_full_hamiltonian,
@@ -15,9 +17,9 @@ from cavityswap.bragg import (
     evolve_ladder,
     full_deflection_time,
     ladder_offsets,
-    ladder_population_series,
     max_excited_population,
     nonnegative_times,
+    oracle_compare,
     pair_labels,
     pair_oracle_fidelity,
     pair_state_from_ladder,
@@ -46,6 +48,14 @@ def low_ratio_params(**kw):
 def amplitude(p, pair, label):
     """Amplitude of a pair state on a (photon number, momentum) label."""
     return pair[pair_labels(p).index(label)]
+
+
+def period_grid(p, points):
+    return np.linspace(0.0, 2 * math.pi / pendellosung_frequency(p), points)
+
+
+def column(comp, name):
+    return comp.table[:, POPULATION_COLUMNS.index(name)]
 
 
 # ---------------------------------------------------------------- units
@@ -97,6 +107,27 @@ def test_params_warns_in_marginal_dispersive_regime():
 def test_ladder_halfwidth_default():
     assert params().ladder_halfwidth == 7
     assert params(l0=4).ladder_halfwidth == 8
+
+
+def test_ladder_halfwidth_is_capped_before_any_ladder_is_built(monkeypatch):
+    # A halfwidth of 1e5 would ask for a (2e5 + 1)^2 dense matrix; the cap
+    # refuses it in the parameters, before any Hamiltonian exists.
+    def refuse(p):
+        raise AssertionError("a Hamiltonian was built")
+
+    monkeypatch.setattr(bragg, "build_effective_hamiltonian", refuse)
+    monkeypatch.setattr(bragg, "build_full_hamiltonian", refuse)
+    cap = BraggParams.MAX_LADDER_HALFWIDTH
+    assert params(ladder_halfwidth=cap).ladder_halfwidth == cap
+    for bad in (cap + 1, 100_000):
+        with pytest.raises(ValueError, match=f"^ladder_halfwidth must be at most {cap}, got {bad}$"):
+            params(ladder_halfwidth=bad)
+    # The largest l0 with a finite deflection time (268, at delta/g = 10)
+    # keeps its default halfwidth.
+    g = 2.0 * 10.0 * (2.0 ** 133 * math.prod(range(2, 267, 2))) ** (1 / 134)
+    assert low_ratio_params(g=g, delta=10.0 * g, l0=268).ladder_halfwidth == 140 <= cap
+    with pytest.raises(ValueError, match="no finite positive full deflection time"):
+        low_ratio_params(g=g, delta=10.0 * g, l0=270)
 
 
 # ---------------------------------------------------------------- Hamiltonians
@@ -272,16 +303,18 @@ def test_ladder_initial_state_and_zero_photon_freeze():
                 assert frozen.tobytes() == incoming.tobytes(), (l0, halfwidth, scale)
 
 
-def test_ladder_matches_closed_form_over_a_full_period():
-    p = params(ladder_halfwidth=8)
-    period = 2 * math.pi / pendellosung_frequency(p)
-    series = ladder_population_series(p, np.linspace(0.0, period, 161))
+@pytest.mark.parametrize("halfwidth, points", [(None, 81), (8, 161)])
+def test_ladder_matches_closed_form_over_a_full_period(halfwidth, points):
+    # The ladder columns against one scalar closed form per time.
+    p = params(ladder_halfwidth=halfwidth)
+    comp = oracle_compare(p, period_grid(p, points))
     worst = 0.0
-    for t, pu, pd in zip(series.times, series.undeflected, series.deflected):
+    for t, pu, pd in zip(*(column(comp, name).tolist() for name in ("time", "ladder_undeflected", "ladder_deflected"))):
         c_plus, c_minus = analytic_amplitudes(p, t)
         worst = max(worst, abs(abs(c_plus) ** 2 - pu), abs(abs(c_minus) ** 2 - pd))
     assert worst <= 0.02
-    assert not series.truncation_warning
+    assert comp.max_error <= 0.02
+    assert not comp.truncation_warning
 
 
 def test_ladder_norm_drift_over_full_deflection():
@@ -309,16 +342,7 @@ def test_closed_form_error_grows_as_detuning_shrinks():
     worst = []
     for ratio in (100.0, 50.0, 25.0, 10.0):
         p = low_ratio_params(delta=ratio, ladder_halfwidth=8)
-        period = 2 * math.pi / pendellosung_frequency(p)
-        series = ladder_population_series(p, np.linspace(0.0, period, 121))
-        err = max(
-            max(
-                abs(abs(analytic_amplitudes(p, t)[0]) ** 2 - pu),
-                abs(abs(analytic_amplitudes(p, t)[1]) ** 2 - pd),
-            )
-            for t, pu, pd in zip(series.times, series.undeflected, series.deflected)
-        )
-        worst.append(err)
+        worst.append(oracle_compare(p, period_grid(p, 121)).max_error)
     assert all(b > a for a, b in zip(worst, worst[1:]))
 
 
@@ -330,50 +354,116 @@ def test_truncation_warning_fires_when_the_ladder_spreads():
     assert state.truncation_warning
 
 
-def test_population_series_matches_single_shot_evolution():
+def test_oracle_compare_matches_single_shot_evolution():
     p = params()
     t = 0.37 * full_deflection_time(p)
-    series = ladder_population_series(p, [0.0, 0.5 * t, t])
+    comp = oracle_compare(p, [0.0, 0.5 * t, t])
     direct = evolve_ladder(p, t)
-    assert series.undeflected[-1] == pytest.approx(direct.undeflected_population, abs=1e-10)
-    assert series.deflected[-1] == pytest.approx(direct.deflected_population, abs=1e-10)
+    assert column(comp, "ladder_undeflected")[-1] == pytest.approx(direct.undeflected_population, abs=1e-10)
+    assert column(comp, "ladder_deflected")[-1] == pytest.approx(direct.deflected_population, abs=1e-10)
 
 
-def test_population_series_does_not_depend_on_the_block_size(monkeypatch):
-    # 4097 and 7169 times leave a lone last time for blocks of 4096, 1024
-    # and 7; every time must still come out bit for bit the same.
-    for l0 in (2, 4, 6):
-        for r in (1, 3):
-            p = params(l0=l0, r=r)
-            for points in (4097, 7169):
-                times = np.linspace(0.0, 2.5 * full_deflection_time(p), points)
-                series = []
-                for block in (4096, 1024, 7):
-                    monkeypatch.setattr(quantum, "SERIES_BLOCK", block)
-                    series.append(ladder_population_series(p, times))
-                for other in series[1:]:
-                    assert np.array_equal(other.undeflected, series[0].undeflected)
-                    assert np.array_equal(other.deflected, series[0].deflected)
-                    assert other.boundary_max == series[0].boundary_max
+def test_oracle_compare_error_vanishes_at_time_zero():
+    comp = oracle_compare(params(), [0.0])
+    assert column(comp, "error")[0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_population_series_of_slices_equal_the_whole_series():
+def test_oracle_compare_table_matches_the_closed_form_point_by_point():
+    # The array table against one analytic_amplitudes call per time.  SIMD
+    # cos/sin may round differently from the scalar ones, hence 1e-15.
+    for p in (params(), params(l0=4, r=3)):
+        times = period_grid(p, 1001)
+        comp = oracle_compare(p, times)
+        assert comp.table.shape == (times.size, len(POPULATION_COLUMNS))
+        reference = []
+        ladder = zip(column(comp, "ladder_undeflected").tolist(), column(comp, "ladder_deflected").tolist())
+        for t, (lu, ld) in zip(times.tolist(), ladder):
+            c_plus, c_minus = analytic_amplitudes(p, t)
+            au, ad = abs(c_plus) ** 2, abs(c_minus) ** 2
+            reference.append((t, au, ad, lu, ld, max(abs(au - lu), abs(ad - ld))))
+        assert np.max(np.abs(comp.table - np.array(reference))) <= 1e-15
+        assert comp.max_error == pytest.approx(max(row[-1] for row in reference), abs=1e-15)
+
+
+@pytest.mark.parametrize("l0", [2, 4, 6])
+def test_oracle_compare_bits_depend_on_neither_block_size_nor_grid(monkeypatch, l0):
+    # A sweep row tabulates one time, entangle and oracle-compare a grid.
+    # Grids of 4097 and 7169 times leave a lone last time for blocks of
+    # 4096, 1024 and 7; every time must come out bit for bit the same
+    # whatever the block, alone or inside its grid.
+    for r in (1, 3):
+        p = params(l0=l0, r=r)
+        for points in (4097, 7169):
+            times = np.linspace(0.0, 2.5 * full_deflection_time(p), points)
+            comps = []
+            for block in (4096, 1024, 7):
+                monkeypatch.setattr(quantum, "SERIES_BLOCK", block)
+                comps.append(oracle_compare(p, times))
+                for k in (1, 6, 13, 1000, points // 2, points - 1):
+                    assert np.array_equal(oracle_compare(p, [times[k]]).table[0], comps[-1].table[k])
+            for other in comps[1:]:
+                assert np.array_equal(other.table, comps[0].table)
+                assert (other.max_error, other.truncation_warning) == (comps[0].max_error, comps[0].truncation_warning)
+
+
+@pytest.mark.parametrize("l0, halfwidth", [(2, None), (4, None), (2, 3)])
+def test_oracle_compare_of_slices_equal_the_whole_comparison(monkeypatch, l0, halfwidth):
     # Two full slices and a one-time tail, one call each as the ladder
-    # commands make them: the slices hold the bits of the whole series,
-    # t = 0 included, and the largest slice boundary population is the
-    # whole grid's.
+    # commands make them: the tables join to the whole table bit for bit,
+    # t = 0 included, the largest slice error is the whole max_error, and
+    # the truncation flag of the whole grid is any slice's.  With the limit
+    # set between the slices' boundary populations on the tight ladder of
+    # halfwidth 3, only the last slice reads clean.
     size = _LADDER_SLICE
-    for l0 in (2, 4):
-        p = params(l0=l0)
-        times = np.linspace(0.0, 1.5 * full_deflection_time(p), 2 * size + 1)
-        whole = ladder_population_series(p, times)
-        slices = [ladder_population_series(p, times[s:s + size]) for s in range(0, len(times), size)]
-        assert [len(c.times) for c in slices] == [size, size, 1]
-        for name in ("times", "undeflected", "deflected"):
-            joined = np.concatenate([getattr(c, name) for c in slices])
-            assert joined.tobytes() == getattr(whole, name).tobytes()
-        assert max(c.boundary_max for c in slices) == whole.boundary_max
-        assert (slices[0].undeflected[0], slices[0].deflected[0]) == (1.0, 0.0)
+    p = params(l0=l0, ladder_halfwidth=halfwidth)
+    times = period_grid(p, 2 * size + 1)
+    whole = oracle_compare(p, times)
+    starts = range(0, len(times), size)
+    slices = [oracle_compare(p, times[s:s + size]) for s in starts]
+    assert [len(c.table) for c in slices] == [size, size, 1]
+    assert np.concatenate([c.table for c in slices]).tobytes() == whole.table.tobytes()
+    assert (column(slices[0], "ladder_undeflected")[0], column(slices[0], "ladder_deflected")[0]) == (1.0, 0.0)
+    assert max(c.max_error for c in slices) == whole.max_error
+    assert not whole.truncation_warning
+    monkeypatch.setattr(bragg, "TRUNCATION_LIMIT", 1e-18)
+    flags = [oracle_compare(p, times[s:s + size]).truncation_warning for s in starts]
+    assert oracle_compare(p, times).truncation_warning == any(flags)
+    if halfwidth == 3:
+        assert flags == [True, True, False]
+
+
+def test_oracle_compare_stacks_one_ladder_layout():
+    # Each member of a stack reads as its own call; a stack that mixes
+    # layouts, or lacks one row of times per set, is refused.
+    stack = (params(delta=100.0), params(delta=150.0))
+    times = [np.linspace(0.0, 1.3 * full_deflection_time(p), 9) for p in stack]
+    for p, t, comp in zip(stack, times, oracle_compare(stack, times)):
+        alone = oracle_compare(p, t)
+        assert np.array_equal(comp.table, alone.table)
+        assert (comp.max_error, comp.truncation_warning) == (alone.max_error, alone.truncation_warning)
+    message = "^a stack of ladders needs one l0 and ladder_halfwidth and one row of times per set$"
+    for bad_stack, bad_times in (((params(), params(l0=4)), times), (stack, times[:1]), (stack, times[0])):
+        with pytest.raises(ValueError, match=message):
+            oracle_compare(bad_stack, bad_times)
+
+
+def test_ladder_times_whose_phases_overflow_are_refused():
+    # max |diagonal| + 2 |coupling| bounds every eigenvalue of the ladder,
+    # so a time that passes keeps every phase t * lambda of propagate finite.
+    for p in (params(), params(l0=4, ladder_halfwidth=9), params(l0=142), low_ratio_params(delta=10.0)):
+        h = build_effective_hamiltonian(p)
+        bound = float(np.max(np.abs(np.diag(h).real))) + 2.0 * abs(h[0, 1].real)
+        assert np.max(np.abs(np.linalg.eigvalsh(h))) <= bound
+        edge = np.nextafter(np.finfo(float).max / bound, 0.0)
+        assert bounded_ladder_time(p, edge) == edge
+        assert bounded_ladder_time(p, 0.0) == 0.0
+        oracle_compare(p, [edge])  # no RuntimeWarning: an error under this suite's filter
+        with pytest.raises(ValueError, match="x the ladder spectral bound .* leaves the float range$"):
+            bounded_ladder_time(p, 2.0 * edge)
+    # At l0 = 142 one Pendelloesung period already overflows the phases.
+    p = params(l0=142)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        bounded_ladder_time(p, 2.0 * math.pi / pendellosung_frequency(p))
 
 
 def test_params_need_a_finite_positive_deflection_time():
@@ -395,7 +485,7 @@ def test_times_must_be_finite_and_nonnegative():
         with pytest.raises(ValueError, match="^times must be finite and nonnegative$"):
             nonnegative_times(bad)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        ladder_population_series(params(), [0.0, math.inf])
+        oracle_compare(params(), [0.0, math.inf])
 
 
 def test_ladder_integrator_paths_agree():

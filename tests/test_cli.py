@@ -13,8 +13,10 @@ import pytest
 import cavityswap
 from cavityswap import __version__, bragg
 from cavityswap.bragg import (
+    POPULATION_COLUMNS,
     BraggParams,
     full_deflection_time,
+    oracle_compare,
     pendellosung_frequency,
     recoil_frequency,
 )
@@ -36,7 +38,6 @@ from cavityswap.cli import (
     main,
     resolve_params,
 )
-from cavityswap.metrics import POPULATION_COLUMNS, oracle_compare
 
 
 def run_cli(*args):
@@ -462,6 +463,13 @@ def test_oracle_compare_assert_negative_control(tmp_path, capsys):
     assert "assertion failed" in capsys.readouterr().err
 
 
+def test_oracle_compare_csv_shape(tmp_path):
+    assert run_cli("oracle-compare", "--points", "5", "--out", str(tmp_path)) == 0
+    lines = (tmp_path / "oracle_compare.csv").read_text().splitlines()
+    assert lines[2] == "time,analytic_undeflected,analytic_deflected,ladder_undeflected,ladder_deflected,error"
+    assert len(lines) == 3 + 5
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -625,12 +633,31 @@ _NO_DEFLECTION_TIME = "gives no finite positive full deflection time: the Pendel
     (("protocol", "--time-scale", "1e308"), "time_scale 1e+308 x the full deflection time overflows to inf"),
     (("oracle-compare", "--g", "1e-150", "--delta", "1.5e7", "--points", "3"),
      "one Pendelloesung period overflows to inf"),
+    # A finite last time, but its ladder phases would overflow.
+    (("entangle", "--time-scale", "1e305", "--points", "3"),
+     "time 6.283185307179586e+307 x the ladder spectral bound 224.0 leaves the float range"),
+    (("oracle-compare", "--l0", "142", "--points", "3"),
+     "time 2.4769314593959166e+306 x the ladder spectral bound 45584.0 leaves the float range"),
 ])
 def test_overflowing_interaction_times_exit_1_before_any_artifact(tmp_path, capsys, argv, message):
     # No traceback and no RuntimeWarning (an error under this suite's filter).
     out = tmp_path / "run"
     assert run_cli(*argv, "--out", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_ladders_past_the_halfwidth_cap_exit_1_before_any_is_built(tmp_path, capsys, monkeypatch):
+    def refuse(p):
+        raise AssertionError("a Hamiltonian was built")
+
+    monkeypatch.setattr(bragg, "build_effective_hamiltonian", refuse)
+    monkeypatch.setattr(bragg, "build_full_hamiltonian", refuse)
+    out = tmp_path / "run"
+    message = f"ladder_halfwidth must be at most {BraggParams.MAX_LADDER_HALFWIDTH}, got 100000"
+    for argv in (("entangle", "--points", "3"), ("oracle-compare", "--points", "3"), ("protocol", "--shots", "3")):
+        assert run_cli(*argv, "--ladder-halfwidth", "100000", "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -783,7 +810,7 @@ def test_write_csv_formats_a_float_table_block_by_block(tmp_path):
     rng = np.random.default_rng(59)
     table = rng.random((2 * _CSV_BLOCK + 1, 3)) * 10.0 ** rng.integers(-6, 6, (2 * _CSV_BLOCK + 1, 3))
     path = tmp_path / "t.csv"
-    _write_csv(path, {"a": 1}, ("x", "y", "z"), table)
+    _write_csv(path, {"a": 1}, ("x", "y", "z"), (table,))
     lines = read(path).splitlines(keepends=True)
     assert lines[:3] == [f"# cavityswap {__version__}\n", '# config: {"a": 1}\n', "x,y,z\n"]
     assert "".join(lines[3:]) == percent_lines(table)
@@ -793,7 +820,7 @@ def test_write_csv_joins_uneven_float_blocks_into_the_whole_table(tmp_path):
     rng = np.random.default_rng(61)
     table = rng.random((2 * _CSV_BLOCK + 7, 4)) * 10.0 ** rng.integers(-6, 6, (2 * _CSV_BLOCK + 7, 4))
     whole, blocks = tmp_path / "whole.csv", tmp_path / "blocks.csv"
-    _write_csv(whole, {"a": 1}, ("w", "x", "y", "z"), table)
+    _write_csv(whole, {"a": 1}, ("w", "x", "y", "z"), (table,))
     cuts = [0, 5, _CSV_BLOCK + 5, 2 * _CSV_BLOCK + 6, len(table)]  # the last block is one row
     _write_csv(blocks, {"a": 1}, ("w", "x", "y", "z"), (table[a:b] for a, b in zip(cuts, cuts[1:])))
     assert blocks.read_bytes() == whole.read_bytes()

@@ -1,33 +1,25 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from cavityswap import bragg, metrics, quantum
+from cavityswap import bragg, metrics
 from cavityswap.bragg import (
-    BraggParams,
-    analytic_amplitudes,
-    full_deflection_time,
-    ladder_population_series,
-    pendellosung_frequency,
-)
-from cavityswap.cli import _LADDER_SLICE, main
-from cavityswap.metrics import (
     POPULATION_COLUMNS,
+    BraggParams,
+    full_deflection_time,
+    oracle_compare,
+)
+from cavityswap.cli import main
+from cavityswap.metrics import (
     ComparisonRow,
     SweepSpec,
-    oracle_compare,
     run_sweep,
     wilson_interval,
 )
 from cavityswap.swap import run_protocol
 
 BASE = BraggParams()
-
-
-def period_grid(p, points=81):
-    return np.linspace(0.0, 2 * math.pi / pendellosung_frequency(p), points)
 
 
 # ---------------------------------------------------------------- wilson
@@ -51,67 +43,6 @@ def test_wilson_interval_input_validation():
         wilson_interval(1, 0)
     with pytest.raises(ValueError):
         wilson_interval(5, 4)
-
-
-# ---------------------------------------------------------------- oracle table
-
-
-def test_oracle_compare_is_tight_in_the_deep_dispersive_regime():
-    comp = oracle_compare(BASE, period_grid(BASE))
-    assert comp.max_error <= 0.02
-    assert not comp.truncation_warning
-
-
-def test_oracle_compare_error_vanishes_at_time_zero():
-    comp = oracle_compare(BASE, [0.0])
-    assert comp.table[0, POPULATION_COLUMNS.index("error")] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_oracle_compare_table_matches_the_closed_form_point_by_point():
-    # The array table against one analytic_amplitudes call per time.  SIMD
-    # cos/sin may round differently from the scalar ones, hence 1e-15.
-    for p in (BASE, BraggParams(l0=4, r=3)):
-        times = period_grid(p, points=1001)
-        comp = oracle_compare(p, times)
-        series = ladder_population_series(p, times)
-        assert comp.table.shape == (times.size, len(POPULATION_COLUMNS))
-        reference = []
-        for t, lu, ld in zip(times.tolist(), series.undeflected.tolist(), series.deflected.tolist()):
-            c_plus, c_minus = analytic_amplitudes(p, t)
-            au, ad = abs(c_plus) ** 2, abs(c_minus) ** 2
-            reference.append((t, au, ad, lu, ld, max(abs(au - lu), abs(ad - ld))))
-        assert np.max(np.abs(comp.table - np.array(reference))) <= 1e-15
-        assert comp.max_error == pytest.approx(max(row[-1] for row in reference), abs=1e-15)
-
-
-@pytest.mark.parametrize("block", [None, 7])
-def test_oracle_compare_one_time_equals_that_time_of_a_longer_grid(monkeypatch, block):
-    # A sweep row tabulates one time, entangle and oracle-compare a grid;
-    # at the same time both must give the same bits.
-    if block is not None:
-        monkeypatch.setattr(quantum, "SERIES_BLOCK", block)
-    for l0 in (2, 4):
-        p = BraggParams(l0=l0)
-        times = np.linspace(0.0, 1.3 * full_deflection_time(p), 41)
-        table = oracle_compare(p, times).table
-        for k in (1, 6, 13, 20, 31, 40):
-            assert np.array_equal(oracle_compare(p, [times[k]]).table[0], table[k])
-
-
-def test_oracle_compare_error_grows_at_lower_detuning():
-    tight = oracle_compare(BASE, period_grid(BASE))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        loose_params = BraggParams(delta=10.0)
-    loose = oracle_compare(loose_params, period_grid(loose_params))
-    assert loose.max_error > tight.max_error
-
-
-def test_oracle_compare_csv_shape(tmp_path):
-    assert main(["oracle-compare", "--points", "5", "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "oracle_compare.csv").read_text().splitlines()
-    assert lines[2] == "time,analytic_undeflected,analytic_deflected,ladder_undeflected,ladder_deflected,error"
-    assert len(lines) == 3 + 5
 
 
 # ---------------------------------------------------------------- sweeps
@@ -237,28 +168,6 @@ def test_delta_sweep_diagonalises_each_row_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_oracle_compare_of_slices_equal_the_whole_comparison(monkeypatch):
-    # Two full slices and a one-time tail on a tight ladder, one call each
-    # as the ladder commands make them: the tables join to the whole table
-    # bit for bit, the largest slice error is the whole max_error, and the
-    # truncation flag of the whole grid is any slice's (with the limit set
-    # between the slices' boundary populations, only the last slice reads
-    # clean).
-    size = _LADDER_SLICE
-    p = BraggParams(ladder_halfwidth=3)
-    times = period_grid(p, 2 * size + 1)
-    whole = oracle_compare(p, times)
-    starts = range(0, len(times), size)
-    slices = [oracle_compare(p, times[s:s + size]) for s in starts]
-    assert [len(c.table) for c in slices] == [size, size, 1]
-    assert np.concatenate([c.table for c in slices]).tobytes() == whole.table.tobytes()
-    assert max(c.max_error for c in slices) == whole.max_error
-    assert not whole.truncation_warning
-    monkeypatch.setattr(bragg, "TRUNCATION_LIMIT", 1e-18)
-    assert [oracle_compare(p, times[s:s + size]).truncation_warning for s in starts] == [True, True, False]
-    assert oracle_compare(p, times).truncation_warning
-
-
 def test_non_finite_time_scales_fail_before_the_ladder_runs():
     # A non-finite shared time scale is refused; a non-finite axis value
     # fails its own row at resolution, so no RuntimeWarning (an error
@@ -275,6 +184,24 @@ def test_non_finite_time_scales_fail_before_the_ladder_runs():
     (row,) = run_sweep(SweepSpec(axis="interaction_time_scale", values=(math.nan,),
                                  base=BASE, shots=100, seed=3)).rows
     assert row.error == "ValueError: times must be finite and nonnegative"
+
+
+def test_rows_past_the_ladder_limits_fail_on_their_own(monkeypatch):
+    # A finite time whose ladder phases overflow, and a halfwidth past the
+    # cap, each fail their own row before any ladder of theirs is built: no
+    # RuntimeWarning (an error under this suite's filter), no allocation.
+    built = []
+    monkeypatch.setattr(bragg, "build_effective_hamiltonian",
+                        lambda p, build=bragg.build_effective_hamiltonian: built.append(p) or build(p))
+    rows = run_sweep(SweepSpec(axis="interaction_time_scale", values=(1.0, 1e305), base=BASE, shots=10, seed=1)).rows
+    assert rows[0].error == ""
+    assert rows[1].error == ("ValueError: time 6.283185307179586e+307 x the ladder spectral bound 224.0 "
+                             "leaves the float range")
+    assert math.isnan(rows[1].ladder_deflected) and math.isnan(rows[1].abs_error)
+    rows = run_sweep(SweepSpec(axis="ladder_halfwidth", values=(4, 100_000), base=BASE, shots=10, seed=1)).rows
+    assert rows[0].error == ""
+    assert rows[1].error == f"ValueError: ladder_halfwidth must be at most {BraggParams.MAX_LADDER_HALFWIDTH}, got 100000"
+    assert [p.ladder_halfwidth for p in built] == [BASE.ladder_halfwidth, 4]
 
 
 def test_time_scale_sweep_rows_equal_one_time_comparisons():

@@ -46,12 +46,6 @@ def patterns(heralds, row=0):
     ]
 
 
-def conditional_density(heralds, j, row=0):
-    """Density matrix of pattern j's normalised conditional cavity vector."""
-    vec = heralds.states[row, :, j]
-    return np.outer(vec, vec.conj())
-
-
 def post_mixer(s):
     """A (4, 10) joint state after both atoms pass the mode mixers."""
     return s @ beam_splitter_unitary().T
@@ -287,10 +281,10 @@ def test_herald_distribution_classes():
 
 
 def test_heralds_are_pure_at_nominal_timing():
-    heralds = herald_distribution(P2)
-    for j, prob in enumerate(heralds.row(0)[0]):
+    post = post_mixer(joint_state(P2))
+    for j, prob in enumerate(herald_distribution(P2).row(0)[0]):
         if prob > 0.0:
-            rho = conditional_density(heralds, j)
+            rho, _ = conditional_cavity_state(post, j)
             assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-10
 
 
@@ -319,18 +313,28 @@ def test_paper_table_labels_disagree_with_the_calculation():
             assert name != PAPER_TABLE_LABELS[label]
 
 
+def assert_heralds_match_the_reference(heralds, posts, concurrence_bound):
+    """Every herald statistic of every row against projection and partial
+    trace of that row's whole post-mixer state."""
+    for row, post in enumerate(posts):
+        for j, (label, prob, name, fid, c) in enumerate(patterns(heralds, row)):
+            if prob == 0.0:
+                assert name == "none" and label in ZERO_PATTERNS
+                continue
+            rho, want = conditional_cavity_state(post, j)
+            assert abs(want - prob) <= 1e-12
+            fids = {target: fidelity(rho, vec) for target, vec in CLASS_TARGETS.items()}
+            assert name == max(fids, key=fids.get)
+            assert abs(fid - fids[name]) <= 1e-12
+            assert abs(c - concurrence(rho)) <= concurrence_bound
+
+
 def test_conditional_state_via_projection_and_partial_trace():
     # l0 = 4 off nominal timing gives complex conditional states.
     for p in (P2, P4):
         for ts in (1.0, 0.7):
             post = post_mixer(joint_state(p, time_scale=ts))
-            heralds = herald_distribution(p, ts)
-            for j, prob in enumerate(heralds.row(0)[0]):
-                if prob == 0.0:
-                    continue
-                rho, want = conditional_cavity_state(post, j)
-                assert abs(want - prob) <= 1e-12
-                assert np.max(np.abs(rho - conditional_density(heralds, j))) <= 1e-12
+            assert_heralds_match_the_reference(herald_distribution(p, ts), [post], 1e-8)
 
 
 def test_heralds_match_the_brute_force_reference():
@@ -357,18 +361,7 @@ def test_heralds_match_the_brute_force_reference():
         (swap._heralds(amps), amps, 1e-7),
     )
     for heralds, posts, concurrence_bound in batches:
-        for row, post in enumerate(posts):
-            for j, (label, prob, name, fid, c) in enumerate(patterns(heralds, row)):
-                if prob == 0.0:
-                    assert name == "none" and label in ZERO_PATTERNS
-                    continue
-                rho, want = conditional_cavity_state(post, j)
-                assert abs(want - prob) <= 1e-12
-                assert np.max(np.abs(rho - conditional_density(heralds, j, row))) <= 1e-12
-                fids = {target: fidelity(rho, vec) for target, vec in CLASS_TARGETS.items()}
-                assert name == max(fids, key=fids.get)
-                assert abs(fid - fids[name]) <= 1e-12
-                assert abs(c - concurrence(rho)) <= concurrence_bound
+        assert_heralds_match_the_reference(heralds, posts, concurrence_bound)
 
 
 # ---------------------------------------------------------------- sampling
@@ -390,13 +383,14 @@ def test_sampled_frequencies_match_the_exact_distribution():
 def test_closed_form_concurrence_matches_wootters(l0, r):
     # Each herald is pure, so 2|ad - bc| must agree with the mixed-state
     # Wootters routine up to that routine's eigenvalue round-off.
+    p = BraggParams(l0=l0, r=r)
     for ts in (0.0, 0.3, 0.6, 0.7, 1.0, 1.3):
-        heralds = herald_distribution(BraggParams(l0=l0, r=r), ts)
-        probs, _, _, concs = heralds.row(0)
+        post = post_mixer(joint_state(p, time_scale=ts))
+        probs, _, _, concs = herald_distribution(p, ts).row(0)
         for j, (prob, c) in enumerate(zip(probs, concs)):
             if prob > 0.0:
                 assert 0.0 <= c <= 1.0
-                assert abs(c - concurrence(conditional_density(heralds, j))) <= 1e-8
+                assert abs(c - concurrence(conditional_cavity_state(post, j)[0])) <= 1e-8
 
 
 def test_product_doubles_have_zero_concurrence_off_nominal_timing():
