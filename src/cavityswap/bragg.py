@@ -24,7 +24,6 @@ import numpy as np
 from .quantum import propagate
 
 __all__ = [
-    "HBAR",
     "BraggParams",
     "recoil_frequency",
     "ladder_offsets",
@@ -32,7 +31,6 @@ __all__ = [
     "build_full_hamiltonian",
     "max_excited_population",
     "pendellosung_frequency",
-    "pendellosung_phase_rate",
     "full_deflection_time",
     "deflection_phase",
     "analytic_amplitudes",

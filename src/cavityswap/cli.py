@@ -38,7 +38,7 @@ from .bragg import (
     recoil_frequency,
 )
 from .metrics import ComparisonRow, SweepSpec, run_sweep
-from .swap import CLASS_NAMES, PAPER_TABLE_LABELS, PATTERN_LABELS, run_protocol
+from .swap import CLASS_NAMES, PAPER_TABLE_LABELS, PATTERN_LABELS, paper_label_divergences, run_protocol
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
 
@@ -473,7 +473,7 @@ def cmd_protocol(cfg: dict, params: BraggParams, config: dict) -> int:
     """full swap protocol: exact heralds plus sampled shots"""
     ts = cfg["time_scale"]
     _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params))
-    report = _checked(
+    heralds, sample = _checked(
         run_protocol,
         params,
         shots=cfg["shots"],
@@ -481,9 +481,26 @@ def cmd_protocol(cfg: dict, params: BraggParams, config: dict) -> int:
         time_scale=ts,
         detection_efficiency=cfg["detection_efficiency"],
     )
+    probs, classes, fids, concs = heralds.row(0)
+    counts = sample.counts
+    class_stats: dict = {}
+    for k, name in enumerate(CLASS_NAMES):
+        # The class's patterns, summed in pattern order.
+        js = [j for j, c in enumerate(classes) if c == k]
+        if not js:
+            continue
+        prob, ct = sum(probs[j] for j in js), sum(counts[j] for j in js)
+        stats = {"probability": prob, "count": ct, "patterns": [PATTERN_LABELS[j] for j in js]}
+        if prob > 0.0:
+            stats["fidelity_exact"] = sum(probs[j] * fids[j] for j in js) / prob
+            stats["concurrence_exact"] = sum(probs[j] * concs[j] for j in js) / prob
+        if ct > 0:
+            stats["fidelity_empirical"] = sum(counts[j] * fids[j] for j in js) / ct
+        class_stats[name] = stats
+    divergences = paper_label_divergences(heralds)
+
     out = Path(cfg["output_dir"])
-    retained = max(report.retained_shots, 1)
-    probs, classes, fids, concs = report.heralds.row(0)
+    retained = max(sample.retained_shots, 1)
     _write_csv(
         out / "protocol_report.csv",
         config,
@@ -491,19 +508,36 @@ def cmd_protocol(cfg: dict, params: BraggParams, config: dict) -> int:
          "fidelity", "concurrence"),
         (
             (label, prob, count / retained, CLASS_NAMES[k], PAPER_TABLE_LABELS[label], fid, c)
-            for label, prob, count, k, fid, c in zip(PATTERN_LABELS, probs, report.counts, classes, fids, concs)
+            for label, prob, count, k, fid, c in zip(PATTERN_LABELS, probs, counts, classes, fids, concs)
         ),
     )
-    _write_json(out / "protocol_summary.json", config, report.summary())
-    print(f"success rate: {_fmt(report.success_rate)} (exact {_fmt(report.success_probability)})")
-    for name, stats in report.class_stats.items():
+    _write_json(out / "protocol_summary.json", config, {
+        "seed": cfg["seed"],
+        "shots": cfg["shots"],
+        "retained_shots": sample.retained_shots,
+        "discarded_shots": sample.discarded_shots,
+        "time_scale": ts,
+        "detection_efficiency": cfg["detection_efficiency"],
+        "success_rate": sample.success_rate,
+        "success_probability": sample.success_probability,
+        "mean_psi_fidelity": sample.mean_psi_fidelity,
+        "mean_psi_concurrence": sample.mean_psi_concurrence,
+        "class_stats": class_stats,
+        "paper_label_divergences": list(divergences),
+        "note": (
+            "herald classifications follow the bosonic mode calculation; "
+            "paper_label reproduces the published click table, which disagrees "
+            "on the flagged patterns"
+            if divergences
+            else "herald classifications agree with the published click table"
+        ),
+    })
+    print(f"success rate: {_fmt(sample.success_rate)} (exact {_fmt(sample.success_probability)})")
+    for name, stats in class_stats.items():
         if "fidelity_exact" in stats:
             print(f"  {name}: p={_fmt(stats['probability'])} fidelity={_fmt(stats['fidelity_exact'])}")
-    if report.paper_label_divergences:
-        print(
-            "note: classifications diverge from the published click table on "
-            + ", ".join(report.paper_label_divergences)
-        )
+    if divergences:
+        print("note: classifications diverge from the published click table on " + ", ".join(divergences))
     return 0
 
 

@@ -191,8 +191,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for r, i in enumerate(resolved):
         analytic, ladder = columns[i]
         sample = sample_protocol(heralds, r, spec.shots, _row_seed(spec.seed, i))
-        successes = round(sample.success_rate * sample.retained_shots)
-        low, high = wilson_interval(successes, sample.retained_shots)
+        low, high = wilson_interval(sample.successes, sample.retained_shots)
         rows[i] = ComparisonRow(
             value=float(spec.values[i]),
             analytic_deflected=analytic,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HERMITICITY_ATOL", "SERIES_BLOCK", "propagate"]
+__all__ = ["SERIES_BLOCK", "propagate"]
 
 HERMITICITY_ATOL = 1e-12
 

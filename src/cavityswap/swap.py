@@ -11,15 +11,14 @@ Every two-click pattern heralds a conditional state of the two cavities.
 :func:`herald_batch` computes the heralds of many joint states at once and
 returns them as :class:`Heralds` arrays, one row per state and one column
 per pattern: columns are labelled by :data:`PATTERN_LABELS`, classes index
-:data:`CLASS_NAMES`.  The protocol's sampled counts and reports are read
-from those arrays.
+:data:`CLASS_NAMES`.  :func:`run_protocol` returns those arrays with the
+counts sampled from them; the CLI lays out the protocol's artifacts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -28,8 +27,6 @@ import numpy as np
 from .bragg import BraggParams, branch_amplitudes, nonnegative_time_scale
 
 __all__ = [
-    "DETECTORS",
-    "N_MODES",
     "mode_basis",
     "single_particle_mixer",
     "beam_splitter_unitary",
@@ -42,16 +39,12 @@ __all__ = [
     "ProtocolSample",
     "sample_protocol",
     "run_protocol",
-    "ProtocolReport",
+    "paper_label_divergences",
     "CLASS_TARGETS",
     "CLASS_NAMES",
     "PATTERN_LABELS",
     "PAPER_TABLE_LABELS",
 ]
-
-N_MODES = 4
-# Output mode index -> detector name.
-DETECTORS = ("D4", "D3", "D2", "D1")
 
 # Two-qubit cavity basis order: (c1, c2) = 00, 01, 10, 11.
 _SQ2 = math.sqrt(2.0)
@@ -108,8 +101,8 @@ def mode_basis(total: int = 2) -> tuple:
     """Occupations of the four atomic momentum modes holding exactly
     ``total`` atoms, sorted lexicographically descending: for two atoms
     (2,0,0,0), (1,1,0,0), ... , (0,0,0,2).  The same index order is used
-    before and after the mode mixer; after it, mode i feeds detector
-    DETECTORS[i]."""
+    before and after the mode mixer; after it, modes 0-3 feed detectors
+    D4, D3, D2 and D1."""
     if total < 0:
         raise ValueError("total occupation must be nonnegative")
     return tuple(_occupations_with_total(total))
@@ -119,7 +112,7 @@ def single_particle_mixer() -> np.ndarray:
     """One-atom 50/50 mixer: a1 -> (a1' + i a2')/sqrt(2) and cyclic, with
     the deflected pair (b1, b2) mixed the same way.  The 1/sqrt(2) makes
     the map unitary."""
-    u = np.zeros((N_MODES, N_MODES), dtype=np.complex128)
+    u = np.zeros((4, 4), dtype=np.complex128)
     for base in (0, 2):
         u[base, base] = 1.0 / _SQ2
         u[base + 1, base] = 1j / _SQ2
@@ -349,6 +342,7 @@ class ProtocolSample(NamedTuple):
     counts: list
     retained_shots: int
     discarded_shots: int
+    successes: int
     success_rate: float
     success_probability: float
     mean_psi_fidelity: float
@@ -373,62 +367,17 @@ def sample_protocol(
         if k in _PSI
     ]
     psi_prob = sum(prob for prob, _, _, _ in psi)
-    success_count = sum(count for *_, count in psi)
+    successes = sum(count for *_, count in psi)
     return ProtocolSample(
         counts=counts,
         retained_shots=retained,
         discarded_shots=discarded,
-        success_rate=success_count / retained if retained else 0.0,
+        successes=successes,
+        success_rate=successes / retained if retained else 0.0,
         success_probability=psi_prob,
         mean_psi_fidelity=sum(prob * fid for prob, fid, _, _ in psi) / psi_prob if psi_prob else 0.0,
         mean_psi_concurrence=sum(prob * c for prob, _, c, _ in psi) / psi_prob if psi_prob else 0.0,
     )
-
-
-@dataclass(frozen=True)
-class ProtocolReport:
-    """Exact heralds, as a one-row :class:`Heralds`, plus sampled
-    statistics for one protocol run."""
-
-    params: BraggParams
-    seed: int | np.random.SeedSequence
-    shots: int
-    time_scale: float
-    detection_efficiency: float
-    heralds: Heralds
-    counts: tuple
-    retained_shots: int
-    discarded_shots: int
-    success_rate: float
-    success_probability: float
-    class_stats: dict
-    mean_psi_fidelity: float
-    mean_psi_concurrence: float
-    paper_label_divergences: tuple
-    note: str
-
-    def summary(self) -> dict:
-        """Body of the protocol summary artifact (the CLI adds version and
-        config).  A ``SeedSequence`` seed is written as its entropy and
-        spawn key."""
-        seed = self.seed
-        if isinstance(seed, np.random.SeedSequence):
-            seed = {"entropy": seed.entropy, "spawn_key": list(seed.spawn_key)}
-        return {
-            "seed": seed,
-            "shots": self.shots,
-            "retained_shots": self.retained_shots,
-            "discarded_shots": self.discarded_shots,
-            "time_scale": self.time_scale,
-            "detection_efficiency": self.detection_efficiency,
-            "success_rate": self.success_rate,
-            "success_probability": self.success_probability,
-            "mean_psi_fidelity": self.mean_psi_fidelity,
-            "mean_psi_concurrence": self.mean_psi_concurrence,
-            "class_stats": self.class_stats,
-            "paper_label_divergences": list(self.paper_label_divergences),
-            "note": self.note,
-        }
 
 
 def run_protocol(
@@ -437,13 +386,13 @@ def run_protocol(
     seed: int | np.random.SeedSequence,
     time_scale: float = 1.0,
     detection_efficiency: float = 1.0,
-) -> ProtocolReport:
-    """Sample the protocol and aggregate herald statistics.
+) -> tuple[Heralds, ProtocolSample]:
+    """The one-row :class:`Heralds` of the protocol at the given
+    interaction-time scale and the :class:`ProtocolSample` drawn from it.
 
-    Draws the counts of ``shots`` click patterns from the exact
-    distribution at the given interaction-time scale, in one multinomial
-    draw seeded by ``seed``.  With ``detection_efficiency`` below one each
-    atom is detected independently with that probability and shots with a
+    The counts of ``shots`` click patterns come from one multinomial draw
+    seeded by ``seed``.  With ``detection_efficiency`` below one each atom
+    is detected independently with that probability and shots with a
     missed click are discarded.  Success means heralding one of the psi
     Bell states.
     """
@@ -453,51 +402,15 @@ def run_protocol(
     if not 0.0 < detection_efficiency <= 1.0:
         raise ValueError("detection efficiency must be in (0, 1]")
     heralds = herald_distribution(p, time_scale)
-    sample = sample_protocol(heralds, 0, shots, seed, detection_efficiency)
-    probs, classes, fids, concs = heralds.row(0)
-    counts = sample.counts
+    return heralds, sample_protocol(heralds, 0, shots, seed, detection_efficiency)
 
-    class_stats: dict = {}
-    for k, name in enumerate(CLASS_NAMES):
-        # The class's patterns, summed in pattern order.
-        js = [j for j, c in enumerate(classes) if c == k]
-        if not js:
-            continue
-        prob, ct = sum(probs[j] for j in js), sum(counts[j] for j in js)
-        stats = {"probability": prob, "count": ct, "patterns": [PATTERN_LABELS[j] for j in js]}
-        if prob > 0.0:
-            stats["fidelity_exact"] = sum(probs[j] * fids[j] for j in js) / prob
-            stats["concurrence_exact"] = sum(probs[j] * concs[j] for j in js) / prob
-        if ct > 0:
-            stats["fidelity_empirical"] = sum(counts[j] * fids[j] for j in js) / ct
-        class_stats[name] = stats
 
-    divergences = tuple(
+def paper_label_divergences(heralds: Heralds) -> tuple:
+    """Labels of the patterns of a one-row :class:`Heralds` that can click
+    and whose class differs from the published table
+    (:data:`PAPER_TABLE_LABELS`), in pattern order."""
+    probs, classes, _, _ = heralds.row(0)
+    return tuple(
         label for label, prob, k in zip(PATTERN_LABELS, probs, classes)
         if prob > 0.0 and CLASS_NAMES[k] != PAPER_TABLE_LABELS[label]
-    )
-    note = (
-        "herald classifications follow the bosonic mode calculation; "
-        "paper_label reproduces the published click table, which disagrees "
-        "on the flagged patterns"
-        if divergences
-        else "herald classifications agree with the published click table"
-    )
-    return ProtocolReport(
-        params=p,
-        seed=seed,
-        shots=shots,
-        time_scale=time_scale,
-        detection_efficiency=detection_efficiency,
-        heralds=heralds,
-        counts=tuple(counts),
-        retained_shots=sample.retained_shots,
-        discarded_shots=sample.discarded_shots,
-        success_rate=sample.success_rate,
-        success_probability=sample.success_probability,
-        class_stats=class_stats,
-        mean_psi_fidelity=sample.mean_psi_fidelity,
-        mean_psi_concurrence=sample.mean_psi_concurrence,
-        paper_label_divergences=divergences,
-        note=note,
     )

@@ -1,7 +1,7 @@
 """Test-only reference helpers: Taylor-series matrix exponential, Wootters
 concurrence, brute-force partial trace, fidelity, bosonic beam-splitter
-lift, two-pair joint state and the two-manifold Hamiltonian built term by
-term over labelled sites.
+lift, two-pair joint state, the two-manifold Hamiltonian built term by
+term over labelled sites, and the detector fed by each output mode.
 
 The simulator itself never forms these; the tests use them to check its
 propagator, closed forms and index arithmetic against independent,
@@ -20,6 +20,9 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 
 _SIGMA_YY = np.kron(PAULI_Y, PAULI_Y)
+
+# Output mode index -> detector name, as the swap module's docstring maps them.
+DETECTORS = ("D4", "D3", "D2", "D1")
 
 
 def _square_matrix(m, name: str = "matrix") -> np.ndarray:

@@ -30,6 +30,7 @@ from cavityswap.swap import (
     epr_decomposition_check,
     herald_distribution,
     joint_state,
+    paper_label_divergences,
     run_protocol,
 )
 from reference import concurrence
@@ -131,8 +132,8 @@ def test_criterion_5_exact_click_distribution():
 
 def test_criterion_6_herald_classes_and_success_probability():
     _, ok6 = check_distribution(herald_distribution(P2))
-    rep = run_protocol(P2, shots=10, seed=1)
-    flagged = set(rep.paper_label_divergences) == PSI_PLUS | PSI_MINUS | PRODUCT_00 | PRODUCT_11
+    heralds, _ = run_protocol(P2, shots=10, seed=1)
+    flagged = set(paper_label_divergences(heralds)) == PSI_PLUS | PSI_MINUS | PRODUCT_00 | PRODUCT_11
     report(
         6,
         "psi heralds on cross-momentum/same-index patterns, product doubles, "
@@ -142,11 +143,11 @@ def test_criterion_6_herald_classes_and_success_probability():
 
 
 def test_criterion_7_monte_carlo_consistency(tmp_path):
-    rep = run_protocol(P2, shots=100_000, seed=7)
-    ok = rep.retained_shots == 100_000
-    for prob, count in zip(rep.heralds.row(0)[0], rep.counts):
+    heralds, sample = run_protocol(P2, shots=100_000, seed=7)
+    ok = sample.retained_shots == 100_000
+    for prob, count in zip(heralds.row(0)[0], sample.counts):
         if prob > 0.0:
-            low, high = wilson_interval(count, rep.retained_shots, z=4.0)
+            low, high = wilson_interval(count, sample.retained_shots, z=4.0)
             ok &= low <= 0.125 <= high
         else:
             ok &= count == 0
@@ -175,7 +176,7 @@ def test_criterion_8_phase_robustness_at_second_order():
 def test_criterion_9_timing_error_degradation():
     scales = (1.0, 1.05, 1.1, 1.2)
     fidelities = [
-        run_protocol(P2, shots=100, seed=1, time_scale=ts).mean_psi_fidelity for ts in scales
+        run_protocol(P2, shots=100, seed=1, time_scale=ts)[1].mean_psi_fidelity for ts in scales
     ]
     # Independent closed form: undeflected leakage sin^2(pi (ts-1)/2)
     # drags the probability-weighted psi fidelity to 1/(1 + leakage).

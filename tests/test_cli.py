@@ -38,6 +38,7 @@ from cavityswap.cli import (
     main,
     resolve_params,
 )
+from cavityswap.swap import PATTERN_LABELS
 
 
 def run_cli(*args):
@@ -441,6 +442,46 @@ def test_protocol_with_lossy_detection(tmp_path):
     assert summary["discarded_shots"] > 0
     assert summary["retained_shots"] + summary["discarded_shots"] == 10000
     assert summary["config"]["detection_efficiency"] == 0.8
+
+
+@pytest.mark.parametrize("l0", (2, 4))
+@pytest.mark.parametrize("time_scale", ("0", "0.5", "1.1"))
+def test_protocol_summary_aggregates_the_report_rows(tmp_path, l0, time_scale):
+    # The summary's class and psi statistics, summed again in pattern order
+    # from protocol_report.csv.  Counts come back exactly (frequency times
+    # retained shots); the other cells carry 12 significant digits.
+    assert run_cli("protocol", "--l0", str(l0), "--time-scale", time_scale, "--shots", "1000", "--seed", "5",
+                   "--out", str(tmp_path)) == 0
+    summary = json.loads(read(tmp_path / "protocol_summary.json"))
+    retained = summary["retained_shots"]
+    classes: dict = {}
+    for line in read(tmp_path / "protocol_report.csv").splitlines()[3:]:
+        label, prob, freq, name, _, fid, conc = line.split(",")
+        row = (label, float(prob), round(float(freq) * retained), float(fid), float(conc))
+        classes.setdefault(name, []).append(row)
+
+    def approx(x):
+        return pytest.approx(x, rel=1e-10, abs=1e-12)
+
+    want = {}
+    for name, rows in classes.items():
+        prob, count = sum(r[1] for r in rows), sum(r[2] for r in rows)
+        stats = {"probability": approx(prob), "count": count, "patterns": [r[0] for r in rows]}
+        if prob > 0.0:
+            stats["fidelity_exact"] = approx(sum(r[1] * r[3] for r in rows) / prob)
+            stats["concurrence_exact"] = approx(sum(r[1] * r[4] for r in rows) / prob)
+        if count > 0:
+            stats["fidelity_empirical"] = approx(sum(r[2] * r[3] for r in rows) / count)
+        want[name] = stats
+    assert summary["class_stats"] == want
+
+    psi = [r for name in ("psi_plus", "psi_minus") for r in classes.get(name, [])]
+    psi.sort(key=lambda r: PATTERN_LABELS.index(r[0]))
+    psi_prob = sum(r[1] for r in psi)
+    assert summary["success_probability"] == approx(psi_prob)
+    assert summary["success_rate"] == sum(r[2] for r in psi) / retained
+    assert summary["mean_psi_fidelity"] == approx(sum(r[1] * r[3] for r in psi) / psi_prob if psi_prob else 0.0)
+    assert summary["mean_psi_concurrence"] == approx(sum(r[1] * r[4] for r in psi) / psi_prob if psi_prob else 0.0)
 
 
 # ---------------------------------------------------------------- oracle-compare

@@ -98,7 +98,7 @@ def test_single_value_sweep_matches_a_direct_run():
     row = run_sweep(spec).rows[0]
     # Same spawned per-row seed as the sweep uses.
     row_seed = np.random.SeedSequence(9, spawn_key=(0,))
-    direct = run_protocol(BASE, shots=3_000, seed=row_seed)
+    _, direct = run_protocol(BASE, shots=3_000, seed=row_seed)
     assert row.success_rate == pytest.approx(direct.success_rate, abs=1e-15)
     assert row.mean_psi_fidelity == pytest.approx(direct.mean_psi_fidelity, abs=1e-15)
     assert row.error == ""
@@ -219,7 +219,7 @@ def test_time_scale_sweep_rows_equal_one_time_comparisons():
         table = oracle_compare(BASE, [ts * full_deflection_time(BASE)]).table[0]
         assert row.error == ""
         assert np.array([row.analytic_deflected, row.ladder_deflected]).tobytes() == table[columns].tobytes()
-        direct = run_protocol(BASE, shots=1_000, seed=metrics._row_seed(8, i), time_scale=ts)
+        _, direct = run_protocol(BASE, shots=1_000, seed=metrics._row_seed(8, i), time_scale=ts)
         assert (row.success_rate, row.mean_psi_fidelity) == (direct.success_rate, direct.mean_psi_fidelity)
 
 
@@ -248,11 +248,10 @@ def test_sweep_rows_equal_one_row_runs_bit_for_bit(axis, values, failed):
         table = oracle_compare(params, [ts * full_deflection_time(params)]).table[0]
         assert row.error == ""
         assert np.array([row.analytic_deflected, row.ladder_deflected]).tobytes() == table[columns].tobytes()
-        direct = run_protocol(params, shots=1_000, seed=metrics._row_seed(13, i), time_scale=ts)
+        _, direct = run_protocol(params, shots=1_000, seed=metrics._row_seed(13, i), time_scale=ts)
         got = np.array([row.success_rate, row.mean_psi_fidelity])
         assert got.tobytes() == np.array([direct.success_rate, direct.mean_psi_fidelity]).tobytes()
-        successes = round(direct.success_rate * direct.retained_shots)
-        assert (row.success_low, row.success_high) == wilson_interval(successes, direct.retained_shots)
+        assert (row.success_low, row.success_high) == wilson_interval(direct.successes, direct.retained_shots)
 
 
 def test_sweep_spec_rejects_non_numeric_values():

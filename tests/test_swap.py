@@ -11,7 +11,6 @@ from cavityswap.metrics import _row_seed, wilson_interval
 from cavityswap.swap import (
     CLASS_NAMES,
     CLASS_TARGETS,
-    DETECTORS,
     PAPER_TABLE_LABELS,
     PATTERN_LABELS,
     beam_splitter_unitary,
@@ -21,10 +20,11 @@ from cavityswap.swap import (
     herald_distribution,
     joint_state,
     mode_basis,
+    paper_label_divergences,
     run_protocol,
     single_particle_mixer,
 )
-from reference import concurrence, fidelity, first_quantised_lift, partial_trace, two_pair_joint_amplitudes
+from reference import DETECTORS, concurrence, fidelity, first_quantised_lift, partial_trace, two_pair_joint_amplitudes
 
 P2 = BraggParams()
 P4 = BraggParams(l0=4)
@@ -368,10 +368,10 @@ def test_heralds_match_the_brute_force_reference():
 
 
 def test_sampled_frequencies_match_the_exact_distribution():
-    report = run_protocol(P2, shots=100_000, seed=7)
-    sigma = math.sqrt(0.125 * 0.875 / report.retained_shots)
-    for prob, count in zip(report.heralds.row(0)[0], report.counts):
-        freq = count / report.retained_shots
+    heralds, sample = run_protocol(P2, shots=100_000, seed=7)
+    sigma = math.sqrt(0.125 * 0.875 / sample.retained_shots)
+    for prob, count in zip(heralds.row(0)[0], sample.counts):
+        freq = count / sample.retained_shots
         if prob > 0.0:
             assert abs(freq - 0.125) <= 4 * sigma
         else:
@@ -417,18 +417,19 @@ def test_herald_distribution_solves_no_eigenproblem(monkeypatch):
 
 
 def test_protocol_nominal_success_statistics():
-    report = run_protocol(P2, shots=20_000, seed=3)
-    assert report.success_probability == pytest.approx(0.5, abs=1e-12)
-    assert report.mean_psi_fidelity == pytest.approx(1.0, abs=1e-10)
-    assert report.mean_psi_concurrence == pytest.approx(1.0, abs=1e-10)
-    low, high = wilson_interval(round(report.success_rate * report.retained_shots), report.retained_shots, z=4.0)
+    heralds, sample = run_protocol(P2, shots=20_000, seed=3)
+    assert sample.success_probability == pytest.approx(0.5, abs=1e-12)
+    assert sample.mean_psi_fidelity == pytest.approx(1.0, abs=1e-10)
+    assert sample.mean_psi_concurrence == pytest.approx(1.0, abs=1e-10)
+    assert sample.success_rate == sample.successes / sample.retained_shots
+    low, high = wilson_interval(sample.successes, sample.retained_shots, z=4.0)
     assert low <= 0.5 <= high
-    assert set(report.paper_label_divergences) == DOUBLE_00 | DOUBLE_11 | PSI_PLUS_PATTERNS | PSI_MINUS_PATTERNS
+    assert set(paper_label_divergences(heralds)) == DOUBLE_00 | DOUBLE_11 | PSI_PLUS_PATTERNS | PSI_MINUS_PATTERNS
 
 
 def test_protocol_without_interaction_yields_separable_doubles():
-    report = run_protocol(P2, shots=2_000, seed=5, time_scale=0.0)
-    nonzero = [(label, prob, c) for label, prob, _, _, c in patterns(report.heralds) if prob > 0.0]
+    heralds, _ = run_protocol(P2, shots=2_000, seed=5, time_scale=0.0)
+    nonzero = [(label, prob, c) for label, prob, _, _, c in patterns(heralds) if prob > 0.0]
     assert {label for label, _, _ in nonzero} == DOUBLE_00
     for _, prob, c in nonzero:
         assert prob == pytest.approx(0.5, abs=1e-12)
@@ -437,11 +438,11 @@ def test_protocol_without_interaction_yields_separable_doubles():
 
 def test_protocol_timing_error_degrades_psi_fidelity():
     leak = math.sin(math.pi * 0.05) ** 2
-    report = run_protocol(P2, shots=2_000, seed=5, time_scale=1.1)
-    assert 0.5 < report.mean_psi_fidelity < 1.0
-    assert report.mean_psi_fidelity == pytest.approx(1.0 / (1.0 + leak), abs=1e-9)
+    _, sample = run_protocol(P2, shots=2_000, seed=5, time_scale=1.1)
+    assert 0.5 < sample.mean_psi_fidelity < 1.0
+    assert sample.mean_psi_fidelity == pytest.approx(1.0 / (1.0 + leak), abs=1e-9)
     fidelities = [
-        run_protocol(P2, shots=500, seed=5, time_scale=ts).mean_psi_fidelity
+        run_protocol(P2, shots=500, seed=5, time_scale=ts)[1].mean_psi_fidelity
         for ts in (1.0, 1.05, 1.1, 1.2)
     ]
     assert fidelities[0] == pytest.approx(1.0, abs=1e-12)
@@ -452,8 +453,8 @@ def test_protocol_psi_minus_heralds_stay_exact_under_timing_error():
     # The antisymmetric projection removes the undeflected leakage, so the
     # cross-momentum same-index patterns keep fidelity one; only their
     # probability shrinks.
-    report = run_protocol(P2, shots=500, seed=5, time_scale=1.1)
-    for _, _, name, fid, _ in patterns(report.heralds):
+    heralds, _ = run_protocol(P2, shots=500, seed=5, time_scale=1.1)
+    for _, _, name, fid, _ in patterns(heralds):
         if name == "psi_minus":
             assert abs(fid - 1.0) <= 1e-10
 
@@ -464,41 +465,41 @@ def test_protocol_rejects_zero_shots():
 
 
 def test_protocol_detection_efficiency_discards_shots():
-    report = run_protocol(P2, shots=50_000, seed=7, detection_efficiency=0.8)
-    assert report.retained_shots + report.discarded_shots == 50_000
-    assert report.retained_shots == pytest.approx(50_000 * 0.64, rel=0.05)
-    low, high = wilson_interval(report.discarded_shots, 50_000, z=4.0)
+    heralds, sample = run_protocol(P2, shots=50_000, seed=7, detection_efficiency=0.8)
+    assert sample.retained_shots + sample.discarded_shots == 50_000
+    assert sample.retained_shots == pytest.approx(50_000 * 0.64, rel=0.05)
+    low, high = wilson_interval(sample.discarded_shots, 50_000, z=4.0)
     assert low <= 1.0 - 0.8**2 <= high
-    sigma = math.sqrt(0.125 * 0.875 / report.retained_shots)
-    for prob, count in zip(report.heralds.row(0)[0], report.counts):
+    sigma = math.sqrt(0.125 * 0.875 / sample.retained_shots)
+    for prob, count in zip(heralds.row(0)[0], sample.counts):
         if prob > 0.0:
-            assert abs(count / report.retained_shots - 0.125) <= 4 * sigma
+            assert abs(count / sample.retained_shots - 0.125) <= 4 * sigma
     # At this timing the pattern probabilities sum to 1 - 5.6e-16; ideal
     # detectors must still discard nothing.
-    assert run_protocol(P2, shots=50_000, seed=7, time_scale=0.7).discarded_shots == 0
+    assert run_protocol(P2, shots=50_000, seed=7, time_scale=0.7)[1].discarded_shots == 0
 
 
 def test_protocol_counts_are_consistent_at_a_billion_shots():
-    report = run_protocol(P2, shots=10**9, seed=13, detection_efficiency=0.9)
-    assert sum(report.counts) == report.retained_shots
-    assert report.retained_shots + report.discarded_shots == 10**9
-    for prob, count in zip(report.heralds.row(0)[0], report.counts):
+    heralds, sample = run_protocol(P2, shots=10**9, seed=13, detection_efficiency=0.9)
+    assert sum(sample.counts) == sample.retained_shots
+    assert sample.retained_shots + sample.discarded_shots == 10**9
+    for prob, count in zip(heralds.row(0)[0], sample.counts):
         if prob > 0.0:
-            low, high = wilson_interval(count, report.retained_shots, z=4.0)
+            low, high = wilson_interval(count, sample.retained_shots, z=4.0)
             assert low <= prob <= high
         else:
             assert count == 0
 
 
-def test_protocol_summary_dumps_int_and_seed_sequence_seeds():
-    # An int seed is written as it is; a sweep row's SeedSequence as its
-    # entropy and spawn key, which rebuild the same draw.
-    assert '"seed": 7,' in json.dumps(run_protocol(P2, shots=10, seed=7).summary())
-    report = run_protocol(P2, shots=1000, seed=_row_seed(3, 2))
-    seed = json.loads(json.dumps(report.summary()))["seed"]
-    assert seed == {"entropy": 3, "spawn_key": [2]}
-    again = run_protocol(P2, shots=1000, seed=np.random.SeedSequence(seed["entropy"], spawn_key=seed["spawn_key"]))
-    assert again.counts == report.counts
+def test_protocol_summary_writes_the_int_seed_and_row_seeds_rebuild_their_draw(tmp_path):
+    # The CLI seeds its one draw with the configured int and writes it as
+    # it is.  A sweep row's SeedSequence is rebuilt from the manifest's seed
+    # and the row index, and gives the same draw.
+    assert main(["protocol", "--shots", "10", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "protocol_summary.json").read_text())["seed"] == 7
+    _, sample = run_protocol(P2, shots=1000, seed=_row_seed(3, 2))
+    _, again = run_protocol(P2, shots=1000, seed=np.random.SeedSequence(3, spawn_key=(2,)))
+    assert again.counts == sample.counts
 
 
 def test_protocol_report_serialisation_is_deterministic(tmp_path):
@@ -529,13 +530,13 @@ def test_protocol_report_csv_matches_the_heralds(tmp_path, l0, time_scale):
     assert main(argv) == 0
     rows = [line.split(",") for line in (tmp_path / "protocol_report.csv").read_text().splitlines()[3:]]
     p = BraggParams(l0=l0)
-    report = run_protocol(p, shots=1000, seed=4, time_scale=time_scale)
+    _, sample = run_protocol(p, shots=1000, seed=4, time_scale=time_scale)
     want = patterns(herald_distribution(p, time_scale))
     assert len(rows) == len(want) == 10
-    for row, (label, prob, name, fid, c), count in zip(rows, want, report.counts, strict=True):
+    for row, (label, prob, name, fid, c), count in zip(rows, want, sample.counts, strict=True):
         assert row[0] == label
         assert row[1] == f"{prob:.12g}"
-        assert row[2] == f"{count / report.retained_shots:.12g}"
+        assert row[2] == f"{count / sample.retained_shots:.12g}"
         assert row[3] == name
         assert row[4] == PAPER_TABLE_LABELS[label]
         assert row[5] == f"{fid:.12g}"
