@@ -413,7 +413,7 @@ def oracle_compare(p, times):
     Each time is propagated directly from t = 0 by one
     :func:`~cavityswap.quantum.propagate` call, so the ladder Hamiltonian
     gets one eigendecomposition per call, however long the grid; propagate
-    evaluates it in blocks of ``SERIES_BLOCK`` (1024) times.  Only the
+    evaluates it in blocks of ``SERIES_BLOCK`` (512) times.  Only the
     incoming, deflected and two boundary sites are computed.
 
     ``p`` may also be a sequence of G parameter sets on one ladder layout

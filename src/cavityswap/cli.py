@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -403,6 +403,8 @@ def _points(cfg: dict) -> int:
     points = cfg["points"]
     if points < 2:
         raise ConfigError(f"points must be at least 2 (the first and last time), got {points}")
+    if points > 2**53:  # past it a time's index k is not exact in float64
+        raise ConfigError(f"points must be at most 2**53 = {2**53}, got {points}")
     return points
 
 
@@ -416,21 +418,55 @@ def _grid_end(what: str, end: float, ladder: BraggParams | None = None) -> float
 
 _DEFLECTED = POPULATION_COLUMNS.index("ladder_deflected")
 
-# Times per oracle_compare call of the ladder commands, which write each
-# slice's table before the next is computed, so a long grid's results are
-# never held at once.  A slice's temporaries (~1.5 MB) stay below the free
-# heap glibc keeps, so slices reuse it; at 16384 times a 1e6-point entangle
-# refaulted it slice after slice (12-15k minor faults against ~1.3k).
+# Times per oracle_compare call of the ladder commands, which generate each
+# slice's times and write its table before the next is computed, so neither
+# a long grid nor its results are ever held at once.  A slice's temporaries
+# (~1.5 MB) stay below the free heap glibc keeps, so slices reuse it; at
+# 16384 times a 1e6-point entangle refaulted it slice after slice (12-15k
+# minor faults against ~1.3k).
 _LADDER_SLICE = 4096
 
 
-def _ladder_tables(params: BraggParams, times: np.ndarray, seen: list):
-    """The table of :func:`oracle_compare` on each slice of ``_LADDER_SLICE``
-    times, while ``seen`` collects its max error, truncation flag and last
+def _grid_slices(end: float, points: int):
+    """``np.linspace(0.0, end, points)`` bit for bit, in slices of
+    ``_LADDER_SLICE`` times, with no array of ``points`` times: time k is
+    k * (end / (points - 1)), or (k / (points - 1)) * end where that step
+    underflows to 0, and the last time is ``end``."""
+    div = float(points - 1)
+    step = end / div
+    for start in range(0, points, _LADDER_SLICE):
+        times = np.arange(start, min(start + _LADDER_SLICE, points), dtype=float)
+        if step == 0.0:
+            times /= div
+            times *= end
+        else:
+            times *= step
+        times += 0.0  # linspace adds its start, which turns -0.0 into 0.0
+        if start + _LADDER_SLICE >= points:
+            times[-1] = end
+        yield times
+
+
+@dataclass
+class _Seen:
+    """What the ladder commands report of a grid's slices so far: the max
+    error, whether any slice's ladder was truncated, and the last time's
     ladder-deflected population."""
-    for start in range(0, len(times), _LADDER_SLICE):
-        comp = oracle_compare(params, times[start:start + _LADDER_SLICE])
-        seen.append((comp.max_error, comp.truncation_warning, float(comp.table[-1, _DEFLECTED])))
+
+    max_error: float = -math.inf
+    truncated: bool = False
+    final: float = math.nan
+
+
+def _ladder_tables(params: BraggParams, end: float, points: int, seen: _Seen):
+    """The table of :func:`oracle_compare` on each slice of
+    :func:`_grid_slices`, while ``seen`` takes in each slice's max error,
+    truncation flag and last ladder-deflected population."""
+    for times in _grid_slices(end, points):
+        comp = oracle_compare(params, times)
+        seen.max_error = float(np.maximum(seen.max_error, comp.max_error))
+        seen.truncated = seen.truncated or comp.truncation_warning
+        seen.final = float(comp.table[-1, _DEFLECTED])
         yield comp.table
 
 
@@ -449,12 +485,12 @@ def cmd_entangle(cfg: dict, params: BraggParams, config: dict) -> int:
     points = _points(cfg)
     end = _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params), params)
     out = Path(cfg["output_dir"])
-    seen: list = []
-    tables = _ladder_tables(params, np.linspace(0.0, end, points), seen)
+    seen = _Seen()
+    tables = _ladder_tables(params, end, points, seen)
     _write_csv(out / "entangle_populations.csv", config, POPULATION_COLUMNS[:5],
                (table[:, :5] for table in tables))
 
-    final = seen[-1][2]
+    final = seen.final
     pair = entangled_pair_state(params, ts)
     fid, warn = pair_oracle_fidelity(params, ts)
     _write_json(out / "entangle_state.json", config, {
@@ -462,7 +498,7 @@ def cmd_entangle(cfg: dict, params: BraggParams, config: dict) -> int:
         "amplitudes": [[a.real, a.imag] for a in pair],
         "final_deflected_population": final,
         "oracle_fidelity": fid,
-        "truncation_warning": bool(warn or any(flag for _, flag, _ in seen)),
+        "truncation_warning": bool(warn or seen.truncated),
     })
     print(f"final deflected population (ladder): {_fmt(final)}")
     print(f"pair-state fidelity vs ladder: {_fmt(fid)}")
@@ -546,12 +582,12 @@ def cmd_oracle_compare(cfg: dict, params: BraggParams, config: dict) -> int:
     points = _points(cfg)
     period = _grid_end("one Pendelloesung period", 2.0 * math.pi / pendellosung_frequency(params), params)
     out = Path(cfg["output_dir"])
-    seen: list = []
+    seen = _Seen()
     _write_csv(out / "oracle_compare.csv", config, POPULATION_COLUMNS,
-               _ladder_tables(params, np.linspace(0.0, period, points), seen))
-    max_error = float(np.max([error for error, _, _ in seen]))
+               _ladder_tables(params, period, points, seen))
+    max_error = seen.max_error
     print(f"max population error: {_fmt(max_error)}")
-    if any(flag for _, flag, _ in seen):
+    if seen.truncated:
         print("warning: ladder truncation too tight (boundary population exceeded limit)")
     return _assert_at_most("max_error", max_error, cfg["max_error"])
 

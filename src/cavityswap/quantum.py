@@ -14,13 +14,16 @@ __all__ = ["SERIES_BLOCK", "propagate"]
 
 HERMITICITY_ATOL = 1e-12
 
-# Times evaluated at once by propagate; the block bounds the (times x modes)
-# phase array on long grids, not the BLAS threads of its product.  With numpy
-# 2.4.6 and OPENBLAS_NUM_THREADS=2 on 2 vCPUs, the (1024 x K) @ (K x 4)
-# product of a ladder series (K = l0 + 13 by default) ran on one thread up to
-# K = 16 and on two from K = 17 (CPU over wall 1.3 at 17, 1.9 at 19); from
-# K = 16 on, the second thread then spun ~0.13 s of CPU after every call.
-SERIES_BLOCK = 1024
+# Times evaluated at once by propagate.  The block bounds the (times x modes)
+# phase array on long grids, and it keeps the (block x K) @ (K x 4) product
+# of a ladder series (K = l0 + 13 modes by default) on the calling thread:
+# OpenBLAS (numpy 2.4.6, 2 vCPUs) splits a complex product of about 65536
+# multiply-adds over two threads, for CPU over wall of ~1.9 and no gain in
+# wall.  At 1024 times that happened from K = 17 (l0 = 4); at 512 it happens
+# from K = 32, past l0 = 18.  Halving the block took a 1e5-point
+# oracle-compare --l0 4 from 0.97 to 0.63 s of CPU, and a 1e6-point
+# entangle --l0 4 from 5.2 to 2.8 s, at equal wall time.
+SERIES_BLOCK = 512
 
 
 def _require_hermitian(h: np.ndarray, name: str = "operator") -> None:
@@ -35,7 +38,7 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
 
     One eigendecomposition per call: exp(-i h t) = V diag(e^{-i lambda t}) V^dag
     is exactly unitary up to eigenvector round-off at any t.  The grid is
-    then evaluated in blocks of ``SERIES_BLOCK`` (1024) times; a block of
+    then evaluated in blocks of ``SERIES_BLOCK`` (512) times; a block of
     one time is evaluated as two equal times, so no time's result depends
     on where the blocks fall or on the length of the grid.  The
     scaling-and-squaring Taylor series in ``tests/reference.py`` is the

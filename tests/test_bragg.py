@@ -396,7 +396,7 @@ def test_oracle_compare_bits_depend_on_neither_block_size_nor_grid(monkeypatch, 
         for points in (4097, 7169):
             times = np.linspace(0.0, 2.5 * full_deflection_time(p), points)
             comps = []
-            for block in (4096, 1024, 7):
+            for block in (4096, 1024, 512, 7):
                 monkeypatch.setattr(quantum, "SERIES_BLOCK", block)
                 comps.append(oracle_compare(p, times))
                 for k in (1, 6, 13, 1000, points // 2, points - 1):

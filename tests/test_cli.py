@@ -27,6 +27,7 @@ from cavityswap.cli import (
     ConfigError,
     _build_parser,
     _format_floats,
+    _grid_slices,
     _numbers,
     _real,
     _text,
@@ -168,12 +169,16 @@ def test_negative_time_scale_exits_one(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_fewer_than_two_points_exits_one(tmp_path, capsys):
+def test_points_out_of_range_exit_one(tmp_path, capsys):
+    # At least the first and last time, and at most 2**53: past it a time's
+    # index is not exact in float64 (10**20 points used to end in a
+    # traceback from the grid's allocation).
     for command in ("entangle", "oracle-compare"):
-        for points in ("1", "0", "-2"):
+        for points in (1, 0, -2, 2**53 + 1, 2**63, 10**20):
             out = tmp_path / f"{command}{points}"
-            assert run_cli(command, "--points", points, "--out", str(out)) == 1
-            assert "points" in capsys.readouterr().err
+            assert run_cli(command, "--points", str(points), "--out", str(out)) == 1
+            limit = "at least 2 (the first and last time)" if points < 2 else f"at most 2**53 = {2**53}"
+            assert capsys.readouterr().err == f"error: points must be {limit}, got {points}\n"
             assert not out.exists()
 
 
@@ -902,17 +907,34 @@ def test_ladder_commands_stream_the_whole_array_tables(tmp_path, capsys, monkeyp
     assert state["truncation_warning"] is False
 
 
-def test_oracle_compare_runs_in_bounded_memory(tmp_path, capsys):
-    # The traced peak of a grid five times longer stays within 1.5x: only
-    # the time grid grows with it, the tables are streamed slice by slice.
+@pytest.mark.parametrize("points", [2, 3, 4096, 4097, 8193, 100_000])
+def test_grid_slices_are_linspace_bit_for_bit(points):
+    # Every slice, and their concatenation, against the whole linspace: at
+    # the default deflection time, one period, 0 and -0, an end whose step
+    # underflows to 0 (--time-scale 5e-324), and 1e300.
+    p = BraggParams()
+    for end in (full_deflection_time(p), 2.0 * math.pi / pendellosung_frequency(p), 0.0, -0.0,
+                5e-324 * full_deflection_time(p), 1e300):
+        whole = np.linspace(0.0, end, points)
+        slices = list(_grid_slices(end, points))
+        for start, times in zip(range(0, points, _chunk()), slices):
+            assert times.tobytes() == whole[start:start + _chunk()].tobytes(), (end, start)
+        assert np.concatenate(slices).tobytes() == whole.tobytes(), end
+
+
+@pytest.mark.parametrize("command", ["entangle", "oracle-compare"])
+def test_ladder_commands_run_in_bounded_memory(tmp_path, capsys, command):
+    # The traced peak of a grid fifty times longer stays within 1.05x: each
+    # slice's times are generated and its table written before the next, so
+    # nothing grows with the number of points.
     def peak(points):
         tracemalloc.start()
         try:
-            assert run_cli("oracle-compare", "--points", str(points), "--out", str(tmp_path)) == 0
+            assert run_cli(command, "--points", str(points), "--out", str(tmp_path)) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     peak(2 * _chunk())  # builds the float writer's lookup tables first
-    small, large = peak(2 * _chunk()), peak(10 * _chunk())
-    assert large <= 1.5 * small, (small, large)
+    small, large = peak(2 * _chunk()), peak(100 * _chunk())
+    assert large <= 1.05 * small, (small, large)
