@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -57,10 +57,11 @@ class SweepSpec:
     and seed are shared by every row.  Values must be real numbers (not
     bools, strings or None), strictly monotone so rows have a well-defined
     order, and whole numbers on the integer axes (``l0``,
-    ``ladder_halfwidth``).  The shared ``time_scale`` must be finite and
-    nonnegative; a negative or non-finite value on the
-    ``interaction_time_scale`` axis, or one whose ladder phases would
-    overflow, fails only its own row, before its ladder runs.
+    ``ladder_halfwidth``).  On the ``l0`` axis each row's ladder takes the
+    default halfwidth of its ``l0``, whatever the base's.  The shared
+    ``time_scale`` must be finite and nonnegative; a negative or non-finite
+    value on the ``interaction_time_scale`` axis, or one whose ladder phases
+    would overflow, fails only its own row, before its ladder runs.
     """
 
     axis: str
@@ -108,24 +109,10 @@ class ComparisonRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's spec and its rows, in the order of its values."""
+
     spec: SweepSpec
     rows: tuple
-
-    def manifest(self) -> dict:
-        return {
-            "axis": self.spec.axis,
-            "values": list(self.spec.values),
-            "base": asdict(self.spec.base),
-            "shots": self.spec.shots,
-            "seed": self.spec.seed,
-            "time_scale": self.spec.time_scale,
-            "row_errors": {str(r.value): r.error for r in self.rows if r.error},
-        }
-
-    @property
-    def max_abs_error(self) -> float:
-        errors = [r.abs_error for r in self.rows if not r.error]
-        return max(errors) if errors else math.nan
 
 
 def _row_params(spec: SweepSpec, value) -> tuple[BraggParams, float]:

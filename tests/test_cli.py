@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -309,7 +310,8 @@ def test_config_table_refuses_unread_keys_and_bad_values(tmp_path, capsys, comma
 
 def test_every_command_has_its_flags_in_order():
     # Option strings, dests and types per command.  oracle-compare has no
-    # --time-scale; protocol and sweep have no --points.
+    # --time-scale; protocol and sweep have no --points; only protocol has
+    # --detection-efficiency.
     expected = {
         "entangle": [
             (["-h", "--help"], "help", None), (["--config"], "config", None), (["--seed"], "seed", int),
@@ -334,8 +336,7 @@ def test_every_command_has_its_flags_in_order():
             (["-h", "--help"], "help", None), (["--config"], "config", None), (["--seed"], "seed", int),
             (["--out"], "output_dir", None), (["--g"], "g", float), (["--delta"], "delta", float),
             (["--l0"], "l0", int), (["--r"], "r", int), (["--ladder-halfwidth"], "ladder_halfwidth", int),
-            (["--time-scale"], "time_scale", float), (["--shots"], "shots", int),
-            (["--detection-efficiency"], "detection_efficiency", float), (["--axis"], "axis", None),
+            (["--time-scale"], "time_scale", float), (["--shots"], "shots", int), (["--axis"], "axis", None),
             (["--values"], "values", None),
         ],
     }
@@ -539,7 +540,7 @@ def test_sweep_via_flags(tmp_path):
     assert lines[2].startswith("value,analytic_deflected")
     assert len(lines) == 3 + 3
     manifest = json.loads(read(out / "sweep_manifest.json"))
-    assert manifest["axis"] == "interaction_time_scale"
+    assert manifest["config"]["sweep"]["axis"] == "interaction_time_scale"
     assert manifest["row_errors"] == {}
 
 
@@ -565,20 +566,51 @@ def test_sweep_without_axis_is_invalid(tmp_path, capsys):
 
 
 def test_sweep_rejects_detection_efficiency(tmp_path, capsys):
-    argv = ("sweep", "--axis", "l0", "--values", "2", "--shots", "10", "--out", str(tmp_path))
-    assert run_cli(*argv, "--detection-efficiency", "0.9") == 1
-    assert "detection_efficiency" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
+    # sweep samples with ideal detectors: it has no flag for the key, and
+    # a config file setting it is refused as unread.
+    out = tmp_path / "run"
+    argv = ("sweep", "--axis", "l0", "--values", "2", "--shots", "10", "--out", str(out))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--detection-efficiency", "0.9")
+    assert exc.value.code == 2
+    assert "--detection-efficiency" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detection_efficiency": 0.9}))
+    assert run_cli(*argv, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == "error: config keys this command does not read: ['detection_efficiency']\n"
+    assert not out.exists()
 
 
 def test_sweep_rejects_non_number_detection_efficiency(tmp_path, capsys):
+    # An unread key is refused before its value is read.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"detection_efficiency": "x"}))
     out = tmp_path / "run"
     argv = ("sweep", "--axis", "l0", "--values", "2", "--shots", "10", "--out", str(out))
     assert run_cli(*argv, "--config", str(cfg)) == 1
-    assert capsys.readouterr().err == "error: detection_efficiency must be a number, got 'x'\n"
+    assert capsys.readouterr().err == "error: config keys this command does not read: ['detection_efficiency']\n"
     assert not out.exists()
+
+
+def test_l0_sweep_rejects_a_ladder_halfwidth(tmp_path, capsys):
+    # Each row of an l0 sweep takes the default halfwidth of its l0, so a
+    # given one, by flag or by config key, is refused rather than dropped.
+    out = tmp_path / "run"
+    argv = ("sweep", "--axis", "l0", "--values", "2,4", "--shots", "10", "--out", str(out))
+    message = ("error: the l0 axis gives each row the default ladder_halfwidth of its l0; "
+               "leave ladder_halfwidth unset\n")
+    assert run_cli(*argv, "--ladder-halfwidth", "20") == 1
+    assert capsys.readouterr().err == message
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ladder_halfwidth": 20}))
+    assert run_cli(*argv, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    # null, the default, is accepted, and so is a halfwidth on other axes.
+    cfg.write_text(json.dumps({"ladder_halfwidth": None}))
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+    assert run_cli("sweep", "--axis", "delta_over_g", "--values", "50,100", "--shots", "10",
+                   "--ladder-halfwidth", "20", "--out", str(out)) == 0
 
 
 def test_sweep_rejects_points(tmp_path, capsys):
@@ -614,8 +646,8 @@ def test_ladder_commands_reject_shots_and_detection_efficiency(tmp_path, capsys)
     # entangle and oracle-compare sample nothing, oracle-compare spans
     # one Pendelloesung period whatever the time scale, and entangle checks
     # no assertion: the flags are argparse errors and the config keys are
-    # refused; --seed stays accepted, and the config line still echoes the
-    # defaults.
+    # refused; --seed stays accepted, and the config line echoes none of
+    # the refused keys.
     sampling = (("--shots", "shots", 5), ("--detection-efficiency", "detection_efficiency", 0.5))
     for command, csv_name, refused in (
         ("entangle", "entangle_populations.csv", sampling + ((None, "assert", {"max_error": 0.0}),)),
@@ -638,8 +670,9 @@ def test_ladder_commands_reject_shots_and_detection_efficiency(tmp_path, capsys)
             assert not out.exists()
         assert run_cli(*argv) == 0
         config = json.loads(read(out / csv_name).splitlines()[1].removeprefix("# config: "))
-        assert (config["shots"], config["detection_efficiency"], config["seed"]) == (100_000, 1.0, 4)
-        assert config["time_scale"] == 1.0
+        assert config["seed"] == 4
+        assert not {key for _, key, _ in refused} & set(config)
+        assert ("time_scale" in config) == (command == "entangle")
 
 
 def test_non_finite_time_scales_exit_1_up_front(tmp_path, capsys):
@@ -791,8 +824,48 @@ def test_every_csv_opens_with_the_version_and_its_json_config(tmp_path):
             assert doc["config"] == config
         config.pop("output_dir")
         configs[name] = config
-    # oracle-compare writes no JSON; the same flags give the entangle config.
-    assert configs["oracle-compare"] == configs["entangle"]
+    # oracle-compare writes no JSON; the same flags give the entangle config
+    # but for the time scale, which oracle-compare does not read.
+    assert configs["oracle-compare"] == {k: v for k, v in configs["entangle"].items() if k != "time_scale"}
+
+
+_INNER_KEYS = {inner for row in CONFIG.values() if isinstance(row.kind, dict) for inner in row.kind}
+
+
+@pytest.mark.parametrize("command, argv, physical", [
+    pytest.param("entangle", ("--points", "5"), False, id="entangle"),
+    pytest.param("protocol", ("--shots", "200"), False, id="protocol"),
+    pytest.param("oracle-compare", ("--points", "5"), False, id="oracle-compare"),
+    pytest.param("sweep", ("--axis", "l0", "--values", "2,4", "--shots", "200"), False, id="sweep"),
+    pytest.param("protocol", ("--shots", "200"), True, id="protocol-physical"),
+])
+def test_artifacts_record_each_input_once(tmp_path, command, argv, physical):
+    # Each artifact's config holds exactly the top-level keys its command
+    # reads, the BraggParams fields, the sweep block (sweep) and the recoil
+    # frequency (a physical block).  A JSON body repeats no config key,
+    # except protocol's shots, beside the retained and discarded shots.
+    out = tmp_path / "run"
+    extra = ()
+    if physical:
+        (tmp_path / "cfg.json").write_text(json.dumps({"physical": _PHYSICAL}))
+        extra = ("--config", str(tmp_path / "cfg.json"))
+    assert run_cli(command, *argv, *extra, "--out", str(out)) == 0
+    expected = {name for name, row in CONFIG.items() if command in row.commands and not isinstance(row.kind, dict)}
+    expected |= {field.name for field in dataclasses.fields(BraggParams)}
+    expected |= {"sweep"} if command == "sweep" else set()
+    expected |= {"recoil_rad_per_s"} if physical else set()
+    artifacts = sorted(out.iterdir())
+    assert artifacts
+    for path in artifacts:
+        if path.suffix == ".csv":
+            config = json.loads(read(path).splitlines()[1].removeprefix("# config: "))
+        else:
+            doc = json.loads(read(path))
+            config = doc.pop("config")
+            doc.pop("version")
+            repeated = set(doc) & (set(config) | _INNER_KEYS)
+            assert repeated == ({"shots"} if command == "protocol" else set()), path.name
+        assert set(config) == expected, path.name
 
 
 # ---------------------------------------------------------------- float writer

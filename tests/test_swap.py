@@ -493,10 +493,10 @@ def test_protocol_counts_are_consistent_at_a_billion_shots():
 
 def test_protocol_summary_writes_the_int_seed_and_row_seeds_rebuild_their_draw(tmp_path):
     # The CLI seeds its one draw with the configured int and writes it as
-    # it is.  A sweep row's SeedSequence is rebuilt from the manifest's seed
-    # and the row index, and gives the same draw.
+    # it is in the config.  A sweep row's SeedSequence is rebuilt from the
+    # config's seed and the row index, and gives the same draw.
     assert main(["protocol", "--shots", "10", "--seed", "7", "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "protocol_summary.json").read_text())["seed"] == 7
+    assert json.loads((tmp_path / "protocol_summary.json").read_text())["config"]["seed"] == 7
     _, sample = run_protocol(P2, shots=1000, seed=_row_seed(3, 2))
     _, again = run_protocol(P2, shots=1000, seed=np.random.SeedSequence(3, spawn_key=(2,)))
     assert again.counts == sample.counts
