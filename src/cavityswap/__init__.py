@@ -10,6 +10,6 @@ holds only ``__version__``; import everything else from its module
 (``cavityswap.swap``, ``cavityswap.bragg``, ...).
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = ["__version__"]

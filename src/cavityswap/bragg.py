@@ -45,7 +45,7 @@ __all__ = [
     "oracle_compare",
     "pair_labels",
     "entangled_pair_state",
-    "pair_state_from_ladder",
+    "ladder_pair_fidelity",
     "pair_oracle_fidelity",
 ]
 
@@ -296,34 +296,15 @@ def branch_amplitudes(p: BraggParams, time_scale: float = 1.0) -> tuple[complex,
 
 @dataclass(frozen=True)
 class LadderState:
-    """Ladder amplitudes after an interaction of duration ``time``.
+    """Ladder amplitudes after an interaction, ``amps[i]`` at momentum
+    offset ``ladder_offsets(p)[i]``, with the populations of offset 0 (the
+    incoming momentum), offset -l0 (the deflected one) and the two
+    boundary sites (above ``TRUNCATION_LIMIT``, a too-tight truncation)."""
 
-    ``amps[i]`` is the amplitude at momentum offset ``offsets[i]``; offset
-    0 is the incoming momentum, offset -l0 the Bragg-deflected one.  The
-    boundary population flags a too-tight truncation when it exceeds
-    ``TRUNCATION_LIMIT``.
-    """
-
-    params: BraggParams
-    time: float
-    offsets: tuple
     amps: np.ndarray
+    undeflected_population: float
+    deflected_population: float
     boundary_population: float
-
-    @property
-    def truncation_warning(self) -> bool:
-        return self.boundary_population > TRUNCATION_LIMIT
-
-    def population(self, offset: int) -> float:
-        return float(abs(self.amps[self.offsets.index(offset)]) ** 2)
-
-    @property
-    def undeflected_population(self) -> float:
-        return self.population(0)
-
-    @property
-    def deflected_population(self) -> float:
-        return self.population(-self.params.l0)
 
 
 def evolve_ladder(p: BraggParams, t: float) -> LadderState:
@@ -331,14 +312,14 @@ def evolve_ladder(p: BraggParams, t: float) -> LadderState:
 
     This is the independent check for the closed-form amplitudes: it
     propagates under the effective ladder Hamiltonian with no further
-    approximation.
+    approximation, and keeps every site's amplitude.
     """
-    offsets = ladder_offsets(p)
-    psi0 = np.zeros(len(offsets), dtype=np.complex128)
+    psi0 = np.zeros(len(ladder_offsets(p)), dtype=np.complex128)
     psi0[p.ladder_halfwidth] = 1.0
     amps = propagate(build_effective_hamiltonian(p), psi0, [t])[0]
-    boundary = float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2)
-    return LadderState(p, t, tuple(int(o) for o in offsets), amps, boundary)
+    incoming, deflected = p.ladder_halfwidth, p.ladder_halfwidth - p.l0 // 2
+    return LadderState(amps, float(abs(amps[incoming]) ** 2), float(abs(amps[deflected]) ** 2),
+                       float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2))
 
 
 def nonnegative_times(times) -> np.ndarray:
@@ -392,12 +373,14 @@ class PopulationComparison:
     """Closed-form vs exact-ladder populations along a time grid.
 
     ``table`` holds one row per time and one column per name in
-    :data:`POPULATION_COLUMNS`.
+    :data:`POPULATION_COLUMNS`; ``final_amplitudes`` holds the complex
+    ladder amplitudes (incoming, deflected) at the grid's last time.
     """
 
     table: np.ndarray
     max_error: float
     truncation_warning: bool
+    final_amplitudes: np.ndarray
 
 
 def _population(z: np.ndarray) -> np.ndarray:
@@ -414,7 +397,8 @@ def oracle_compare(p, times):
     :func:`~cavityswap.quantum.propagate` call, so the ladder Hamiltonian
     gets one eigendecomposition per call, however long the grid; propagate
     evaluates it in blocks of ``SERIES_BLOCK`` (512) times.  Only the
-    incoming, deflected and two boundary sites are computed.
+    incoming, deflected and two boundary sites are computed.  An empty
+    grid, which has no last time, is refused.
 
     ``p`` may also be a sequence of G parameter sets on one ladder layout
     (equal ``l0`` and ``ladder_halfwidth``), with ``times`` a (G, T) grid of
@@ -427,20 +411,23 @@ def oracle_compare(p, times):
     times = nonnegative_times(times if stacked else [times])
     if len({(q.l0, q.ladder_halfwidth) for q in ps}) != 1 or times.ndim != 2 or len(times) != len(ps):
         raise ValueError("a stack of ladders needs one l0 and ladder_halfwidth and one row of times per set")
+    if times.shape[1] == 0:
+        raise ValueError("a comparison needs at least one time")
     h = np.stack([build_effective_hamiltonian(q) for q in ps])
     offsets = list(ladder_offsets(ps[0]))
     sites = [offsets.index(0), offsets.index(-ps[0].l0), 0, len(offsets) - 1]
     psi0 = np.zeros((len(ps), len(offsets)), dtype=np.complex128)
     psi0[:, sites[0]] = 1.0
-    pops = np.abs(propagate(h, psi0, times, rows=sites)) ** 2
+    amps = propagate(h, psi0, times, rows=sites)
     out = []
-    for q, t, pop in zip(ps, times, pops):
+    for q, t, amp in zip(ps, times, amps):
+        pop = np.abs(amp) ** 2
         c_plus, c_minus = analytic_amplitudes(q, t)
         au, ad = _population(c_plus), _population(c_minus)
         error = np.maximum(np.abs(au - pop[:, 0]), np.abs(ad - pop[:, 1]))
-        boundary = float(np.max(pop[:, 2] + pop[:, 3], initial=0.0))
+        boundary = float(np.max(pop[:, 2] + pop[:, 3]))
         out.append(PopulationComparison(np.column_stack((t, au, ad, pop[:, 0], pop[:, 1], error)),
-                                        float(np.max(error, initial=0.0)), boundary > TRUNCATION_LIMIT))
+                                        float(np.max(error)), boundary > TRUNCATION_LIMIT, amp[-1, :2].copy()))
     return tuple(out) if stacked else out[0]
 
 
@@ -465,38 +452,26 @@ def entangled_pair_state(p: BraggParams, time_scale: float = 1.0) -> np.ndarray:
     return np.array([1.0, 0.0, c_plus, c_minus], dtype=np.complex128) / math.sqrt(2.0)
 
 
-def pair_state_from_ladder(p: BraggParams, time_scale: float = 1.0) -> tuple[np.ndarray, bool]:
-    """Pair state with the one-photon branch from an exact ladder run of
-    ``time_scale`` full deflection times.
+def ladder_pair_fidelity(p: BraggParams, comparison: PopulationComparison, time_scale: float) -> float:
+    """|<closed form|ladder>|^2: the pair state after ``time_scale`` full
+    deflection times against the exact ladder pair at ``comparison``'s last
+    time, which should be that interaction time.
 
-    The zero-photon branch has no coupling, so its atom stays at the
-    incoming momentum: that half is the unit vector there.  Phases are
-    reported in the frame co-rotating with the photon-number light shift,
-    which is where the closed-form amplitudes live; without that rotation
-    the one-photon branch would carry an extra, protocol-irrelevant phase
-    exp(i g^2 t / 2 delta).  Returns the amplitudes, the zero-photon ladder
-    then the one-photon ladder, each in the order of :func:`ladder_offsets`,
-    together with the one-photon ladder's truncation warning flag.
+    The zero-photon atom stays at the incoming momentum bit for bit; the
+    one-photon branch carries the comparison's final amplitudes, rotated
+    into the frame co-rotating with the light shift -g^2 / (2 delta), where
+    the closed forms live.  No other ladder site overlaps the closed form,
+    so the overlap runs over the four sites of :func:`pair_labels`.
     """
-    t = time_scale * full_deflection_time(p)
-    one = evolve_ladder(p, t)
-    zero = np.zeros(len(one.amps), dtype=np.complex128)
-    zero[p.ladder_halfwidth] = 1.0
+    t = float(comparison.table[-1, 0])
     frame = np.exp(-1j * (p.g**2 / (2.0 * p.delta)) * t)
-    amps = np.concatenate([zero, frame * one.amps]) / math.sqrt(2.0)
-    return amps, one.truncation_warning
+    incoming, deflected = comparison.final_amplitudes
+    ladder = np.array([1.0, 0.0, frame * incoming, frame * deflected], dtype=np.complex128) / math.sqrt(2.0)
+    return float(abs(np.vdot(entangled_pair_state(p, time_scale), ladder)) ** 2)
 
 
 def pair_oracle_fidelity(p: BraggParams, time_scale: float = 1.0) -> tuple[float, bool]:
-    """Fidelity of the closed-form pair state against the exact ladder pair.
-
-    Embeds the four closed-form amplitudes into the ladder pair basis and
-    returns |<closed form|ladder>|^2 plus the truncation flag.
-    """
-    ladder, warn = pair_state_from_ladder(p, time_scale)
-    sites = len(ladder) // 2
-    incoming = p.ladder_halfwidth
-    deflected = incoming - p.l0 // 2
-    embedded = np.zeros(len(ladder), dtype=np.complex128)
-    embedded[[incoming, deflected, sites + incoming, sites + deflected]] = entangled_pair_state(p, time_scale)
-    return float(abs(np.vdot(embedded, ladder)) ** 2), warn
+    """:func:`ladder_pair_fidelity` after ``time_scale`` full deflection
+    times, with the ladder's truncation flag there."""
+    comparison = oracle_compare(p, [time_scale * full_deflection_time(p)])
+    return ladder_pair_fidelity(p, comparison, time_scale), comparison.truncation_warning

@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,10 +30,10 @@ from .bragg import (
     bounded_ladder_time,
     entangled_pair_state,
     full_deflection_time,
+    ladder_pair_fidelity,
     nonnegative_time_scale,
     oracle_compare,
     pair_labels,
-    pair_oracle_fidelity,
     pendellosung_frequency,
     recoil_frequency,
 )
@@ -451,27 +451,23 @@ def _grid_slices(end: float, points: int):
         yield times
 
 
-@dataclass
-class _Seen:
-    """What the ladder commands report of a grid's slices so far: the max
-    error, whether any slice's ladder was truncated, and the last time's
-    ladder-deflected population."""
+def _write_ladder_table(path: Path, config: dict, columns, params: BraggParams, end: float, points: int):
+    """Write the ``columns`` of the :func:`oracle_compare` table over
+    ``points`` times from 0 to ``end``, one slice of :func:`_grid_slices` at
+    a time.  Returns the grid's max error, whether any slice's ladder was
+    truncated, and the last slice's comparison."""
+    max_error, truncated, last = -math.inf, False, None
 
-    max_error: float = -math.inf
-    truncated: bool = False
-    final: float = math.nan
+    def tables():
+        nonlocal max_error, truncated, last
+        for times in _grid_slices(end, points):
+            last = oracle_compare(params, times)
+            max_error = float(np.maximum(max_error, last.max_error))
+            truncated = truncated or last.truncation_warning
+            yield last.table[:, :len(columns)]
 
-
-def _ladder_tables(params: BraggParams, end: float, points: int, seen: _Seen):
-    """The table of :func:`oracle_compare` on each slice of
-    :func:`_grid_slices`, while ``seen`` takes in each slice's max error,
-    truncation flag and last ladder-deflected population."""
-    for times in _grid_slices(end, points):
-        comp = oracle_compare(params, times)
-        seen.max_error = float(np.maximum(seen.max_error, comp.max_error))
-        seen.truncated = seen.truncated or comp.truncation_warning
-        seen.final = float(comp.table[-1, _DEFLECTED])
-        yield comp.table
+    _write_csv(path, config, columns, tables())
+    return max_error, truncated, last
 
 
 def _assert_at_most(what: str, value: float, limit) -> int:
@@ -489,20 +485,17 @@ def cmd_entangle(cfg: dict, params: BraggParams, config: dict) -> int:
     points = _points(cfg)
     end = _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params), params)
     out = Path(cfg["output_dir"])
-    seen = _Seen()
-    tables = _ladder_tables(params, end, points, seen)
-    _write_csv(out / "entangle_populations.csv", config, POPULATION_COLUMNS[:5],
-               (table[:, :5] for table in tables))
-
-    final = seen.final
-    pair = entangled_pair_state(params, ts)
-    fid, warn = pair_oracle_fidelity(params, ts)
+    _, truncated, last = _write_ladder_table(out / "entangle_populations.csv", config, POPULATION_COLUMNS[:5],
+                                             params, end, points)
+    # The grid ends at the interaction time, so its last slice ends in the pair state.
+    final = float(last.table[-1, _DEFLECTED])
+    fid = ladder_pair_fidelity(params, last, ts)
     _write_json(out / "entangle_state.json", config, {
         "basis": [list(lab) for lab in pair_labels(params)],
-        "amplitudes": [[a.real, a.imag] for a in pair],
+        "amplitudes": [[a.real, a.imag] for a in entangled_pair_state(params, ts)],
         "final_deflected_population": final,
         "oracle_fidelity": fid,
-        "truncation_warning": bool(warn or seen.truncated),
+        "truncation_warning": truncated,
     })
     print(f"final deflected population (ladder): {_fmt(final)}")
     print(f"pair-state fidelity vs ladder: {_fmt(fid)}")
@@ -582,13 +575,10 @@ def cmd_oracle_compare(cfg: dict, params: BraggParams, config: dict) -> int:
     """closed-form vs exact-ladder population table"""
     points = _points(cfg)
     period = _grid_end("one Pendelloesung period", 2.0 * math.pi / pendellosung_frequency(params), params)
-    out = Path(cfg["output_dir"])
-    seen = _Seen()
-    _write_csv(out / "oracle_compare.csv", config, POPULATION_COLUMNS,
-               _ladder_tables(params, period, points, seen))
-    max_error = seen.max_error
+    max_error, truncated, _ = _write_ladder_table(Path(cfg["output_dir"]) / "oracle_compare.csv", config,
+                                                  POPULATION_COLUMNS, params, period, points)
     print(f"max population error: {_fmt(max_error)}")
-    if seen.truncated:
+    if truncated:
         print("warning: ladder truncation too tight (boundary population exceeded limit)")
     return _assert_at_most("max_error", max_error, cfg["max_error"])
 
@@ -609,6 +599,8 @@ def cmd_sweep(cfg: dict, params: BraggParams, config: dict) -> int:
     )
     rows = run_sweep(spec).rows
     config["sweep"] = {"axis": spec.axis, "values": list(spec.values)}
+    if spec.axis == "l0":
+        config["ladder_halfwidth"] = None  # each row's default, not the base's
     out = Path(cfg["output_dir"])
     _write_csv(out / "sweep.csv", config, ComparisonRow._fields, rows)
     _write_json(out / "sweep_manifest.json", config,

@@ -1,7 +1,8 @@
 """Test-only reference helpers: Taylor-series matrix exponential, Wootters
 concurrence, brute-force partial trace, fidelity, bosonic beam-splitter
 lift, two-pair joint state, the two-manifold Hamiltonian built term by
-term over labelled sites, and the detector fed by each output mode.
+term over labelled sites, the pair-state fidelity over both whole ladders,
+and the detector fed by each output mode.
 
 The simulator itself never forms these; the tests use them to check its
 propagator, closed forms and index arithmetic against independent,
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from cavityswap.bragg import ladder_offsets
+from cavityswap.bragg import entangled_pair_state, evolve_ladder, full_deflection_time, ladder_offsets
 from cavityswap.quantum import _require_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -93,6 +94,28 @@ def full_hamiltonian_by_labels(p) -> tuple:
             i, j = index[("g", offset)], index[target]
             h[i, j] = h[j, i] = 0.5 * p.g
     return h, tuple(labels)
+
+
+def full_basis_pair_fidelity(p, time_scale: float = 1.0) -> float:
+    """Fidelity of the closed-form pair state after ``time_scale`` full
+    deflection times against the ladder pair over both whole ladders.
+
+    The zero-photon ladder is the unit vector at the incoming site; the
+    one-photon ladder is every amplitude of an exact evolution, rotated
+    into the light-shift frame.  The closed form is embedded at the four
+    incoming and deflected sites, and the overlap runs over all
+    2 (2L + 1) entries.
+    """
+    t = time_scale * full_deflection_time(p)
+    one = evolve_ladder(p, t).amps
+    zero = np.zeros(len(one), dtype=np.complex128)
+    zero[p.ladder_halfwidth] = 1.0
+    frame = np.exp(-1j * (p.g**2 / (2.0 * p.delta)) * t)
+    ladder = np.concatenate([zero, frame * one]) / math.sqrt(2.0)
+    incoming, deflected = p.ladder_halfwidth, p.ladder_halfwidth - p.l0 // 2
+    embedded = np.zeros(len(ladder), dtype=np.complex128)
+    embedded[[incoming, deflected, len(one) + incoming, len(one) + deflected]] = entangled_pair_state(p, time_scale)
+    return float(abs(np.vdot(embedded, ladder)) ** 2)
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

@@ -19,10 +19,10 @@ from cavityswap.bragg import (
     ladder_offsets,
     max_excited_population,
     nonnegative_times,
+    ladder_pair_fidelity,
     oracle_compare,
     pair_labels,
     pair_oracle_fidelity,
-    pair_state_from_ladder,
     pendellosung_frequency,
     pendellosung_phase_rate,
     recoil_frequency,
@@ -30,7 +30,7 @@ from cavityswap.bragg import (
 from cavityswap import bragg, quantum
 from cavityswap.cli import _LADDER_SLICE
 from cavityswap.swap import joint_state, mode_basis
-from reference import expm, full_hamiltonian_by_labels, partial_trace
+from reference import expm, full_basis_pair_fidelity, full_hamiltonian_by_labels, partial_trace
 
 
 def params(**kw):
@@ -289,7 +289,7 @@ def test_ladder_initial_state_and_zero_photon_freeze():
     state = evolve_ladder(p, 0.0)
     assert state.undeflected_population == pytest.approx(1.0, abs=1e-14)
     # Without a photon the ladder is purely kinetic and diagonal, so the
-    # atom stays at its incoming site bit for bit: pair_state_from_ladder
+    # atom stays at its incoming site bit for bit: ladder_pair_fidelity
     # writes that half as the unit vector instead of propagating it.
     for l0 in (2, 4, 6, 8, 10):
         for halfwidth in (l0 // 2 + 2, None, l0 // 2 + 9):
@@ -349,9 +349,9 @@ def test_closed_form_error_grows_as_detuning_shrinks():
 def test_truncation_warning_fires_when_the_ladder_spreads():
     # Strong coupling pushes population to the ladder edge.
     p = low_ratio_params(g=320.0, delta=3200.0, ladder_halfwidth=3)
-    state = evolve_ladder(p, 0.5)
-    assert state.boundary_population > 1e-6
-    assert state.truncation_warning
+    assert evolve_ladder(p, 0.5).boundary_population > 1e-6
+    assert oracle_compare(p, [0.0, 0.5]).truncation_warning
+    assert pair_oracle_fidelity(p, 0.5 / full_deflection_time(p))[1]
 
 
 def test_oracle_compare_matches_single_shot_evolution():
@@ -401,8 +401,10 @@ def test_oracle_compare_bits_depend_on_neither_block_size_nor_grid(monkeypatch, 
                 comps.append(oracle_compare(p, times))
                 for k in (1, 6, 13, 1000, points // 2, points - 1):
                     assert np.array_equal(oracle_compare(p, [times[k]]).table[0], comps[-1].table[k])
+                assert np.array_equal(oracle_compare(p, times[-1:]).final_amplitudes, comps[-1].final_amplitudes)
             for other in comps[1:]:
                 assert np.array_equal(other.table, comps[0].table)
+                assert np.array_equal(other.final_amplitudes, comps[0].final_amplitudes)
                 assert (other.max_error, other.truncation_warning) == (comps[0].max_error, comps[0].truncation_warning)
 
 
@@ -424,6 +426,7 @@ def test_oracle_compare_of_slices_equal_the_whole_comparison(monkeypatch, l0, ha
     assert np.concatenate([c.table for c in slices]).tobytes() == whole.table.tobytes()
     assert (column(slices[0], "ladder_undeflected")[0], column(slices[0], "ladder_deflected")[0]) == (1.0, 0.0)
     assert max(c.max_error for c in slices) == whole.max_error
+    assert slices[-1].final_amplitudes.tobytes() == whole.final_amplitudes.tobytes()
     assert not whole.truncation_warning
     monkeypatch.setattr(bragg, "TRUNCATION_LIMIT", 1e-18)
     flags = [oracle_compare(p, times[s:s + size]).truncation_warning for s in starts]
@@ -441,6 +444,7 @@ def test_oracle_compare_stacks_one_ladder_layout():
         alone = oracle_compare(p, t)
         assert np.array_equal(comp.table, alone.table)
         assert (comp.max_error, comp.truncation_warning) == (alone.max_error, alone.truncation_warning)
+        assert np.array_equal(comp.final_amplitudes, alone.final_amplitudes)
     message = "^a stack of ladders needs one l0 and ladder_halfwidth and one row of times per set$"
     for bad_stack, bad_times in (((params(), params(l0=4)), times), (stack, times[:1]), (stack, times[0])):
         with pytest.raises(ValueError, match=message):
@@ -488,6 +492,22 @@ def test_times_must_be_finite_and_nonnegative():
         oracle_compare(params(), [0.0, math.inf])
 
 
+def test_oracle_compare_refuses_an_empty_grid():
+    # An empty grid has no last time to keep the amplitudes of.
+    for p, times in ((params(), []), ((params(), params(delta=150.0)), [[], []])):
+        with pytest.raises(ValueError, match="^a comparison needs at least one time$"):
+            oracle_compare(p, times)
+
+
+def test_oracle_compare_keeps_the_last_amplitudes():
+    # The final amplitudes are those whose populations fill the table's last row.
+    p = params(l0=4)
+    comp = oracle_compare(p, period_grid(p, 7))
+    assert comp.final_amplitudes.shape == (2,)
+    populations = np.abs(comp.final_amplitudes) ** 2
+    assert populations.tolist() == [column(comp, "ladder_undeflected")[-1], column(comp, "ladder_deflected")[-1]]
+
+
 def test_ladder_integrator_paths_agree():
     # Eigendecomposition path against the Taylor-series expm oracle; the
     # Taylor path's own round-off grows with t, hence the looser bound at
@@ -533,6 +553,16 @@ def test_pair_state_agrees_with_ladder_oracle():
     assert not warn
 
 
-def test_ladder_pair_state_is_normalised():
-    state, _ = pair_state_from_ladder(params())
-    assert abs(np.linalg.norm(state) - 1.0) <= 1e-9
+@pytest.mark.parametrize("l0", [2, 4, 6])
+@pytest.mark.parametrize("wide", [False, True])
+def test_ladder_pair_fidelity_matches_the_full_basis_overlap(l0, wide):
+    # The four-site overlap of a comparison's last amplitudes against the
+    # overlap over both whole ladders of one full-amplitude evolution.
+    for r in (1, 3):
+        p = params(l0=l0, r=r, ladder_halfwidth=None if wide else l0 // 2 + 3)
+        for ts in (1.0, 0.7, 0.0, 1.3):
+            fid, warn = pair_oracle_fidelity(p, ts)
+            comp = oracle_compare(p, [ts * full_deflection_time(p)])
+            assert fid == ladder_pair_fidelity(p, comp, ts) and warn == comp.truncation_warning
+            assert abs(fid - full_basis_pair_fidelity(p, ts)) <= 1e-15, (r, ts)
+            assert not warn

@@ -18,6 +18,7 @@ from cavityswap.bragg import (
     BraggParams,
     full_deflection_time,
     oracle_compare,
+    pair_oracle_fidelity,
     pendellosung_frequency,
     recoil_frequency,
 )
@@ -391,6 +392,21 @@ def test_entangle_with_frozen_time_scale(tmp_path):
         assert float(fields[4]) == 0.0  # ladder deflected stays put
 
 
+@pytest.mark.parametrize("points", [3, 4097])
+@pytest.mark.parametrize("l0", [2, 4, 6])
+def test_entangle_state_reads_the_ladder_table_last_slice(tmp_path, l0, points):
+    # The fidelity and truncation flag come from the table's own last time,
+    # which lies alone in a slice at 4097 points: bit for bit those of
+    # pair_oracle_fidelity's one-time comparison.
+    for r in (1, 3):
+        for ts in (1.0, 0.7, 0.0, 1.3):
+            argv = ("--l0", str(l0), "--r", str(r), "--time-scale", str(ts), "--points", str(points))
+            assert run_cli("entangle", *argv, "--out", str(tmp_path)) == 0
+            state = json.loads(read(tmp_path / "entangle_state.json"))
+            fid, warn = pair_oracle_fidelity(BraggParams(l0=l0, r=r), ts)
+            assert (state["oracle_fidelity"], state["truncation_warning"]) == (fid, warn), (r, ts)
+
+
 # ---------------------------------------------------------------- protocol
 
 
@@ -611,6 +627,17 @@ def test_l0_sweep_rejects_a_ladder_halfwidth(tmp_path, capsys):
     assert run_cli(*argv, "--config", str(cfg)) == 0
     assert run_cli("sweep", "--axis", "delta_over_g", "--values", "50,100", "--shots", "10",
                    "--ladder-halfwidth", "20", "--out", str(out)) == 0
+
+
+def test_l0_sweep_config_records_each_rows_default_halfwidth(tmp_path):
+    # The l0 = 4 row runs with halfwidth 8, not the base's 7: the config
+    # records null, each row's default, while other axes keep the base's.
+    out = tmp_path / "run"
+    assert run_cli("sweep", "--axis", "l0", "--values", "2,4", "--shots", "10", "--out", str(out)) == 0
+    assert json.loads(read(out / "sweep_manifest.json"))["config"]["ladder_halfwidth"] is None
+    assert json.loads(read(out / "sweep.csv").splitlines()[1][len("# config: "):])["ladder_halfwidth"] is None
+    assert run_cli("sweep", "--axis", "delta_over_g", "--values", "50,100", "--shots", "10", "--out", str(out)) == 0
+    assert json.loads(read(out / "sweep_manifest.json"))["config"]["ladder_halfwidth"] == 7
 
 
 def test_sweep_rejects_points(tmp_path, capsys):
