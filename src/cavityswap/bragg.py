@@ -419,15 +419,19 @@ def oracle_compare(p, times):
     psi0 = np.zeros((len(ps), len(offsets)), dtype=np.complex128)
     psi0[:, sites[0]] = 1.0
     amps = propagate(h, psi0, times, rows=sites)
+    # The amplitudes go once their last row and populations are taken, and
+    # the closed-form amplitudes once their populations are.
+    finals = amps[:, -1, :2].copy()
+    pops = np.abs(amps)
+    del amps
+    pops **= 2
     out = []
-    for q, t, amp in zip(ps, times, amps):
-        pop = np.abs(amp) ** 2
-        c_plus, c_minus = analytic_amplitudes(q, t)
-        au, ad = _population(c_plus), _population(c_minus)
+    for q, t, pop, final in zip(ps, times, pops, finals):
+        au, ad = (_population(c) for c in analytic_amplitudes(q, t))
         error = np.maximum(np.abs(au - pop[:, 0]), np.abs(ad - pop[:, 1]))
         boundary = float(np.max(pop[:, 2] + pop[:, 3]))
         out.append(PopulationComparison(np.column_stack((t, au, ad, pop[:, 0], pop[:, 1], error)),
-                                        float(np.max(error)), boundary > TRUNCATION_LIMIT, amp[-1, :2].copy()))
+                                        float(np.max(error)), boundary > TRUNCATION_LIMIT, final))
     return tuple(out) if stacked else out[0]
 
 

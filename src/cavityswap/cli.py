@@ -168,6 +168,11 @@ CONFIG = {
     "assert": Key({"max_error": Key(_real)}, commands=("oracle-compare", "sweep")),
 }
 _PARAMETER_BLOCKS = ("dimensionless", "physical")  # exactly one in effect, each given whole
+# The key each sweep axis sets in every row.  load_config refuses a value
+# given for it, which the rows would drop; a parameter block is given whole,
+# so the delta inside one is not refused.
+_AXIS_KEYS = {"delta_over_g": "delta", "interaction_time_scale": "time_scale", "l0": "l0",
+              "ladder_halfwidth": "ladder_halfwidth"}
 # Every key by the name the commands read it under, an inner key of a block
 # with its block's commands.
 _KEYS = {
@@ -207,7 +212,8 @@ def load_config(command: str, path: str | None, overrides: dict) -> tuple[dict, 
     Defaults come from :data:`CONFIG`, then the JSON file at ``path``, then
     the flag ``overrides``; each value given is read by its key's kind, the
     file's in file order, before any command runs.  A key the command does
-    not read, or two parameter blocks, are refused.  The physical block is
+    not read, a value for the key that a sweep's axis sets in every row,
+    or two parameter blocks, are refused.  The physical block is
     converted to recoil units here and nowhere else.
     """
     file_cfg: dict = {}
@@ -243,6 +249,17 @@ def load_config(command: str, path: str | None, overrides: dict) -> tuple[dict, 
         echo["recoil_rad_per_s"] = w_rec
     for name, value in overrides.items():
         cfg[name] = _KEYS[name].kind(name, value)
+    if command == "sweep":
+        # Values given by flag or top-level file key; null, the halfwidth's
+        # default, gives none.
+        given = {name for name, value in {**file_cfg, **overrides}.items() if value is not None}
+        axis = cfg["axis"]
+        if axis == "l0" and "ladder_halfwidth" in given:
+            raise ConfigError("the l0 axis gives each row the default ladder_halfwidth of its l0; "
+                              "leave ladder_halfwidth unset")
+        if _AXIS_KEYS.get(axis) in given:
+            raise ConfigError(f"the {axis} axis sets {_AXIS_KEYS[axis]} in every row; "
+                              f"leave {_AXIS_KEYS[axis]} unset")
     return cfg, echo
 
 
@@ -270,6 +287,10 @@ def _fmt(x) -> str:
 # '%.12g' % x.  A cell is then rendered by a template: the positions, in a
 # per-cell source row, of its characters.
 _CSV_BLOCK = 1024  # rows of a float table formatted at once
+# Cells whose characters are gathered at once: the gather index is intp,
+# 8 bytes a character, 160 kB a chunk where a whole 1024 x 6 block's would
+# be 0.94 MB.
+_GATHER_CHUNK = 1024
 _CELL_WIDTH = 20  # "-1.23456789012e-308" plus the separator
 # Source row: D (bytes 0-11), |e| as four digits (12-15), then these bytes;
 # 28 bytes keep the row a whole number of uint32 words.
@@ -321,7 +342,7 @@ def _float_tables():
     # Template row of a cell: 48 * class + 24 * negative + 2 * (kept - 1) + last;
     # class_row maps e - _E_MIN, then zero, nan and inf, to 48 * class.
     class_row = [48 * _class_of(e) for e in range(_E_MIN, _E_MAX + 1)] + [48 * c for c in (20, 21, 22)]
-    templates = np.full((len(_CLASSES), 2, 12, 2, _CELL_WIDTH), _PAD, dtype=np.intp)
+    templates = np.full((len(_CLASSES), 2, 12, 2, _CELL_WIDTH), _PAD, dtype=np.uint8)
     for c, (kind, *spec) in enumerate(_CLASSES):
         for negative in (0, 1):
             for kept in range(1, 13):
@@ -329,50 +350,74 @@ def _float_tables():
                 rows = templates[c, negative, kept - 1]
                 rows[:, :len(cell)] = cell
                 rows[:, len(cell)] = _TAIL[","], _TAIL["\n"]
-    return quads, zeros, pow10, np.array(class_row), templates.reshape(-1, _CELL_WIDTH)
+    # Each character's offset to its cell's source row, over a gather chunk.
+    offsets = np.repeat(_SOURCE_WIDTH * np.arange(_GATHER_CHUNK), _CELL_WIDTH).reshape(-1, _CELL_WIDTH)
+    return quads, zeros, pow10, np.array(class_row), templates.reshape(-1, _CELL_WIDTH), offsets
 
 
 def _format_floats(block: np.ndarray) -> str:
-    """CSV lines of a 2-D float array; each cell reads as '%.12g' % x."""
-    quads, zeros, pow10, class_row, templates = _float_tables()
+    """CSV lines of a 2-D float array; each cell reads as '%.12g' % x.
+
+    Each per-cell array goes once it has been used, and the characters
+    are gathered ``_GATHER_CHUNK`` cells at a time, so a 1024 x 6 block
+    peaks at about 0.5 MB of temporaries."""
+    quads, zeros, pow10, class_row, templates, offsets = _float_tables()
     block = np.ascontiguousarray(block, dtype=np.float64)
     x = block.ravel()
     a = np.abs(x)
     regular = np.isfinite(a) & (a != 0.0)
-    a = np.where(regular, a, 1.0)
+    a[~regular] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
     scale = np.clip(11 - e, _POW10_MIN, _POW10_MAX)
     m = a * pow10[scale - _POW10_MIN]
     digits = np.rint(m)
     exact = (scale == 11 - e) & (m >= 1e11) & (m < 1e12) & (np.abs(m - digits) < 0.499)
+    del a, scale, m
     digits = digits.astype(np.int64)
     for i in np.flatnonzero(regular & ~exact).tolist():
-        text = "%.11e" % a[i]
+        text = "%.11e" % abs(x[i])
         digits[i], e[i] = int(text[0] + text[2:13]), int(text[14:])
+    del exact
     carry = np.flatnonzero(digits == 10**12)
     digits[carry] //= 10
     e[carry] += 1
     high, low = np.divmod(digits, 10**8)
+    del digits
     mid, low = np.divmod(low, 10**4)
     trailing = zeros[low]
     whole = np.flatnonzero(low == 0)
     trailing[whole] += zeros[mid[whole]] + (mid[whole] == 0) * zeros[high[whole]]
-    slot = e - _E_MIN
-    special = np.flatnonzero(~regular)
-    slot[special] = _E_MAX - _E_MIN + 1 + np.isnan(x[special]) + 2 * np.isinf(x[special])
-    key = class_row[slot] + 24 * np.signbit(x) + 2 * (11 - trailing)
-    key.reshape(block.shape)[:, -1] += 1
-    source = np.empty((x.size, _SOURCE_WIDTH), dtype=np.uint8)
-    words = source.view(np.uint32)
+    # A cell's digits as ASCII: D in three words, then |e|.
+    words = np.empty((x.size, 4), dtype=np.uint32)
     words[:, 0] = quads[high]
     words[:, 1] = quads[mid]
     words[:, 2] = quads[low]
     words[:, 3] = quads[np.abs(e)]
+    del high, mid, low, whole
+    slot = e - _E_MIN
+    del e
+    special = np.flatnonzero(~regular)
+    slot[special] = _E_MAX - _E_MIN + 1 + np.isnan(x[special]) + 2 * np.isinf(x[special])
+    key = class_row[slot] + 24 * np.signbit(x) + 2 * (11 - trailing)
+    key.reshape(block.shape)[:, -1] += 1
+    del slot, trailing
+    # A chunk's source rows are its words then the tail; its characters are
+    # its templates offset to those rows, in one reused index, with the
+    # padding dropped.
+    source = np.empty((min(x.size, _GATHER_CHUNK), _SOURCE_WIDTH), dtype=np.uint8)
     source[:, _PAD:] = np.frombuffer(_SOURCE_TAIL, dtype=np.uint8)
-    index = templates.take(key, axis=0)
-    index += np.arange(0, source.size, _SOURCE_WIDTH)[:, None]
-    chars = source.take(index)
-    return chars[chars != 0].tobytes().decode("ascii")
+    index = np.empty((len(source), _CELL_WIDTH), dtype=np.intp)
+    pieces = []
+    for start in range(0, x.size, _GATHER_CHUNK):
+        keys = key[start:start + _GATHER_CHUNK]
+        n = len(keys)
+        source.view(np.uint32)[:n, :4] = words[start:start + n]
+        index[:n] = templates.take(keys, axis=0)
+        index[:n] += offsets[:n]
+        chars = source[:n].take(index[:n])
+        pieces.append(chars[chars != 0].tobytes())
+    del words, key, source, index
+    return b"".join(pieces).decode("ascii")
 
 
 def _write_csv(path: Path, config: dict, columns, rows) -> None:
@@ -395,6 +440,7 @@ def _write_csv(path: Path, config: dict, columns, rows) -> None:
                     f.write(_format_floats(row[start:start + _CSV_BLOCK]))
             else:
                 f.write(",".join(map(_fmt, row)) + "\n")
+            del row  # a streamed block goes before the next is computed
 
 
 def _write_json(path: Path, config: dict, doc: dict) -> None:
@@ -423,9 +469,10 @@ def _grid_end(what: str, end: float, ladder: BraggParams | None = None) -> float
 _DEFLECTED = POPULATION_COLUMNS.index("ladder_deflected")
 
 # Times per oracle_compare call of the ladder commands, which generate each
-# slice's times and write its table before the next is computed, so neither
-# a long grid nor its results are ever held at once.  A slice's temporaries
-# (~1.5 MB) stay below the free heap glibc keeps, so slices reuse it; at
+# slice's times and write its table, then drop it, before the next is
+# computed, so neither a long grid nor its results are ever held at once.
+# A slice's data (at most 0.8 MB traced at l0 = 4, its 196 kB table
+# included) stays below the free heap glibc keeps, so slices reuse it; at
 # 16384 times a 1e6-point entangle refaulted it slice after slice (12-15k
 # minor faults against ~1.3k).
 _LADDER_SLICE = 4096
@@ -461,6 +508,7 @@ def _write_ladder_table(path: Path, config: dict, columns, params: BraggParams, 
     def tables():
         nonlocal max_error, truncated, last
         for times in _grid_slices(end, points):
+            last = None  # the slice before is written; its table goes before the next is computed
             last = oracle_compare(params, times)
             max_error = float(np.maximum(max_error, last.max_error))
             truncated = truncated or last.truncation_warning
@@ -585,9 +633,6 @@ def cmd_oracle_compare(cfg: dict, params: BraggParams, config: dict) -> int:
 
 def cmd_sweep(cfg: dict, params: BraggParams, config: dict) -> int:
     """one-axis parameter sweep"""
-    if cfg["axis"] == "l0" and cfg["ladder_halfwidth"] is not None:
-        raise ConfigError("the l0 axis gives each row the default ladder_halfwidth of its l0; "
-                          "leave ladder_halfwidth unset")
     spec = _checked(
         SweepSpec,
         axis=cfg["axis"],

@@ -14,9 +14,10 @@ __all__ = ["SERIES_BLOCK", "propagate"]
 
 HERMITICITY_ATOL = 1e-12
 
-# Times evaluated at once by propagate.  The block bounds the (times x modes)
-# phase array on long grids, and it keeps the (block x K) @ (K x 4) product
-# of a ladder series (K = l0 + 13 modes by default) on the calling thread:
+# Times evaluated at once by propagate.  The block sizes the two buffers the
+# blocks of a call reuse, 24 bytes per time and mode (209 kB at K = 17), and
+# it keeps the (block x K) @ (K x 4) product of a ladder series (K = l0 + 13
+# modes by default) on the calling thread:
 # OpenBLAS (numpy 2.4.6, 2 vCPUs) splits a complex product of about 65536
 # multiply-adds over two threads, for CPU over wall of ~1.9 and no gain in
 # wall.  At 1024 times that happened from K = 17 (l0 = 4); at 512 it happens
@@ -83,11 +84,23 @@ def propagate(h, amps, times, rows=None) -> np.ndarray:
     # than a matrix product.
     count = times.shape[1]
     out = np.empty((len(w), count + 1, modes.shape[2]), dtype=np.complex128)
+    # Every block is evaluated in place in two buffers: the angles t * lambda,
+    # then the phases exp(-1j * angles) times the overlaps.  The angles keep
+    # their own contiguous buffer: written straight into the phases'
+    # imaginary part, they made each complex exp after a BLAS product ~10x
+    # slower (numpy 2.4.6 on an AVX-512 Xeon).
+    shape = (len(w), max(min(count, SERIES_BLOCK), 2), overlap.shape[1])
+    angles, phases = np.empty(shape), np.empty(shape, dtype=np.complex128)
     for start in range(0, count, SERIES_BLOCK):
         block = times[:, start:start + SERIES_BLOCK]
         if block.shape[1] == 1:
             block = np.repeat(block, 2, axis=1)
-        phases = np.exp(-1j * (block[:, :, None] * w[:, None, :])) * overlap[:, None, :]
+        if block.shape[1] < angles.shape[1]:  # the last block is shorter
+            angles, phases = angles[:, :block.shape[1]], phases[:, :block.shape[1]]
+        np.multiply(block[:, :, None], w[:, None, :], out=angles)
+        np.multiply(-1j, angles, out=phases)
+        np.exp(phases, out=phases)
+        phases *= overlap[:, None, :]
         np.matmul(phases, modes, out=out[:, start:start + block.shape[1]])
     out = out[:, :count]
     stack, at = np.nonzero(times == 0.0)

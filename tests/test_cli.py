@@ -24,6 +24,7 @@ from cavityswap.bragg import (
 )
 from cavityswap.cli import (
     _CSV_BLOCK,
+    _GATHER_CHUNK,
     _LADDER_SLICE,
     CONFIG,
     ConfigError,
@@ -629,6 +630,47 @@ def test_l0_sweep_rejects_a_ladder_halfwidth(tmp_path, capsys):
                    "--ladder-halfwidth", "20", "--out", str(out)) == 0
 
 
+@pytest.mark.parametrize("axis, values, flag, value, key", [
+    ("interaction_time_scale", "0.5,1", "--time-scale", 0.5, "time_scale"),
+    ("l0", "2,4", "--l0", 4, "l0"),
+    ("ladder_halfwidth", "8,10", "--ladder-halfwidth", 9, "ladder_halfwidth"),
+    ("delta_over_g", "50,100", "--delta", 300.0, "delta"),
+])
+def test_sweep_refuses_a_value_for_the_key_its_axis_sets(tmp_path, capsys, axis, values, flag, value, key):
+    # Each row sets the axis's key, so a value given for it, by flag or by
+    # top-level config key, is refused rather than dropped.  delta has no
+    # top-level key: the dimensionless block, given whole, carries it.
+    out = tmp_path / "run"
+    argv = ("sweep", "--axis", axis, "--values", values, "--shots", "10", "--out", str(out))
+    message = f"error: the {axis} axis sets {key} in every row; leave {key} unset\n"
+    assert run_cli(*argv, flag, str(value)) == 1
+    assert capsys.readouterr().err == message
+    cfg = tmp_path / "cfg.json"
+    if key == "delta":
+        cfg.write_text(json.dumps({"dimensionless": {"g": 1.0, "delta": value}}))
+        assert run_cli(*argv, "--config", str(cfg)) == 0
+    else:
+        cfg.write_text(json.dumps({key: value}))
+        assert run_cli(*argv, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+def test_sweep_accepts_the_keys_its_axis_leaves(tmp_path):
+    # A key that only another axis sets runs, and so does a null halfwidth,
+    # its default, on the halfwidth axis.
+    out = tmp_path / "run"
+    argv = ("--shots", "10", "--out", str(out))
+    assert run_cli("sweep", "--axis", "l0", "--values", "2,4", "--time-scale", "0.5", "--delta", "300", *argv) == 0
+    assert run_cli("sweep", "--axis", "interaction_time_scale", "--values", "0.5,1", "--l0", "4",
+                   "--ladder-halfwidth", "9", "--delta", "300", *argv) == 0
+    assert run_cli("sweep", "--axis", "delta_over_g", "--values", "50,100", "--time-scale", "0.5", *argv) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ladder_halfwidth": None, "l0": 4, "time_scale": 0.7}))
+    assert run_cli("sweep", "--axis", "ladder_halfwidth", "--values", "8,10", "--config", str(cfg), *argv) == 0
+    assert json.loads(read(out / "sweep_manifest.json"))["config"]["time_scale"] == 0.7
+
+
 def test_l0_sweep_config_records_each_rows_default_halfwidth(tmp_path):
     # The l0 = 4 row runs with halfwidth 8, not the base's 7: the config
     # records null, each row's default, while other axes keep the base's.
@@ -952,6 +994,19 @@ def test_float_writer_edge_values_and_a_zero_column():
     assert _format_floats(table).splitlines()[7] == "0.07,0"
 
 
+def test_float_writer_gathers_a_ragged_last_chunk():
+    # The cells are gathered a chunk at a time; here the last chunk is
+    # short, and it holds zeros, nan, infinities, a subnormal and values
+    # whose 12 digits carry into the next decade.
+    rng = np.random.default_rng(67)
+    shape = (2 * _GATHER_CHUNK // 3 + 18, 3)
+    table = rng.random(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    tail = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 9.9999999999995, -999999999999.5, 0.000099999999999995]
+    table.ravel()[-len(tail):] = tail
+    assert table.size % _GATHER_CHUNK >= len(tail)
+    assert _format_floats(table) == percent_lines(table)
+
+
 def test_write_csv_formats_a_float_table_block_by_block(tmp_path):
     rng = np.random.default_rng(59)
     table = rng.random((2 * _CSV_BLOCK + 1, 3)) * 10.0 ** rng.integers(-6, 6, (2 * _CSV_BLOCK + 1, 3))
@@ -1027,10 +1082,10 @@ def test_ladder_commands_run_in_bounded_memory(tmp_path, capsys, command):
     # The traced peak of a grid fifty times longer stays within 1.05x: each
     # slice's times are generated and its table written before the next, so
     # nothing grows with the number of points.
-    def peak(points):
+    def peak(points, *argv):
         tracemalloc.start()
         try:
-            assert run_cli(command, "--points", str(points), "--out", str(tmp_path)) == 0
+            assert run_cli(command, "--points", str(points), *argv, "--out", str(tmp_path)) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1038,3 +1093,6 @@ def test_ladder_commands_run_in_bounded_memory(tmp_path, capsys, command):
     peak(2 * _chunk())  # builds the float writer's lookup tables first
     small, large = peak(2 * _chunk()), peak(100 * _chunk())
     assert large <= 1.05 * small, (small, large)
+    # A slice's transient data stays within 1 MiB at l0 = 4 (17 ladder
+    # modes), with the writer's float tables built.
+    assert peak(100_000, "--l0", "4") <= 2**20
