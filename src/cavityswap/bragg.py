@@ -214,9 +214,8 @@ def max_excited_population(p: BraggParams) -> float:
     psi0 = np.zeros(len(h), dtype=np.complex128)
     psi0[p.ladder_halfwidth] = 1.0
     times = full_deflection_time(p) * np.arange(1, 401) / 400
-    psi = propagate(h, psi0, times)
-    excited = range(len(ladder_offsets(p)), len(h))
-    return float(np.max(np.sum(np.abs(psi[:, excited]) ** 2, axis=1)))
+    excited = propagate(h, psi0, times, rows=np.arange(len(ladder_offsets(p)), len(h)))
+    return float(np.max(np.sum(np.abs(excited) ** 2, axis=1)))
 
 
 def pendellosung_frequency(p: BraggParams) -> float:

@@ -355,8 +355,9 @@ def _float_tables():
     return quads, zeros, pow10, np.array(class_row), templates.reshape(-1, _CELL_WIDTH), offsets
 
 
-def _format_floats(block: np.ndarray) -> str:
-    """CSV lines of a 2-D float array; each cell reads as '%.12g' % x.
+def _format_floats(block: np.ndarray) -> bytes:
+    """CSV lines of a 2-D float array, as ASCII; each cell reads as
+    '%.12g' % x.
 
     Each per-cell array goes once it has been used, and the characters
     are gathered ``_GATHER_CHUNK`` cells at a time, so a 1024 x 6 block
@@ -417,7 +418,7 @@ def _format_floats(block: np.ndarray) -> str:
         chars = source[:n].take(index[:n])
         pieces.append(chars[chars != 0].tobytes())
     del words, key, source, index
-    return b"".join(pieces).decode("ascii")
+    return b"".join(pieces)
 
 
 def _write_csv(path: Path, config: dict, columns, rows) -> None:
@@ -427,19 +428,20 @@ def _write_csv(path: Path, config: dict, columns, rows) -> None:
     ``_CSV_BLOCK`` rows at a time by :func:`_format_floats`, or of records,
     whose cells go through :func:`_fmt` one by one.  Either way a long
     table is never held as text in memory, and a table streamed in blocks
-    is never held at all.
+    is never held at all.  The file is written in binary, so a block's
+    bytes go out as formatted, never held as text as well.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:
-        f.write(f"# cavityswap {__version__}\n")
-        f.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        f.write(",".join(columns) + "\n")
+    with path.open("wb") as f:
+        f.write(f"# cavityswap {__version__}\n".encode())
+        f.write(("# config: " + json.dumps(config, sort_keys=True) + "\n").encode())
+        f.write((",".join(columns) + "\n").encode())
         for row in rows:
             if isinstance(row, np.ndarray):
                 for start in range(0, len(row), _CSV_BLOCK):
                     f.write(_format_floats(row[start:start + _CSV_BLOCK]))
             else:
-                f.write(",".join(map(_fmt, row)) + "\n")
+                f.write((",".join(map(_fmt, row)) + "\n").encode())
             del row  # a streamed block goes before the next is computed
 
 
@@ -700,6 +702,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The ``cavityswap`` console script and ``python -m cavityswap.cli``."""
+    # numpy.random loads OpenSSL's libcrypto (3.3 MB of resident memory)
+    # through numpy.random.bit_generator -> secrets -> hmac -> _hashlib, for
+    # hashes no command computes.  Marked unavailable, hashlib and hmac fall
+    # back to CPython's built-in digests; SeedSequence, PCG64 and multinomial
+    # never hash, so every draw stays the same.  setdefault keeps a _hashlib
+    # already loaded (numpy < 2 imports numpy.random with numpy), and only
+    # this entry point does it: importing the package or calling main()
+    # leaves the process's hashlib as it is.
+    sys.modules.setdefault("_hashlib", None)
     raise SystemExit(main())
 
 

@@ -23,6 +23,7 @@ from cavityswap.bragg import (
     recoil_frequency,
 )
 from cavityswap.cli import (
+    _COMMANDS,
     _CSV_BLOCK,
     _GATHER_CHUNK,
     _LADDER_SLICE,
@@ -348,6 +349,27 @@ def test_every_command_has_its_flags_in_order():
     for name, flags in expected.items():
         actions = subparsers.choices[name]._actions
         assert [(a.option_strings, a.dest, a.type) for a in actions] == flags, name
+
+
+def test_the_readme_key_table_lists_every_config_key_and_its_commands():
+    # One row per top-level key of CONFIG, and no other; its last cell
+    # names the commands that read the key, in CONFIG's order, or reads
+    # "all" when every command does.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = readme.index("| key | kind | default | commands |") + 2
+    rows = []
+    for line in readme[start:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows.append((cells[0].strip("`"), cells[-1]))
+    keys = [key for key, _ in rows]
+    assert sorted(keys) == sorted(CONFIG), "the README key table and cli.CONFIG differ"
+    assert len(set(keys)) == len(keys)
+    for key, commands in rows:
+        named = "all" if set(CONFIG[key].commands) == set(_COMMANDS) else \
+            ", ".join(f"`{command}`" for command in CONFIG[key].commands)
+        assert commands == named, key
 
 
 def test_whole_number_floats_count_as_integers(tmp_path):
@@ -855,16 +877,66 @@ def test_sweep_negative_values_need_the_equals_form(tmp_path, capsys):
 
 
 def test_module_entry_point_runs_the_command(tmp_path):
-    src = Path(cavityswap.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     out = tmp_path / "run"
     done = subprocess.run(
         [sys.executable, "-m", "cavityswap.cli", "entangle", "--time-scale", "-1", "--out", str(out)],
-        env=env, capture_output=True, text=True,
+        env=_source_env(), capture_output=True, text=True,
     )
     assert done.returncode == 1
     assert "time_scale" in done.stderr
     assert not out.exists()
+
+
+def _source_env():
+    src = Path(cavityswap.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+
+
+@pytest.fixture(scope="module")
+def openssl_free_entry_point():
+    # Under numpy < 2 importing numpy imports numpy.random, and with it
+    # OpenSSL's _hashlib, before run() can mark it unavailable.
+    done = subprocess.run([sys.executable, "-c", "import sys, cavityswap.cli; print('_hashlib' in sys.modules)"],
+                          env=_source_env(), capture_output=True, text=True, check=True)
+    if done.stdout.strip() == "True":
+        pytest.skip("importing cavityswap.cli already loads _hashlib (numpy < 2 imports numpy.random eagerly)")
+
+
+_SAMPLING_RUNS = [
+    pytest.param(("protocol", "--shots", "1000", "--seed", "5"), id="protocol"),
+    pytest.param(("sweep", "--axis", "interaction_time_scale", "--values", "0.9,1,1.1", "--shots", "100"),
+                 id="sweep"),
+]
+
+# Runs the command given as its arguments through run(), then reports on
+# the process: OpenSSL's hash module never loaded, and hashlib still hashes.
+_ENTRY_POINT_PROBE = """
+import sys
+from cavityswap.cli import run
+try:
+    run()
+except SystemExit as stop:
+    assert stop.code == 0, stop.code
+assert "numpy.random" in sys.modules
+assert sys.modules.get("_hashlib") is None, sys.modules.get("_hashlib")
+import hashlib
+assert hashlib.sha256(b"").hexdigest() == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+"""
+
+
+@pytest.mark.parametrize("argv", _SAMPLING_RUNS)
+def test_the_entry_point_samples_without_openssl_and_the_same_bytes(tmp_path, capsys, argv,
+                                                                    openssl_free_entry_point):
+    out = tmp_path / "run"
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _ENTRY_POINT_PROBE, *argv, "--out", str(out)],
+                          env=_source_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    by_entry_point = {path.name: path.read_bytes() for path in out.iterdir()}
+    # In process, OpenSSL's hash module loaded: the same artifacts, byte for byte.
+    pytest.importorskip("_hashlib")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == done.stdout
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == by_entry_point
 
 
 # ---------------------------------------------------------------- artifacts
@@ -949,7 +1021,7 @@ def test_float_writer_matches_python_on_random_bit_patterns():
     rng = np.random.default_rng(41)
     bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64, endpoint=False)
     table = bits.view(np.float64).reshape(-1, 8)
-    assert _format_floats(table) == percent_lines(table)
+    assert _format_floats(table) == percent_lines(table).encode()
 
 
 def test_float_writer_matches_python_across_decades():
@@ -957,8 +1029,8 @@ def test_float_writer_matches_python_across_decades():
     decades = np.arange(-20, 21)
     table = rng.uniform(1.0, 10.0, (2000, decades.size)) * 10.0**decades
     table *= rng.choice([-1.0, 1.0], table.shape)
-    assert _format_floats(table) == percent_lines(table)
-    assert _format_floats(table.T) == percent_lines(table.T)
+    assert _format_floats(table) == percent_lines(table).encode()
+    assert _format_floats(table.T) == percent_lines(table.T).encode()
 
 
 def test_float_writer_matches_python_on_half_ties():
@@ -969,7 +1041,7 @@ def test_float_writer_matches_python_on_half_ties():
     k = np.concatenate([rng.integers(10**11, 10**12, 60_000), rng.integers(0, 10**12, 20_000)])
     j = rng.integers(0, 25, k.size)
     table = ((k + 0.5) / 10.0**j).reshape(-1, 4)
-    assert _format_floats(table) == percent_lines(table)
+    assert _format_floats(table) == percent_lines(table).encode()
 
 
 def test_float_writer_matches_python_on_integers():
@@ -978,7 +1050,7 @@ def test_float_writer_matches_python_on_integers():
         rng.integers(0, 10**13, 40_000), rng.integers(-10**6, 10**6, 40_000),
         10 ** np.arange(14), 10 ** np.arange(14) - 1, 5 * 10 ** np.arange(14) + 5,
     ]).astype(np.float64).reshape(-1, 2)
-    assert _format_floats(table) == percent_lines(table)
+    assert _format_floats(table) == percent_lines(table).encode()
 
 
 def test_float_writer_edge_values_and_a_zero_column():
@@ -987,11 +1059,11 @@ def test_float_writer_edge_values_and_a_zero_column():
             9.9999999999995, 999999999999.5, 1e12, 1e-5, 0.000099999999999995,
             0.0001, 1e-4 * (1 - 2**-52), 1e16, 123456789012.5, 0.5, 1.0, -1.0]
     column = np.array(edge)[:, None]
-    assert _format_floats(column) == percent_lines(column)
+    assert _format_floats(column) == percent_lines(column).encode()
     # a column of zeros, as entangle's ladder_deflected reads at time scale 0
     table = np.column_stack((np.linspace(0.0, 1.0, 101), np.zeros(101)))
-    assert _format_floats(table) == percent_lines(table)
-    assert _format_floats(table).splitlines()[7] == "0.07,0"
+    assert _format_floats(table) == percent_lines(table).encode()
+    assert _format_floats(table).splitlines()[7] == b"0.07,0"
 
 
 def test_float_writer_gathers_a_ragged_last_chunk():
@@ -1004,7 +1076,7 @@ def test_float_writer_gathers_a_ragged_last_chunk():
     tail = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 9.9999999999995, -999999999999.5, 0.000099999999999995]
     table.ravel()[-len(tail):] = tail
     assert table.size % _GATHER_CHUNK >= len(tail)
-    assert _format_floats(table) == percent_lines(table)
+    assert _format_floats(table) == percent_lines(table).encode()
 
 
 def test_write_csv_formats_a_float_table_block_by_block(tmp_path):
@@ -1041,7 +1113,8 @@ def test_ladder_commands_stream_the_whole_array_tables(tmp_path, capsys, monkeyp
     argv = ("--points", str(points), "--ladder-halfwidth", "3", "--out", str(tmp_path))
     whole = oracle_compare(p, np.linspace(0.0, 2.0 * math.pi / pendellosung_frequency(p), points))
     assert run_cli("oracle-compare", *argv) == 0
-    assert "".join(read(tmp_path / "oracle_compare.csv").splitlines(keepends=True)[3:]) == _format_floats(whole.table)
+    assert b"".join((tmp_path / "oracle_compare.csv").read_bytes().splitlines(keepends=True)[3:]) == \
+        _format_floats(whole.table)
     assert capsys.readouterr().out == f"max population error: {whole.max_error:.12g}\n"
     # Only the last slice reads clean below this limit: the flag must be
     # the whole grid's, not the last slice's.
@@ -1053,10 +1126,10 @@ def test_ladder_commands_stream_the_whole_array_tables(tmp_path, capsys, monkeyp
     times = np.linspace(0.0, 1.3 * full_deflection_time(p), points)
     whole = oracle_compare(p, times)
     assert run_cli("entangle", *argv, "--time-scale", "1.3") == 0
-    lines = read(tmp_path / "entangle_populations.csv").splitlines(keepends=True)
-    assert lines[2] == ",".join(POPULATION_COLUMNS[:5]) + "\n"
-    assert "".join(lines[3:]) == _format_floats(whole.table[:, :5])
-    assert lines[3] == "0,1,0,1,0\n"
+    lines = (tmp_path / "entangle_populations.csv").read_bytes().splitlines(keepends=True)
+    assert lines[2] == (",".join(POPULATION_COLUMNS[:5]) + "\n").encode()
+    assert b"".join(lines[3:]) == _format_floats(whole.table[:, :5])
+    assert lines[3] == b"0,1,0,1,0\n"
     state = json.loads(read(tmp_path / "entangle_state.json"))
     assert state["final_deflected_population"] == whole.table[-1, 4]
     assert state["truncation_warning"] is False
