@@ -37,7 +37,7 @@ from .bragg import (
     pendellosung_frequency,
     recoil_frequency,
 )
-from .metrics import ComparisonRow, SweepSpec, run_sweep
+from .metrics import ComparisonRow, run_sweep
 from .swap import CLASS_NAMES, PAPER_TABLE_LABELS, PATTERN_LABELS, paper_label_divergences, run_protocol
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
@@ -105,7 +105,7 @@ def _numbers(name: str, value) -> tuple:
     """A JSON list of numbers, or comma-separated text as ``--values``
     gives it."""
     if not isinstance(value, str):
-        if not isinstance(value, list) or not all(map(_is_number, value)):
+        if not isinstance(value, list) or not all(map(_is_real, value)):
             raise ConfigError(f"{name} must be numbers, got {value!r}")
         return tuple(value)
     parsed = []
@@ -113,9 +113,12 @@ def _numbers(name: str, value) -> tuple:
         if not text.strip():
             continue
         try:
-            parsed.append(float(text))
+            number = float(text)
         except ValueError:
-            raise ConfigError(f"sweep value {text.strip()!r} is not a number") from None
+            number = math.nan
+        if not math.isfinite(number):  # as in a JSON list, Infinity and NaN are no numbers
+            raise ConfigError(f"sweep value {text.strip()!r} is not a number")
+        parsed.append(number)
     return tuple(parsed)
 
 
@@ -168,11 +171,14 @@ CONFIG = {
     "assert": Key({"max_error": Key(_real)}, commands=("oracle-compare", "sweep")),
 }
 _PARAMETER_BLOCKS = ("dimensionless", "physical")  # exactly one in effect, each given whole
-# The key each sweep axis sets in every row.  load_config refuses a value
-# given for it, which the rows would drop; a parameter block is given whole,
-# so the delta inside one is not refused.
-_AXIS_KEYS = {"delta_over_g": "delta", "interaction_time_scale": "time_scale", "l0": "l0",
-              "ladder_halfwidth": "ladder_halfwidth"}
+# The keys each sweep axis sets in every row: the first to the row's value
+# (times g on the delta_over_g axis), the rest to null, their default, so
+# each row of an l0 sweep takes the default halfwidth of its l0.  The config
+# records null for each.  load_config refuses a value given for any of them,
+# which the rows would drop; a parameter block is given whole, so the delta
+# inside one is not refused.
+_AXIS_KEYS = {"delta_over_g": ("delta",), "interaction_time_scale": ("time_scale",),
+              "l0": ("l0", "ladder_halfwidth"), "ladder_halfwidth": ("ladder_halfwidth",)}
 # Every key by the name the commands read it under, an inner key of a block
 # with its block's commands.
 _KEYS = {
@@ -250,17 +256,37 @@ def load_config(command: str, path: str | None, overrides: dict) -> tuple[dict, 
     for name, value in overrides.items():
         cfg[name] = _KEYS[name].kind(name, value)
     if command == "sweep":
-        # Values given by flag or top-level file key; null, the halfwidth's
-        # default, gives none.
-        given = {name for name, value in {**file_cfg, **overrides}.items() if value is not None}
-        axis = cfg["axis"]
-        if axis == "l0" and "ladder_halfwidth" in given:
-            raise ConfigError("the l0 axis gives each row the default ladder_halfwidth of its l0; "
-                              "leave ladder_halfwidth unset")
-        if _AXIS_KEYS.get(axis) in given:
-            raise ConfigError(f"the {axis} axis sets {_AXIS_KEYS[axis]} in every row; "
-                              f"leave {_AXIS_KEYS[axis]} unset")
+        _check_sweep(cfg, given={name for name, value in {**file_cfg, **overrides}.items() if value is not None})
     return cfg, echo
+
+
+def _check_sweep(cfg: dict, given: set) -> None:
+    """Refuse a sweep as a whole: a value ``given`` (by flag or top-level
+    file key; null, the halfwidth's default, gives none) for a key its axis
+    sets, an unknown axis, no values, fractional values on an axis that
+    sets a whole number, values not strictly monotone (the rows have no
+    well-defined order), or no shots.  A value that fails at its row's own
+    config fails only that row."""
+    axis, values = cfg["axis"], cfg["values"]
+    if axis == "l0" and "ladder_halfwidth" in given:
+        raise ConfigError("the l0 axis gives each row the default ladder_halfwidth of its l0; "
+                          "leave ladder_halfwidth unset")
+    if axis not in _AXIS_KEYS:
+        raise ConfigError(f"axis must be one of {tuple(_AXIS_KEYS)}, got {axis!r}")
+    key = _AXIS_KEYS[axis][0]
+    if key in given:
+        raise ConfigError(f"the {axis} axis sets {key} in every row; leave {key} unset")
+    if not values:
+        raise ConfigError("sweep values must be nonempty")
+    if _FLAG_TYPES.get(_KEYS[key].kind) is int:
+        fractional = [v for v in values if not float(v).is_integer()]
+        if fractional:
+            raise ConfigError(f"{axis} values must be integers, got {fractional[0]!r}")
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        raise ConfigError("sweep values must be strictly monotone")
+    if cfg["shots"] <= 0:
+        raise ConfigError("shots must be positive")
 
 
 def resolve_params(cfg: dict) -> BraggParams:
@@ -434,7 +460,7 @@ def _write_csv(path: Path, config: dict, columns, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as f:
         f.write(f"# cavityswap {__version__}\n".encode())
-        f.write(("# config: " + json.dumps(config, sort_keys=True) + "\n").encode())
+        f.write(("# config: " + json.dumps(config, sort_keys=True, allow_nan=False) + "\n").encode())
         f.write((",".join(columns) + "\n").encode())
         for row in rows:
             if isinstance(row, np.ndarray):
@@ -448,7 +474,7 @@ def _write_csv(path: Path, config: dict, columns, rows) -> None:
 def _write_json(path: Path, config: dict, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = {**doc, "version": __version__, "config": config}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _points(cfg: dict) -> int:
@@ -466,6 +492,13 @@ def _grid_end(what: str, end: float, ladder: BraggParams | None = None) -> float
     if not math.isfinite(end):
         raise ConfigError(f"{what} overflows to {end!r}")
     return end if ladder is None else _checked(bounded_ladder_time, ladder, end)
+
+
+def _interaction_time(params: BraggParams, ts: float, ladder: bool) -> float:
+    """``ts`` full deflection times, checked by :func:`_grid_end`, against
+    the phases of the ladder of ``params`` too when ``ladder`` is set."""
+    return _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params),
+                     params if ladder else None)
 
 
 _DEFLECTED = POPULATION_COLUMNS.index("ladder_deflected")
@@ -533,7 +566,7 @@ def cmd_entangle(cfg: dict, params: BraggParams, config: dict) -> int:
     """single-pair Bragg interaction: populations and final pair state"""
     ts = cfg["time_scale"]
     points = _points(cfg)
-    end = _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params), params)
+    end = _interaction_time(params, ts, ladder=True)
     out = Path(cfg["output_dir"])
     _, truncated, last = _write_ladder_table(out / "entangle_populations.csv", config, POPULATION_COLUMNS[:5],
                                              params, end, points)
@@ -555,7 +588,7 @@ def cmd_entangle(cfg: dict, params: BraggParams, config: dict) -> int:
 def cmd_protocol(cfg: dict, params: BraggParams, config: dict) -> int:
     """full swap protocol: exact heralds plus sampled shots"""
     ts = cfg["time_scale"]
-    _grid_end(f"time_scale {ts!r} x the full deflection time", ts * full_deflection_time(params))
+    _interaction_time(params, ts, ladder=False)
     heralds, sample = _checked(
         run_protocol,
         params,
@@ -633,21 +666,26 @@ def cmd_oracle_compare(cfg: dict, params: BraggParams, config: dict) -> int:
     return _assert_at_most("max_error", max_error, cfg["max_error"])
 
 
+def _resolve_row(cfg: dict, value) -> tuple[BraggParams, float]:
+    """The parameters and time scale of the sweep row at ``value``: the
+    single command's at the sweep's config ``cfg`` with its axis's keys
+    set, each read by its kind, and its interaction time checked as
+    ``entangle`` checks it.  So a row fails, with a ConfigError, where that
+    ``entangle`` would exit 1, and with its message."""
+    axis = cfg["axis"]
+    key, *nulls = _AXIS_KEYS[axis]
+    value = float(value) * cfg["g"] if axis == "delta_over_g" else value
+    row = {**cfg, **dict.fromkeys(nulls), key: _KEYS[key].kind(key, value)}
+    params = resolve_params(row)
+    _interaction_time(params, row["time_scale"], ladder=True)
+    return params, row["time_scale"]
+
+
 def cmd_sweep(cfg: dict, params: BraggParams, config: dict) -> int:
     """one-axis parameter sweep"""
-    spec = _checked(
-        SweepSpec,
-        axis=cfg["axis"],
-        values=cfg["values"],
-        base=params,
-        shots=cfg["shots"],
-        seed=cfg["seed"],
-        time_scale=cfg["time_scale"],
-    )
-    rows = run_sweep(spec).rows
-    config["sweep"] = {"axis": spec.axis, "values": list(spec.values)}
-    if spec.axis == "l0":
-        config["ladder_halfwidth"] = None  # each row's default, not the base's
+    rows = run_sweep(cfg["values"], functools.partial(_resolve_row, cfg), cfg["shots"], cfg["seed"]).rows
+    config.update({"sweep": {"axis": cfg["axis"], "values": list(cfg["values"])},
+                   **dict.fromkeys(_AXIS_KEYS[cfg["axis"]])})
     out = Path(cfg["output_dir"])
     _write_csv(out / "sweep.csv", config, ComparisonRow._fields, rows)
     _write_json(out / "sweep_manifest.json", config,

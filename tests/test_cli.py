@@ -43,7 +43,8 @@ from cavityswap.cli import (
     main,
     resolve_params,
 )
-from cavityswap.swap import PATTERN_LABELS
+from cavityswap.metrics import _row_seed, wilson_interval
+from cavityswap.swap import PATTERN_LABELS, run_protocol
 
 
 def run_cli(*args):
@@ -351,10 +352,22 @@ def test_every_command_has_its_flags_in_order():
         assert [(a.option_strings, a.dest, a.type) for a in actions] == flags, name
 
 
+def _readme_default(key) -> str:
+    """A key's default as the README key table writes it: a scalar as JSON
+    in backticks, a block by its inner defaults, or "none" when it has
+    none."""
+    if not isinstance(key.kind, dict):
+        return f"`{json.dumps(key.default)}`"
+    if any(inner.default is None for inner in key.kind.values()):
+        return "none"
+    return ", ".join(f"`{name}` {json.dumps(inner.default)}" for name, inner in key.kind.items())
+
+
 def test_the_readme_key_table_lists_every_config_key_and_its_commands():
-    # One row per top-level key of CONFIG, and no other; its last cell
-    # names the commands that read the key, in CONFIG's order, or reads
-    # "all" when every command does.
+    # One row per top-level key of CONFIG, and no other; its default cell
+    # is the key's default in CONFIG, and its last cell names the commands
+    # that read the key, in CONFIG's order, or reads "all" when every
+    # command does.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
     start = readme.index("| key | kind | default | commands |") + 2
     rows = []
@@ -362,11 +375,12 @@ def test_the_readme_key_table_lists_every_config_key_and_its_commands():
         if not line.startswith("|"):
             break
         cells = [cell.strip() for cell in line.strip("|").split("|")]
-        rows.append((cells[0].strip("`"), cells[-1]))
-    keys = [key for key, _ in rows]
+        rows.append((cells[0].strip("`"), cells[2], cells[-1]))
+    keys = [key for key, _, _ in rows]
     assert sorted(keys) == sorted(CONFIG), "the README key table and cli.CONFIG differ"
     assert len(set(keys)) == len(keys)
-    for key, commands in rows:
+    for key, default, commands in rows:
+        assert default == _readme_default(CONFIG[key]), key
         named = "all" if set(CONFIG[key].commands) == set(_COMMANDS) else \
             ", ".join(f"`{command}`" for command in CONFIG[key].commands)
         assert commands == named, key
@@ -693,15 +707,56 @@ def test_sweep_accepts_the_keys_its_axis_leaves(tmp_path):
     assert json.loads(read(out / "sweep_manifest.json"))["config"]["time_scale"] == 0.7
 
 
-def test_l0_sweep_config_records_each_rows_default_halfwidth(tmp_path):
-    # The l0 = 4 row runs with halfwidth 8, not the base's 7: the config
-    # records null, each row's default, while other axes keep the base's.
-    out = tmp_path / "run"
-    assert run_cli("sweep", "--axis", "l0", "--values", "2,4", "--shots", "10", "--out", str(out)) == 0
-    assert json.loads(read(out / "sweep_manifest.json"))["config"]["ladder_halfwidth"] is None
-    assert json.loads(read(out / "sweep.csv").splitlines()[1][len("# config: "):])["ladder_halfwidth"] is None
-    assert run_cli("sweep", "--axis", "delta_over_g", "--values", "50,100", "--shots", "10", "--out", str(out)) == 0
-    assert json.loads(read(out / "sweep_manifest.json"))["config"]["ladder_halfwidth"] == 7
+@pytest.mark.parametrize("axis, values, base, failed, nulls", [
+    # One failing row each: delta/g below 10, an odd l0, a halfwidth below
+    # l0/2 + 2 and a negative time scale.
+    ("delta_over_g", (5.0, 60.0, 100.0), (), 0, {"delta"}),
+    ("l0", (2, 3, 4), (), 1, {"l0", "ladder_halfwidth"}),  # each row takes its l0's default halfwidth
+    ("ladder_halfwidth", (3, 4, 5), ("--l0", "4"), 0, {"ladder_halfwidth"}),
+    ("interaction_time_scale", (-0.5, 0.7, 1.0), (), 0, {"time_scale"}),
+])
+def test_sweep_rows_equal_single_commands_at_their_configs(tmp_path, capsys, axis, values, base, failed, nulls):
+    # A row is the single command at the sweep's config with the axis's key
+    # set (delta to value x g): its ladder cells are the last row of that
+    # entangle, its sampled cells a protocol run with the row's seed, and
+    # its error what that entangle exits 1 with.  The config records null
+    # for the keys the axis sets and the base's value for every other.
+    out = tmp_path / "sweep"
+    argv = ("sweep", "--axis", axis, f"--values={','.join(map(str, values))}", *base, "--shots", "500",
+            "--seed", "7", "--out", str(out))
+    assert run_cli(*argv) == 0
+    lines = read(out / "sweep.csv").splitlines()
+    manifest = json.loads(read(out / "sweep_manifest.json"))
+    assert json.loads(lines[1].removeprefix("# config: ")) == manifest["config"]
+    config = manifest["config"]
+    assert {key for key, value in config.items() if value is None} == nulls
+    expected = dataclasses.asdict(BraggParams(l0=4) if base else BraggParams())
+    assert {key: config[key] for key in expected if key not in nulls} == \
+        {key: value for key, value in expected.items() if key not in nulls}
+    rows = [line.split(",") for line in lines[3:]]
+    stdout = capsys.readouterr().out
+    flag = {"delta_over_g": "--delta", "l0": "--l0", "ladder_halfwidth": "--ladder-halfwidth",
+            "interaction_time_scale": "--time-scale"}[axis]
+    for i, (value, row) in enumerate(zip(values, rows)):
+        single = tmp_path / f"entangle{i}"
+        status = run_cli("entangle", *base, f"{flag}={value}", "--points", "2", "--out", str(single))
+        if i == failed:
+            assert status == 1
+            error = capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
+            assert row[-1] == error.replace(",", ";")
+            assert manifest["row_errors"] == {str(float(value)): error}
+            assert stdout == f"row {float(value):.12g} failed: {error}\n"
+            continue
+        assert status == 0
+        capsys.readouterr()
+        last = read(single / "entangle_populations.csv").splitlines()[-1].split(",")
+        assert row[1:3] == [last[2], last[4]]
+        single_config = json.loads(read(single / "entangle_state.json"))["config"]
+        params = BraggParams(**{field.name: single_config[field.name] for field in dataclasses.fields(BraggParams)})
+        _, direct = run_protocol(params, shots=500, seed=_row_seed(7, i), time_scale=single_config["time_scale"])
+        low, high = wilson_interval(direct.successes, direct.retained_shots)
+        assert row[4:8] == [f"{x:.12g}" for x in (direct.success_rate, low, high, direct.mean_psi_fidelity)]
+        assert row[-1] == ""
 
 
 def test_sweep_rejects_points(tmp_path, capsys):
@@ -781,11 +836,33 @@ def test_non_finite_time_scales_exit_1_up_front(tmp_path, capsys):
     assert run_cli(*argv, "--axis", "delta_over_g", "--values", "50,100", "--time-scale", "inf") == 1
     assert capsys.readouterr().err == "error: time_scale must be finite, got inf\n"
     assert not out.exists()
-    # On the time-scale axis only the non-finite row fails.
-    assert run_cli(*argv, "--axis", "interaction_time_scale", "--values", "0.5,inf") == 0
-    assert capsys.readouterr().out == "row inf failed: ValueError: times must be finite and nonnegative\n"
-    rows = [line.split(",") for line in read(out / "sweep.csv").splitlines()[3:]]
-    assert rows[0][-1] == "" and rows[1][-1] == "ValueError: times must be finite and nonnegative"
+    # So is a non-finite value on the time-scale axis, with the whole sweep.
+    assert run_cli(*argv, "--axis", "interaction_time_scale", "--values", "0.5,inf") == 1
+    assert capsys.readouterr().err == "error: sweep value 'inf' is not a number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("values, file_values", [
+    ("--values=0.5,inf", None),
+    ("--values=nan", None),
+    ("--values=-inf,100", None),
+    (None, "[0.5, 1e999]"),  # json.loads reads 1e999 as inf
+])
+def test_non_finite_sweep_values_exit_1_before_any_artifact(tmp_path, capsys, values, file_values):
+    # JSON has no Infinity or NaN: a sweep that recorded one in its config
+    # would write files that strict JSON parsers refuse.
+    out = tmp_path / "run"
+    argv = ["sweep", "--axis", "interaction_time_scale", "--shots", "10", "--out", str(out)]
+    if values is None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sweep": {"axis": "interaction_time_scale", "values": %s}}' % file_values)
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(values)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep value") and err.count("\n") == 1
+    assert not out.exists()
 
 
 _NO_DEFLECTION_TIME = "gives no finite positive full deflection time: the Pendelloesung frequency leaves the float range"
@@ -834,7 +911,7 @@ def test_ladders_past_the_halfwidth_cap_exit_1_before_any_is_built(tmp_path, cap
 def test_sweep_row_without_a_deflection_time_fails_on_its_own(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--axis", "l0", "--values", "2,200", "--shots", "10", "--out", str(out)) == 0
-    error = f"ValueError: l0 = 200 with g = 1.0 and delta = 100.0 {_NO_DEFLECTION_TIME}"
+    error = f"l0 = 200 with g = 1.0 and delta = 100.0 {_NO_DEFLECTION_TIME}"
     assert capsys.readouterr().out == f"row 200 failed: {error}\n"
     rows = [line.split(",") for line in read(out / "sweep.csv").splitlines()[3:]]
     assert rows[0][-1] == "" and rows[1][-1] == error

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,10 +11,9 @@ from cavityswap.bragg import (
     full_deflection_time,
     oracle_compare,
 )
-from cavityswap.cli import main
+from cavityswap.cli import ConfigError, _resolve_row, load_config, main
 from cavityswap.metrics import (
     ComparisonRow,
-    SweepSpec,
     run_sweep,
     wilson_interval,
 )
@@ -48,28 +48,34 @@ def test_wilson_interval_input_validation():
 # ---------------------------------------------------------------- sweeps
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(ValueError, match="axis"):
-        SweepSpec(axis="bogus", values=(1.0,), base=BASE, shots=10, seed=1)
-    with pytest.raises(ValueError, match="nonempty"):
-        SweepSpec(axis="l0", values=(), base=BASE, shots=10, seed=1)
-    with pytest.raises(ValueError, match="monotone"):
-        SweepSpec(axis="l0", values=(2, 4, 2), base=BASE, shots=10, seed=1)
-    with pytest.raises(ValueError, match="shots"):
-        SweepSpec(axis="l0", values=(2,), base=BASE, shots=0, seed=1)
-    with pytest.raises(ValueError, match="time_scale"):
-        SweepSpec(axis="l0", values=(2,), base=BASE, shots=10, seed=1, time_scale=-1.0)
+def sweep_config(axis, values, shots=10, seed=1, **keys) -> dict:
+    """The typed config of a sweep given by flags."""
+    overrides = {"axis": axis, "values": list(values), "shots": shots, "seed": seed, **keys}
+    return load_config("sweep", None, overrides)[0]
+
+
+def sweep(axis, values, shots=10, seed=1, **keys) -> tuple:
+    """The rows of a sweep given by flags, each resolved as ``sweep`` does."""
+    cfg = sweep_config(axis, values, shots, seed, **keys)
+    return run_sweep(cfg["values"], functools.partial(_resolve_row, cfg), shots, seed).rows
+
+
+def test_sweep_checks_refuse_the_whole_sweep():
+    with pytest.raises(ConfigError, match="axis"):
+        sweep_config("bogus", (1.0,))
+    with pytest.raises(ConfigError, match="nonempty"):
+        sweep_config("l0", ())
+    with pytest.raises(ConfigError, match="monotone"):
+        sweep_config("l0", (2, 4, 2))
+    with pytest.raises(ConfigError, match="shots"):
+        sweep_config("l0", (2,), shots=0)
+    with pytest.raises(ConfigError, match="time_scale"):
+        sweep_config("l0", (2,), time_scale=-1.0)
 
 
 def test_sweep_is_deterministic_and_byte_identical(tmp_path):
-    spec = SweepSpec(
-        axis="interaction_time_scale",
-        values=(0.9, 1.0, 1.1),
-        base=BASE,
-        shots=2_000,
-        seed=21,
-    )
-    assert run_sweep(spec).rows == run_sweep(spec).rows
+    rows = sweep("interaction_time_scale", (0.9, 1.0, 1.1), shots=2_000, seed=21)
+    assert sweep("interaction_time_scale", (0.9, 1.0, 1.1), shots=2_000, seed=21) == rows
     argv = ["sweep", "--axis", "interaction_time_scale", "--values", "0.9,1.0,1.1",
             "--shots", "2000", "--seed", "21", "--out", str(tmp_path)]
     names = ("sweep.csv", "sweep_manifest.json")
@@ -80,22 +86,14 @@ def test_sweep_is_deterministic_and_byte_identical(tmp_path):
 
 
 def test_time_scale_sweep_peaks_at_nominal_timing():
-    spec = SweepSpec(
-        axis="interaction_time_scale",
-        values=(0.8, 0.9, 1.0, 1.1, 1.2),
-        base=BASE,
-        shots=500,
-        seed=2,
-    )
-    rows = run_sweep(spec).rows
+    rows = sweep("interaction_time_scale", (0.8, 0.9, 1.0, 1.1, 1.2), shots=500, seed=2)
     fidelities = [row.mean_psi_fidelity for row in rows]
     assert max(fidelities) == fidelities[2]
     assert fidelities[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_value_sweep_matches_a_direct_run():
-    spec = SweepSpec(axis="delta_over_g", values=(100.0,), base=BASE, shots=3_000, seed=9)
-    row = run_sweep(spec).rows[0]
+    row = sweep("delta_over_g", (100.0,), shots=3_000, seed=9)[0]
     # Same spawned per-row seed as the sweep uses.
     row_seed = np.random.SeedSequence(9, spawn_key=(0,))
     _, direct = run_protocol(BASE, shots=3_000, seed=row_seed)
@@ -105,17 +103,14 @@ def test_single_value_sweep_matches_a_direct_run():
 
 
 def test_l0_sweep_success_rate_is_phase_independent():
-    spec = SweepSpec(axis="l0", values=(2, 4), base=BASE, shots=4_000, seed=3)
-    rows = run_sweep(spec).rows
-    for row in rows:
+    for row in sweep("l0", (2, 4), shots=4_000, seed=3):
         assert row.error == ""
         assert row.success_low <= 0.5 <= row.success_high
         assert row.mean_psi_fidelity == pytest.approx(1.0, abs=1e-10)
 
 
 def test_sweep_records_row_failures_and_continues(tmp_path, monkeypatch):
-    spec = SweepSpec(axis="delta_over_g", values=(5.0, 100.0), base=BASE, shots=200, seed=4)
-    rows = run_sweep(spec).rows
+    rows = sweep("delta_over_g", (5.0, 100.0), shots=200, seed=4)
     assert rows[0].error != "" and math.isnan(rows[0].success_rate)
     assert rows[1].error == "" and not math.isnan(rows[1].success_rate)
     argv = ["sweep", "--axis", "delta_over_g", "--values", "5,100", "--shots", "200", "--seed", "4",
@@ -131,7 +126,9 @@ def test_sweep_records_row_failures_and_continues(tmp_path, monkeypatch):
 
     monkeypatch.setattr(metrics, "herald_batch", broken)
     with pytest.raises(RuntimeError, match="bug"):
-        run_sweep(spec)
+        sweep("delta_over_g", (5.0, 100.0), shots=200, seed=4)
+    with pytest.raises(RuntimeError, match="bug"):
+        run_sweep((1.0,), broken, shots=10, seed=1)
 
 
 def count_eigh_calls(monkeypatch) -> list:
@@ -153,37 +150,28 @@ def test_time_scale_sweep_diagonalises_the_ladder_once(monkeypatch):
     # Every row shares one Hamiltonian: 401 rows, one eigendecomposition.
     calls = count_eigh_calls(monkeypatch)
     values = tuple(round(0.5 + i / 400, 6) for i in range(401))
-    spec = SweepSpec(axis="interaction_time_scale", values=values, base=BASE, shots=100, seed=5)
-    rows = run_sweep(spec).rows
+    rows = sweep("interaction_time_scale", values, shots=100, seed=5)
     assert len(rows) == 401 and not any(row.error for row in rows)
     assert len(calls) == 1
 
 
 def test_delta_sweep_diagonalises_each_row_once(monkeypatch):
     calls = count_eigh_calls(monkeypatch)
-    spec = SweepSpec(
-        axis="delta_over_g", values=(60.0, 100.0, 150.0), base=BraggParams(l0=4), shots=100, seed=5
-    )
-    assert not any(row.error for row in run_sweep(spec).rows)
+    assert not any(row.error for row in sweep("delta_over_g", (60.0, 100.0, 150.0), shots=100, seed=5, l0=4))
     assert len(calls) == 3
 
 
 def test_non_finite_time_scales_fail_before_the_ladder_runs():
-    # A non-finite shared time scale is refused; a non-finite axis value
-    # fails its own row at resolution, so no RuntimeWarning (an error
-    # under this suite's filter) comes from propagating it.
+    # A non-finite time scale, shared or on the time-scale axis, is refused
+    # with the whole sweep, so no RuntimeWarning (an error under this
+    # suite's filter) comes from propagating it.
     for ts in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="time_scale must be finite"):
-            SweepSpec(axis="delta_over_g", values=(100.0,), base=BASE, shots=10, seed=1, time_scale=ts)
+        with pytest.raises(ConfigError, match="time_scale must be finite"):
+            sweep_config("delta_over_g", (100.0,), time_scale=ts)
         with pytest.raises(ValueError, match="time_scale must be finite"):
             run_protocol(BASE, shots=10, seed=1, time_scale=ts)
-    rows = run_sweep(SweepSpec(axis="interaction_time_scale", values=(0.5, math.inf),
-                               base=BASE, shots=100, seed=3)).rows
-    assert rows[0].error == ""
-    assert rows[1].error == "ValueError: times must be finite and nonnegative"
-    (row,) = run_sweep(SweepSpec(axis="interaction_time_scale", values=(math.nan,),
-                                 base=BASE, shots=100, seed=3)).rows
-    assert row.error == "ValueError: times must be finite and nonnegative"
+        with pytest.raises(ConfigError, match=r"values must be numbers, got \[0.5, (inf|nan)\]"):
+            sweep_config("interaction_time_scale", (0.5, ts))
 
 
 def test_rows_past_the_ladder_limits_fail_on_their_own(monkeypatch):
@@ -193,14 +181,13 @@ def test_rows_past_the_ladder_limits_fail_on_their_own(monkeypatch):
     built = []
     monkeypatch.setattr(bragg, "build_effective_hamiltonian",
                         lambda p, build=bragg.build_effective_hamiltonian: built.append(p) or build(p))
-    rows = run_sweep(SweepSpec(axis="interaction_time_scale", values=(1.0, 1e305), base=BASE, shots=10, seed=1)).rows
+    rows = sweep("interaction_time_scale", (1.0, 1e305))
     assert rows[0].error == ""
-    assert rows[1].error == ("ValueError: time 6.283185307179586e+307 x the ladder spectral bound 224.0 "
-                             "leaves the float range")
+    assert rows[1].error == "time 6.283185307179586e+307 x the ladder spectral bound 224.0 leaves the float range"
     assert math.isnan(rows[1].ladder_deflected) and math.isnan(rows[1].abs_error)
-    rows = run_sweep(SweepSpec(axis="ladder_halfwidth", values=(4, 100_000), base=BASE, shots=10, seed=1)).rows
+    rows = sweep("ladder_halfwidth", (4, 100_000))
     assert rows[0].error == ""
-    assert rows[1].error == f"ValueError: ladder_halfwidth must be at most {BraggParams.MAX_LADDER_HALFWIDTH}, got 100000"
+    assert rows[1].error == f"ladder_halfwidth must be at most {BraggParams.MAX_LADDER_HALFWIDTH}, got 100000"
     assert [p.ladder_halfwidth for p in built] == [BASE.ladder_halfwidth, 4]
 
 
@@ -209,9 +196,8 @@ def test_time_scale_sweep_rows_equal_one_time_comparisons():
     # read exactly as a comparison at its own time alone, and the failed
     # negative row must leave its neighbours as direct runs give them.
     values = (-0.5, 0.0, 0.7, 1.0)
-    spec = SweepSpec(axis="interaction_time_scale", values=values, base=BASE, shots=1_000, seed=8)
-    rows = run_sweep(spec).rows
-    assert rows[0].error == "ValueError: times must be nonnegative"
+    rows = sweep("interaction_time_scale", values, shots=1_000, seed=8)
+    assert rows[0].error == "time_scale must be nonnegative, got -0.5"
     assert math.isnan(rows[0].ladder_deflected)
     columns = [POPULATION_COLUMNS.index("analytic_deflected"), POPULATION_COLUMNS.index("ladder_deflected")]
     for i in (1, 2, 3):
@@ -236,15 +222,17 @@ def test_sweep_rows_equal_one_row_runs_bit_for_bit(axis, values, failed):
     # The sweep stacks ladders and heralds across rows; every good row must
     # give the bits of a one-time comparison and of a direct protocol run
     # with the row's seed.
-    base = BraggParams(l0=4) if axis == "ladder_halfwidth" else BASE
-    spec = SweepSpec(axis=axis, values=values, base=base, shots=1_000, seed=13)
-    rows = run_sweep(spec).rows
-    assert rows[failed].error.startswith("ValueError: ")
+    keys = {"l0": 4} if axis == "ladder_halfwidth" else {}
+    cfg = sweep_config(axis, values, shots=1_000, seed=13, **keys)
+    rows = sweep(axis, values, shots=1_000, seed=13, **keys)
+    with pytest.raises(ConfigError) as exc:
+        _resolve_row(cfg, values[failed])
+    assert rows[failed].error == str(exc.value)
     columns = [POPULATION_COLUMNS.index("analytic_deflected"), POPULATION_COLUMNS.index("ladder_deflected")]
     for i, (row, value) in enumerate(zip(rows, values)):
         if i == failed:
             continue
-        params, ts = metrics._row_params(spec, value)
+        params, ts = _resolve_row(cfg, value)
         table = oracle_compare(params, [ts * full_deflection_time(params)]).table[0]
         assert row.error == ""
         assert np.array([row.analytic_deflected, row.ladder_deflected]).tobytes() == table[columns].tobytes()
@@ -254,28 +242,24 @@ def test_sweep_rows_equal_one_row_runs_bit_for_bit(axis, values, failed):
         assert (row.success_low, row.success_high) == wilson_interval(direct.successes, direct.retained_shots)
 
 
-def test_sweep_spec_rejects_non_numeric_values():
+def test_sweep_checks_refuse_non_numeric_values():
     for axis in ("delta_over_g", "l0"):
-        for bad in ("50", True, None):
-            with pytest.raises(ValueError, match=f"sweep value {bad!r} is not a number"):
-                SweepSpec(axis=axis, values=(bad, 100), base=BASE, shots=10, seed=1)
-    with pytest.raises(ValueError, match="sweep value '50' is not a number"):
-        SweepSpec(axis="delta_over_g", values=("50", "100"), base=BASE, shots=10, seed=1)
+        for bad in ("50", True, None, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="values must be numbers"):
+                sweep_config(axis, (bad, 100))
+    with pytest.raises(ConfigError, match="sweep value 'x' is not a number"):
+        load_config("sweep", None, {"axis": "delta_over_g", "values": "50,x", "shots": 10})
 
 
 def test_integer_axes_reject_fractional_values():
     for axis, values in (("l0", (2, 3.7, 4.5)), ("ladder_halfwidth", (5, 6.5))):
-        with pytest.raises(ValueError, match=f"{axis} values must be integers"):
-            SweepSpec(axis=axis, values=values, base=BASE, shots=10, seed=1)
-    spec = SweepSpec(axis="l0", values=(2.0, 4.0), base=BASE, shots=100, seed=1)
-    rows = run_sweep(spec).rows
+        with pytest.raises(ConfigError, match=f"{axis} values must be integers"):
+            sweep_config(axis, values)
+    rows = sweep("l0", (2.0, 4.0), shots=100)
     assert [row.value for row in rows] == [2.0, 4.0] and not any(row.error for row in rows)
 
 
 def test_sweep_rows_keep_axis_order():
-    spec = SweepSpec(
-        axis="ladder_halfwidth", values=(5, 6, 7), base=BASE, shots=200, seed=6
-    )
-    rows = run_sweep(spec).rows
+    rows = sweep("ladder_halfwidth", (5, 6, 7), shots=200, seed=6)
     assert [row.value for row in rows] == [5.0, 6.0, 7.0]
     assert all(isinstance(row, ComparisonRow) for row in rows)
